@@ -40,6 +40,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +49,7 @@ import (
 	"time"
 
 	"minnow/internal/service"
+	"minnow/internal/stats"
 )
 
 func main() {
@@ -429,6 +431,22 @@ func (l *loader) fail(msg string) {
 	l.mu.Unlock()
 }
 
+// percentiles returns the exact nearest-rank p-th percentiles of ds
+// (stats.Percentile over nanoseconds, the definition RunSummary latency
+// and perfbench use), rounded to the millisecond for printing.
+func percentiles(ds []time.Duration, ps ...float64) []time.Duration {
+	ns := make([]int64, len(ds))
+	for i, d := range ds {
+		ns[i] = int64(d)
+	}
+	slices.Sort(ns)
+	out := make([]time.Duration, len(ps))
+	for i, p := range ps {
+		out[i] = time.Duration(stats.Percentile(ns, p)).Round(time.Millisecond)
+	}
+	return out
+}
+
 // report prints the run summary and returns whether the run passes:
 // no hash mismatches, no failures, and (with requireHits) at least one
 // deduplicated submission.
@@ -436,14 +454,6 @@ func (l *loader) report(requireHits bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	sort.Slice(l.sojourns, func(i, j int) bool { return l.sojourns[i] < l.sojourns[j] })
-	pct := func(p float64) time.Duration {
-		if len(l.sojourns) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(l.sojourns)-1))
-		return l.sojourns[i]
-	}
 	var total time.Duration
 	for _, d := range l.sojourns {
 		total += d
@@ -456,7 +466,8 @@ func (l *loader) report(requireHits bool) bool {
 	fmt.Printf("minnowload: submitted %d, completed %d, canceled %d, failed %d (backpressure retries %d)\n",
 		l.submitted, l.completed, l.canceledN, len(l.failures), l.retries)
 	if l.completed > 0 {
-		fmt.Printf("minnowload: sojourn p50 %v  p99 %v  mean %v\n", pct(0.50).Round(time.Millisecond), pct(0.99).Round(time.Millisecond), (total / time.Duration(l.completed)).Round(time.Millisecond))
+		q := percentiles(l.sojourns, 50, 99)
+		fmt.Printf("minnowload: sojourn p50 %v  p99 %v  mean %v\n", q[0], q[1], (total / time.Duration(l.completed)).Round(time.Millisecond))
 	}
 	// Per-terminal-status percentiles: canceled submissions resolve much
 	// faster than completed simulations, so one merged distribution hides
@@ -468,10 +479,8 @@ func (l *loader) report(requireHits bool) bool {
 	sort.Strings(statuses)
 	for _, st := range statuses {
 		ds := l.statusSojourns[st]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		q := func(p float64) time.Duration { return ds[int(p*float64(len(ds)-1))] }
-		fmt.Printf("minnowload: sojourn[%s] n=%d  p50 %v  p95 %v  p99 %v\n",
-			st, len(ds), q(0.50).Round(time.Millisecond), q(0.95).Round(time.Millisecond), q(0.99).Round(time.Millisecond))
+		q := percentiles(ds, 50, 95, 99)
+		fmt.Printf("minnowload: sojourn[%s] n=%d  p50 %v  p95 %v  p99 %v\n", st, len(ds), q[0], q[1], q[2])
 	}
 	fmt.Printf("minnowload: client-observed cache hit ratio %.3f (%d of %d served without a fresh simulation)\n", ratio, l.cachedN, l.completed)
 	fmt.Printf("minnowload: %d distinct cache keys, %d hash mismatches\n", len(l.hashes), len(l.mismatch))

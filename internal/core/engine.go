@@ -27,8 +27,8 @@
 // Determinism contract: the engine interacts with the rest of the system
 // only through timestamped memory accesses and the wake callback, so its
 // spill/fill/prefetch schedule reproduces exactly for a given run. The
-// optional Trace ring buffer and the obs timeline hooks (TL/Track) record
-// those events as they are timed and never feed back into them.
+// optional event observer (Obs) records those events as they are timed
+// and never feeds back into them.
 package core
 
 import (
@@ -39,7 +39,6 @@ import (
 	"minnow/internal/obs"
 	"minnow/internal/sim"
 	"minnow/internal/stats"
-	"minnow/internal/trace"
 	"minnow/internal/worklist"
 )
 
@@ -135,13 +134,10 @@ type Engine struct {
 	// harness).
 	wake func(at sim.Time)
 
-	// Trace, when non-nil, records engine events (minnowsim -trace).
-	Trace *trace.Buffer
-
-	// TL, when non-nil, receives threadlet spans and stall instants on
-	// Track (timeline observability; set by the harness).
-	TL    *obs.Timeline
-	Track obs.TrackID
+	// Obs, when non-nil, receives every engine event once and routes it
+	// to the minnowsim -trace tail and the engine's timeline track (set by
+	// the harness).
+	Obs *obs.EngineObserver
 
 	// Inj, when non-nil, is the deterministic fault injector (set by the
 	// harness). Nil in fault-free runs, costing one comparison per
@@ -357,7 +353,7 @@ func (e *Engine) EnqueueFrom(coreID int, t worklist.Task, coreNow sim.Time) sim.
 		fe.localBucket = b
 		e.Stat.LocalEnq++
 		fe.enqSeq++
-		e.Trace.Emit(done, e.CoreID, coreID, trace.EvEnqueue, int64(t.Node))
+		e.Obs.Emit(obs.EvEnqueue, coreNow, done, coreID, int64(t.Node))
 		e.startPrefetch(fe, t, fe.enqSeq, done)
 		return done
 	}
@@ -383,7 +379,7 @@ func (e *Engine) EnqueueFrom(coreID int, t worklist.Task, coreNow sim.Time) sim.
 		}
 	}
 	e.spillQ = append(e.spillQ, t)
-	e.Trace.Emit(done, e.CoreID, coreID, trace.EvEnqueueSpill, int64(t.Node))
+	e.Obs.Emit(obs.EvEnqueueSpill, coreNow, done, coreID, int64(t.Node))
 	if e.wake != nil {
 		e.wake(done)
 	}
@@ -412,12 +408,12 @@ func (e *Engine) DequeueFrom(coreID int, coreNow sim.Time) (t worklist.Task, rea
 		if len(fe.localQ) == 0 {
 			fe.localBucket = noBucket
 		}
-		e.Trace.Emit(ready, e.CoreID, coreID, trace.EvDequeue, int64(t.Node))
+		e.Obs.Emit(obs.EvDequeue, coreNow, ready, coreID, int64(t.Node))
 		e.maybeRefill(fe, ready)
 		return t, ready, true
 	}
 	// Empty: demand a fill if the global worklist may have work.
-	e.Trace.Emit(ready, e.CoreID, coreID, trace.EvDequeueEmpty, 0)
+	e.Obs.Emit(obs.EvDequeueEmpty, coreNow, ready, coreID, 0)
 	if e.gwl.Len() > 0 || len(e.spillQ) > 0 {
 		fe.doFill = true
 		if e.wake != nil {
@@ -434,7 +430,7 @@ func (e *Engine) Flush(coreNow sim.Time) sim.Time {
 	if e.clock < coreNow {
 		e.clock = coreNow
 	}
-	e.Trace.Emit(coreNow, e.CoreID, e.CoreID, trace.EvFlush, 0)
+	e.Obs.Emit(obs.EvFlush, coreNow, coreNow, e.CoreID, 0)
 	for _, fe := range e.fes {
 		for _, t := range fe.localQ {
 			e.clock = e.gwl.Spill(e, t, e.clock)
@@ -600,8 +596,7 @@ func (e *Engine) spillOnce() {
 	e.spillQ = append(e.spillQ[:0], e.spillQ[n:]...)
 	e.Stat.Spills += int64(n)
 	e.Stat.Threadlets++
-	e.Trace.Emit(e.clock, e.CoreID, e.CoreID, trace.EvSpill, int64(n))
-	e.TL.Span(e.Track, obs.EvSpill, start, e.clock, int64(n))
+	e.Obs.Emit(obs.EvSpill, start, e.clock, e.CoreID, int64(n))
 }
 
 // drainSpills empties the spill queue.
@@ -624,8 +619,7 @@ func (e *Engine) runFill(fe *frontEnd) {
 	start := e.clock
 	tasks, done := e.gwl.Fill(e, want, e.clock)
 	e.clock = done
-	e.Trace.Emit(done, e.CoreID, fe.coreID, trace.EvFill, int64(len(tasks)))
-	e.TL.Span(e.Track, obs.EvFill, start, done, int64(len(tasks)))
+	e.Obs.Emit(obs.EvFill, start, done, fe.coreID, int64(len(tasks)))
 	for _, t := range tasks {
 		b := e.bucketOf(t.Priority)
 		// "If tasks at the head of the global worklist are of equal or
@@ -713,8 +707,7 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 		if st.seq <= fe.deqSeq {
 			fe.streams = fe.streams[1:]
 			e.Stat.LateDrops++
-			e.Trace.Emit(e.clock, e.CoreID, fe.coreID, trace.EvStreamDrop, st.seq)
-			e.TL.Instant(e.Track, obs.EvStreamDrop, e.clock, st.seq)
+			e.Obs.Emit(obs.EvStreamDrop, e.clock, e.clock, fe.coreID, st.seq)
 			continue
 		}
 		break
@@ -739,8 +732,7 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 			// Out of credits: pause prefetching until a credit returns
 			// (OnCredit wakes us).
 			e.Stat.CreditStalls++
-			e.Trace.Emit(e.clock, e.CoreID, fe.coreID, trace.EvCreditStall, 0)
-			e.TL.Instant(e.Track, obs.EvCreditStall, e.clock, 0)
+			e.Obs.Emit(obs.EvCreditStall, e.clock, e.clock, fe.coreID, 0)
 			return false
 		}
 	}
@@ -753,7 +745,6 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 	}
 	st.started = true
 	e.Stat.Threadlets++
-	e.Trace.Emit(e.clock, e.CoreID, fe.coreID, trace.EvPrefetch, int64(len(st.buf)))
 	pfStart := e.clock
 	var prevDone sim.Time
 	for i, addr := range st.buf {
@@ -777,7 +768,7 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 			}
 		}
 	}
-	e.TL.Span(e.Track, obs.EvPrefetch, pfStart, e.clock, int64(len(st.buf)))
+	e.Obs.Emit(obs.EvPrefetch, pfStart, e.clock, fe.coreID, int64(len(st.buf)))
 	return true
 }
 

@@ -18,7 +18,6 @@ import (
 	"minnow/internal/prof"
 	"minnow/internal/sim"
 	"minnow/internal/stats"
-	"minnow/internal/trace"
 	"minnow/internal/worklist"
 )
 
@@ -279,12 +278,6 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 			}
 			engines = append(engines, core.NewSharedEngine(group, ecfg, msys, gwl))
 		}
-		if o.TraceEvents > 0 {
-			buf := trace.New(o.TraceEvents)
-			for _, e := range engines {
-				e.Trace = buf
-			}
-		}
 		if inj != nil {
 			for i, e := range engines {
 				e.Inj = inj
@@ -400,9 +393,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	}
 	run.SimSteps = eng.Steps()
 	run.BoundSteps = eng.BoundSteps()
-	if len(engines) > 0 {
-		run.Trace = engines[0].Trace
-	}
+	run.Trace = ob.tail
 	if ob.reg != nil {
 		// Close out the partial last interval so tail activity is not
 		// silently dropped (the boundary probe only fires on crossings).

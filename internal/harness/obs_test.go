@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,6 +136,81 @@ func TestTimelineGolden(t *testing.T) {
 		t.Fatalf("timeline drifted from golden file (len %d vs %d); rerun with -update and review",
 			len(got), len(want))
 	}
+}
+
+func TestTraceGolden(t *testing.T) {
+	// Golden-file pin on the rendered engine event tail (Result.TraceText,
+	// minnowsim -trace): event stamps, order, engine/core columns, and the
+	// per-kind counts must stay byte-stable across refactors. The first
+	// configuration starves the credit pool so the counts cover credit
+	// stalls and stream drops; the second shares engines so the engine
+	// and core columns differ. Regenerate with
+	// `go test ./internal/harness -run TraceGolden -update` and review.
+	spec, err := kernels.SpecByName("SSSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	starved := obsOpts()
+	starved.Credits = 2
+	starved.TraceEvents = 40
+	shared := small(4)
+	shared.Scheduler = "minnow"
+	shared.Prefetch = true
+	shared.EngineSharing = 2
+	shared.TraceEvents = 24
+
+	var got bytes.Buffer
+	for _, c := range []struct {
+		name string
+		o    Options
+		want []string
+	}{
+		{"minnow+prefetch, credits 2, tail 40", starved, []string{" credit-stall=", " stream-drop="}},
+		{"minnow+prefetch, engine sharing 2, tail 24", shared, nil},
+	} {
+		c.o.WorkBudget = 400
+		c.o.SkipVerify = true
+		run, err := Run(spec, c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := run.Trace.String()
+		for _, w := range c.want {
+			if !strings.Contains(text, w) {
+				t.Fatalf("%s: trace lacks %q:\n%s", c.name, w, text)
+			}
+		}
+		got.WriteString("# " + c.name + "\n" + text)
+	}
+	if !sharedColumnsDiffer(got.String()) {
+		t.Fatalf("no event served a core other than its engine's attach point:\n%s", got.String())
+	}
+
+	path := filepath.Join("testdata", "trace.golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("engine trace drifted from golden file; rerun with -update and review:\n%s", got.String())
+	}
+}
+
+// sharedColumnsDiffer reports whether any rendered trace line names an
+// engine and a served core with different IDs.
+func sharedColumnsDiffer(text string) bool {
+	for _, line := range strings.Split(text, "\n") {
+		var at, eng, core int64
+		if n, _ := fmt.Sscanf(line, "%d eng%d core%d", &at, &eng, &core); n == 3 && eng != core {
+			return true
+		}
+	}
+	return false
 }
 
 func TestIntervalColumnsMinnow(t *testing.T) {

@@ -20,17 +20,19 @@ const timelineCounterEvery = 5000
 // observer bundles the per-run observability state the harness wires
 // between component construction and the simulation loop.
 type observer struct {
-	tl  *obs.Timeline
-	reg *obs.Registry
+	tl   *obs.Timeline
+	reg  *obs.Registry
+	tail *obs.EventTail // engine event tail (Options.TraceEvents)
 	// onSample is the live-inspector feed (Options.OnSample): called at
 	// each crossed sampling boundary with the registry's freshest row
 	// rendered as Prometheus text.
 	onSample func(cycles int64, metrics string)
 }
 
-// buildObserver constructs the timeline and sampling registry selected by
-// the options and attaches the timeline hooks to cores, workers, engines,
-// and the memory system. It must run after every component exists and
+// buildObserver constructs the timeline, engine event tail, and sampling
+// registry selected by the options, attaches the timeline hooks to cores,
+// workers, and the memory system, and gives every engine one event
+// observer feeding both. It must run after every component exists and
 // before the first actor steps.
 //
 // Everything registered here observes only: the closures read counters
@@ -42,17 +44,25 @@ func buildObserver(o Options, cores []*cpu.Core, workers []*galois.Worker,
 	inj *fault.Injector, arr *arrivalActor) *observer {
 
 	ob := &observer{}
+	if o.TraceEvents > 0 && len(engines) > 0 {
+		ob.tail = obs.NewEventTail(o.TraceEvents)
+	}
+	var tl *obs.Timeline
 	if o.Timeline {
-		tl := obs.NewTimeline()
+		tl = obs.NewTimeline()
 		for i, c := range cores {
 			track := tl.AddTrack(fmt.Sprintf("core %d", i))
 			c.TL, c.Track = tl, track
 			workers[i].TL, workers[i].Track = tl, track
 		}
+	}
+	if tl != nil || ob.tail != nil {
 		for _, e := range engines {
-			e.TL = tl
-			e.Track = tl.AddTrack(fmt.Sprintf("engine %d", e.CoreID))
+			e.Obs = &obs.EngineObserver{Engine: e.CoreID, Tail: ob.tail, TL: tl,
+				Track: tl.AddTrack(fmt.Sprintf("engine %d", e.CoreID))}
 		}
+	}
+	if tl != nil {
 		msys.TL = tl
 		msys.MemTrack = tl.AddTrack("memory")
 		if arr != nil {

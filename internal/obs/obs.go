@@ -8,8 +8,9 @@
 // worklist occupancy ramps (Fig. 2's motivation), the L2 MPKI collapse
 // under worklist-directed prefetching (§6.3), and credit-throttled
 // prefetch bursts (§5.3.1) are all invisible in end-of-run aggregates.
-// The engine-only ring buffer in internal/trace is re-based on this
-// package's Kind vocabulary, so engine events and full-system events
+// Minnow engines emit each event once, to an EngineObserver, which
+// routes it to the bounded engine event tail (minnowsim -trace) and to
+// the engine's timeline track, so engine events and full-system events
 // share one taxonomy (documented in docs/OBSERVABILITY.md).
 //
 // Determinism contract: observers never schedule. Nothing in this package
@@ -18,16 +19,16 @@
 // Enabling observability must not change wall cycles, event-loop steps,
 // or any RunSummary field; the harness tests assert exactly that. All
 // collection entry points are nil-receiver-safe, so a disabled
-// (nil) Timeline or Registry costs one branch per instrumented site —
-// the same discipline as the trace package.
+// (nil) Timeline, Registry, or EngineObserver costs one branch per
+// instrumented site.
 package obs
 
 import "fmt"
 
-// Kind classifies an observability event. The first block mirrors the
-// historical engine-trace vocabulary (internal/trace aliases these
-// constants); the second block extends it to cores, caches, and the
-// memory fabric; the final block names the sampled counter tracks.
+// Kind classifies an observability event. The first block is the Minnow
+// engine vocabulary (EngineObserver, EventTail); the second block extends
+// it to cores, caches, and the memory fabric; the final block names the
+// sampled counter tracks.
 type Kind uint8
 
 const (

@@ -40,8 +40,7 @@ type column struct {
 // invisible to the simulated execution (see the package determinism
 // contract). A nil *Registry is a valid disabled registry: every method
 // is nil-receiver-safe and the sampling entry points are allocation-free
-// in that state, matching the one-branch-per-site discipline of the
-// trace package.
+// in that state, matching the package's one-branch-per-site discipline.
 type Registry struct {
 	every  sim.Time
 	cols   []column

@@ -8,146 +8,18 @@ import (
 	"minnow"
 )
 
-// ConfigSpec is the JSON-serializable mirror of minnow.Config accepted
-// by POST /jobs: field names match minnow.Config exactly, so any JSON
-// document that unmarshals into minnow.Config unmarshals identically
-// here. The non-data fields (CustomPrefetch, OnSample, and Cancel — Go
-// function hooks) are not expressible in JSON and are therefore absent;
-// everything else round-trips. See minnow.Config for per-field
-// semantics.
-type ConfigSpec struct {
-	// Threads is the simulated core count (0 = default 8).
-	Threads int `json:",omitempty"`
-	// Scale multiplies the default input sizes (0 = default 1).
-	Scale int `json:",omitempty"`
-	// Seed drives the graph generators (0 = default 42).
-	Seed uint64 `json:",omitempty"`
-	// Minnow attaches a Minnow engine to every core.
-	Minnow bool `json:",omitempty"`
-	// Prefetch enables worklist-directed prefetching (requires Minnow).
-	Prefetch bool `json:",omitempty"`
-	// Credits sets the prefetch credit pool (0 = default 32).
-	Credits int `json:",omitempty"`
-	// Scheduler picks the software worklist when Minnow is false.
-	Scheduler string `json:",omitempty"`
-	// LgInterval overrides the OBIM/Minnow bucket interval (log2); null
-	// uses each benchmark's tuned default.
-	LgInterval *uint `json:",omitempty"`
-	// HWPrefetcher attaches a baseline hardware prefetcher.
-	HWPrefetcher string `json:",omitempty"`
-	// SplitThreshold breaks tasks with more edges into subtasks.
-	SplitThreshold int32 `json:",omitempty"`
-	// WorkBudget aborts runs after this many operator applications.
-	WorkBudget int64 `json:",omitempty"`
-	// Serial elides atomics (the optimized 1-thread serial baseline).
-	Serial bool `json:",omitempty"`
-	// MemChannels sets the DRAM channel count (0 = default 12).
-	MemChannels int `json:",omitempty"`
-	// PerfectBP idealizes branch prediction (Fig. 4 mode).
-	PerfectBP bool `json:",omitempty"`
-	// NoFences elides memory fences (Fig. 4 mode).
-	NoFences bool `json:",omitempty"`
-	// SkipVerify disables the post-run reference check.
-	SkipVerify bool `json:",omitempty"`
-	// TraceEvents records the last N Minnow engine events.
-	TraceEvents int `json:",omitempty"`
-	// MetricsEvery samples time-series metrics every N simulated cycles
-	// — also the /jobs/{id}/stream event cadence.
-	MetricsEvery int64 `json:",omitempty"`
-	// Timeline requests the Perfetto timeline artifact.
-	Timeline bool `json:",omitempty"`
-	// Profile requests the cycle-attribution profile artifacts.
-	Profile bool `json:",omitempty"`
-	// Faults arms the deterministic fault-injection plan.
-	Faults string `json:",omitempty"`
-	// Arrivals arms the deterministic open-loop arrival plan; the run's
-	// per-class latency percentiles land in the result summary.
-	Arrivals string `json:",omitempty"`
-	// Invariants enables runtime invariant checking and the watchdog.
-	Invariants bool `json:",omitempty"`
-	// MaxCycles halts runs past this simulated-cycle bound (the per-job
-	// timeout; 0 adopts the server's -job-max-cycles default).
-	MaxCycles int64 `json:",omitempty"`
-	// IntraJobs selects bound/weave workers inside the simulation (0
-	// adopts the server's -intra-jobs default; output is byte-identical
-	// for every value).
-	IntraJobs int `json:",omitempty"`
-	// EpochWindow sets the bound/weave epoch length in cycles.
-	EpochWindow int64 `json:",omitempty"`
-	// SharedHorizons enables conservative-lookahead horizons.
-	SharedHorizons bool `json:",omitempty"`
-}
-
-// specFromConfig converts a resolved configuration back to the wire
-// form — the inverse of ToConfig for the JSON-expressible fields. The
-// journal stores this for every accepted job so a restart can re-run it
-// without the original request; the host-only function hooks (Cancel,
-// OnSample, CustomPrefetch) have no wire form and are re-wired by the
-// server on re-execution.
-func specFromConfig(cfg minnow.Config) ConfigSpec {
-	return ConfigSpec{
-		Threads:        cfg.Threads,
-		Scale:          cfg.Scale,
-		Seed:           cfg.Seed,
-		Minnow:         cfg.Minnow,
-		Prefetch:       cfg.Prefetch,
-		Credits:        cfg.Credits,
-		Scheduler:      cfg.Scheduler,
-		LgInterval:     cfg.LgInterval,
-		HWPrefetcher:   cfg.HWPrefetcher,
-		SplitThreshold: cfg.SplitThreshold,
-		WorkBudget:     cfg.WorkBudget,
-		Serial:         cfg.Serial,
-		MemChannels:    cfg.MemChannels,
-		PerfectBP:      cfg.PerfectBP,
-		NoFences:       cfg.NoFences,
-		SkipVerify:     cfg.SkipVerify,
-		TraceEvents:    cfg.TraceEvents,
-		MetricsEvery:   cfg.MetricsEvery,
-		Timeline:       cfg.Timeline,
-		Profile:        cfg.Profile,
-		Faults:         cfg.Faults,
-		Arrivals:       cfg.Arrivals,
-		Invariants:     cfg.Invariants,
-		MaxCycles:      cfg.MaxCycles,
-		IntraJobs:      cfg.IntraJobs,
-		EpochWindow:    cfg.EpochWindow,
-		SharedHorizons: cfg.SharedHorizons,
-	}
-}
+// ConfigSpec is minnow.Config in its POST /jobs and journal wire form:
+// the same fields, names, and JSON tags, so any document that unmarshals
+// into minnow.Config unmarshals identically here. The Go function hooks
+// (CustomPrefetch, OnSample, Cancel) are tagged json:"-" and have no wire
+// form; the server re-wires them on execution. See minnow.Config for
+// per-field semantics. Two zero values take server defaults: MaxCycles
+// adopts -job-max-cycles and IntraJobs adopts -intra-jobs. MetricsEvery
+// also sets the /jobs/{id}/stream event cadence.
+type ConfigSpec minnow.Config
 
 // ToConfig converts the wire form to the simulator's configuration.
-func (c ConfigSpec) ToConfig() minnow.Config {
-	return minnow.Config{
-		Threads:        c.Threads,
-		Scale:          c.Scale,
-		Seed:           c.Seed,
-		Minnow:         c.Minnow,
-		Prefetch:       c.Prefetch,
-		Credits:        c.Credits,
-		Scheduler:      c.Scheduler,
-		LgInterval:     c.LgInterval,
-		HWPrefetcher:   c.HWPrefetcher,
-		SplitThreshold: c.SplitThreshold,
-		WorkBudget:     c.WorkBudget,
-		Serial:         c.Serial,
-		MemChannels:    c.MemChannels,
-		PerfectBP:      c.PerfectBP,
-		NoFences:       c.NoFences,
-		SkipVerify:     c.SkipVerify,
-		TraceEvents:    c.TraceEvents,
-		MetricsEvery:   c.MetricsEvery,
-		Timeline:       c.Timeline,
-		Profile:        c.Profile,
-		Faults:         c.Faults,
-		Arrivals:       c.Arrivals,
-		Invariants:     c.Invariants,
-		MaxCycles:      c.MaxCycles,
-		IntraJobs:      c.IntraJobs,
-		EpochWindow:    c.EpochWindow,
-		SharedHorizons: c.SharedHorizons,
-	}
-}
+func (c ConfigSpec) ToConfig() minnow.Config { return minnow.Config(c) }
 
 // JobSpec is the POST /jobs request body.
 type JobSpec struct {

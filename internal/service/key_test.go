@@ -3,6 +3,8 @@ package service
 import (
 	"container/heap"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"minnow"
@@ -23,42 +25,132 @@ func TestCacheKeyDefaultResolution(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExclusions pins which knobs are excluded: host-only
-// (IntraJobs/EpochWindow) and observe-only (TraceEvents, MetricsEvery,
-// Timeline, Profile) fields must not fragment the cache, while
-// outcome-affecting fields must key separately.
+// keyExclusions are the minnow.Config fields the cache key ignores:
+// host-only (IntraJobs, EpochWindow), observe-only (TraceEvents,
+// MetricsEvery, Timeline, Profile), and SkipVerify, which only decides
+// whether a failed verification surfaces as an (uncached) error.
+var keyExclusions = map[string]bool{
+	"IntraJobs": true, "EpochWindow": true, "TraceEvents": true, "MetricsEvery": true,
+	"Timeline": true, "Profile": true, "SkipVerify": true,
+}
+
+// setNonZero stores a non-zero value derived from n into a settable data
+// field: n for numbers, true for bools, a string naming n, and a pointer
+// to n. It reports false for kinds it does not handle (func hooks).
+func setNonZero(f reflect.Value, n int) bool {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(int64(n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(uint64(n))
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.String:
+		f.SetString(fmt.Sprintf("v%d", n))
+	case reflect.Pointer:
+		p := reflect.New(f.Type().Elem())
+		if !setNonZero(p.Elem(), n) {
+			return false
+		}
+		f.Set(p)
+	default:
+		return false
+	}
+	return true
+}
+
+// TestCacheKeyExclusions classifies every minnow.Config data field by
+// reflection: setting it alone to a non-zero, non-default value must
+// leave the key unchanged for the listed exclusions and change it for
+// every other field, so a new knob cannot reach the wire unclassified.
+// Func hooks have no wire form and are skipped.
 func TestCacheKeyExclusions(t *testing.T) {
-	base, _ := CacheKey("BFS", minnow.Config{Minnow: true, Prefetch: true})
-	same := []minnow.Config{
-		{Minnow: true, Prefetch: true, IntraJobs: 4},
-		{Minnow: true, Prefetch: true, IntraJobs: 2, EpochWindow: 1024},
-		{Minnow: true, Prefetch: true, TraceEvents: 64},
-		{Minnow: true, Prefetch: true, MetricsEvery: 10000},
-		{Minnow: true, Prefetch: true, Timeline: true},
-		{Minnow: true, Prefetch: true, Profile: true},
-		{Minnow: true, Prefetch: true, SkipVerify: true},
-	}
-	for i, cfg := range same {
-		if k, _ := CacheKey("BFS", cfg); k != base {
-			t.Errorf("case %d: inert knob changed the key", i)
+	base, _ := CacheKey("BFS", minnow.Config{})
+	typ := reflect.TypeOf(minnow.Config{})
+	seen := 0
+	for i := 0; i < typ.NumField(); i++ {
+		var cfg minnow.Config
+		name := typ.Field(i).Name
+		if !setNonZero(reflect.ValueOf(&cfg).Elem().Field(i), 3) {
+			if typ.Field(i).Type.Kind() != reflect.Func {
+				t.Fatalf("%s: unhandled field kind %s", name, typ.Field(i).Type.Kind())
+			}
+			continue
+		}
+		k, _ := CacheKey("BFS", cfg)
+		switch {
+		case keyExclusions[name]:
+			seen++
+			if k != base {
+				t.Errorf("%s: excluded knob changed the key", name)
+			}
+		case k == base:
+			t.Errorf("%s: outcome-affecting knob did not change the key", name)
 		}
 	}
-	diff := []minnow.Config{
-		{Minnow: true, Prefetch: true, Seed: 7},
-		{Minnow: true, Prefetch: true, MaxCycles: 1 << 20},
-		{Minnow: true, Prefetch: true, SharedHorizons: true},
-		{Minnow: true, Prefetch: true, Faults: "transient"},
-		{Minnow: true, Prefetch: true, Arrivals: "steady"},
-		{Minnow: true, Prefetch: true, Invariants: true},
-		{Minnow: true},
+	if seen != len(keyExclusions) {
+		t.Errorf("found %d of %d excluded fields on minnow.Config", seen, len(keyExclusions))
 	}
-	for i, cfg := range diff {
-		if k, _ := CacheKey("BFS", cfg); k == base {
-			t.Errorf("case %d: outcome-affecting knob did not change the key", i)
-		}
-	}
-	if k, _ := CacheKey("CC", minnow.Config{Minnow: true, Prefetch: true}); k == base {
+	if k, _ := CacheKey("CC", minnow.Config{}); k == base {
 		t.Error("benchmark name did not change the key")
+	}
+}
+
+// TestCacheKeyV2Golden pins today's V2 key hex for two fixed
+// configurations, so on-disk caches keyed by earlier builds stay valid.
+// A deliberate canonicalization change must bump keyDoc.V and update
+// these values.
+func TestCacheKeyV2Golden(t *testing.T) {
+	lg := uint(4)
+	for i, c := range []struct {
+		bench string
+		cfg   minnow.Config
+		want  string
+	}{
+		{"SSSP", minnow.Config{}, "613d96c0f78efd69ac773c3c1576f8575c3681a0e07e7b158ca34aaa7c5512f6"},
+		{"BFS", minnow.Config{Threads: 4, Minnow: true, Prefetch: true, Credits: 8, LgInterval: &lg,
+			Faults: "transient", Arrivals: "steady", MaxCycles: 1 << 30, SharedHorizons: true,
+			IntraJobs: 2, Timeline: true}, "43acf1374ca3b0013fd4c07579acc51b5cfe728f2675130715ec8814c6327742"},
+	} {
+		if got, _ := CacheKey(c.bench, c.cfg); got != c.want {
+			t.Errorf("case %d: key %s, want %s", i, got, c.want)
+		}
+	}
+}
+
+// TestConfigSpecWireBytes pins the JSON form of a fully populated
+// ConfigSpec: field names, order, and omitempty behaviour are the
+// POST /jobs and journal wire format, so they must not drift.
+func TestConfigSpecWireBytes(t *testing.T) {
+	var spec ConfigSpec
+	v := reflect.ValueOf(&spec).Elem()
+	for i, n := 0, 1; i < v.NumField(); i++ {
+		if setNonZero(v.Field(i), n) {
+			n++
+		}
+	}
+	got, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Threads":1,"Scale":2,"Seed":3,"Minnow":true,"Prefetch":true,"Credits":6,` +
+		`"Scheduler":"v7","LgInterval":8,"HWPrefetcher":"v9","SplitThreshold":10,"WorkBudget":11,` +
+		`"Serial":true,"MemChannels":13,"PerfectBP":true,"NoFences":true,"SkipVerify":true,` +
+		`"TraceEvents":17,"MetricsEvery":18,"Timeline":true,"Profile":true,"Faults":"v21",` +
+		`"Arrivals":"v22","Invariants":true,"MaxCycles":24,"IntraJobs":25,"EpochWindow":26,` +
+		`"SharedHorizons":true}`
+	if string(got) != want {
+		t.Fatalf("wire bytes drifted:\n got %s\nwant %s", got, want)
+	}
+	var back ConfigSpec
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(back); string(again) != want {
+		t.Fatalf("wire bytes do not round-trip:\n got %s", again)
+	}
+	if b, _ := json.Marshal(ConfigSpec{}); string(b) != "{}" {
+		t.Fatalf("zero spec marshals to %s, want {}", b)
 	}
 }
 

@@ -741,9 +741,9 @@ func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
 // submitRecord builds a job's journal submit record: everything replay
 // needs to re-run it without the original HTTP request.
 func (s *Server) submitRecord(j *job) journal.Record {
-	spec, err := json.Marshal(specFromConfig(j.cfg))
+	spec, err := json.Marshal(ConfigSpec(j.cfg))
 	if err != nil {
-		spec = nil // ConfigSpec is plain data; Marshal cannot fail
+		spec = nil // the func hooks are json:"-"; Marshal cannot fail
 	}
 	return journal.Record{
 		Op:       journal.OpSubmit,

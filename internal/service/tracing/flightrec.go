@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"minnow/internal/obs"
 )
 
 // DefaultFlightEvents is the flight-recorder ring capacity when the
@@ -43,8 +45,7 @@ type Event struct {
 // dump states how much history the ring displaced.
 type FlightRecorder struct {
 	mu   sync.Mutex
-	ring []Event
-	seen uint64
+	ring *obs.Ring[Event]
 }
 
 // NewFlightRecorder builds a recorder holding the newest capacity
@@ -53,7 +54,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightEvents
 	}
-	return &FlightRecorder{ring: make([]Event, 0, capacity)}
+	return &FlightRecorder{ring: obs.NewRing[Event](capacity)}
 }
 
 // Record appends one event, displacing the oldest when the ring is
@@ -67,12 +68,7 @@ func (r *FlightRecorder) Record(ev Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, ev)
-	} else {
-		r.ring[r.seen%uint64(cap(r.ring))] = ev
-	}
-	r.seen++
+	r.ring.Push(ev)
 }
 
 // Seen returns how many events were ever recorded (including ones the
@@ -83,7 +79,7 @@ func (r *FlightRecorder) Seen() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seen
+	return uint64(r.ring.Seen())
 }
 
 // Events returns the retained events, oldest first.
@@ -93,13 +89,7 @@ func (r *FlightRecorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.ring))
-	if len(r.ring) < cap(r.ring) {
-		return append(out, r.ring...)
-	}
-	head := int(r.seen % uint64(cap(r.ring))) // oldest slot
-	out = append(out, r.ring[head:]...)
-	return append(out, r.ring[:head]...)
+	return r.ring.Items()
 }
 
 // WriteJSONL writes the retained events to w as newline-delimited JSON,

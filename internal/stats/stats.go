@@ -18,7 +18,6 @@ import (
 
 	"minnow/internal/obs"
 	"minnow/internal/prof"
-	"minnow/internal/trace"
 )
 
 // CycleCat classifies where a core cycle was spent, for the Fig. 5
@@ -257,8 +256,9 @@ type Run struct {
 	NoCStall    int64   // cycles flits waited for mesh links
 	AvgLoadLat  float64 // mean demand-load latency (diagnostics)
 	DirtyRemote int64   // reads served from remote modified copies
-	// Trace holds the engine event log when tracing was enabled.
-	Trace *trace.Buffer
+	// Trace holds the engine event tail when tracing was enabled
+	// (Options.TraceEvents); render it with EventTail.String.
+	Trace *obs.EventTail
 	// Intervals holds the time-series sampling rows when metrics
 	// sampling was enabled (Options.MetricsEvery).
 	Intervals *obs.Registry

@@ -37,77 +37,77 @@ import (
 // Config selects the simulated system and scheduler for a Run.
 type Config struct {
 	// Threads is the core count (default 8; the paper evaluates 64).
-	Threads int
+	Threads int `json:",omitempty"`
 	// Scale multiplies the default input sizes (default 1).
-	Scale int
+	Scale int `json:",omitempty"`
 	// Seed drives the graph generators (default 42).
-	Seed uint64
+	Seed uint64 `json:",omitempty"`
 
 	// Minnow attaches a Minnow engine to every core and offloads the
 	// worklist to it; otherwise the software scheduler below is used.
-	Minnow bool
+	Minnow bool `json:",omitempty"`
 	// Prefetch enables worklist-directed prefetching (requires Minnow).
-	Prefetch bool
+	Prefetch bool `json:",omitempty"`
 	// Credits sets the prefetch credit pool (default 32, §5.3.1).
-	Credits int
+	Credits int `json:",omitempty"`
 
 	// Scheduler picks the software worklist when Minnow is false:
 	// "obim" (default), "fifo", "lifo", or "strictpq".
-	Scheduler string
+	Scheduler string `json:",omitempty"`
 	// LgInterval overrides the OBIM/Minnow bucket interval (log2); nil
 	// uses each benchmark's tuned default.
-	LgInterval *uint
+	LgInterval *uint `json:",omitempty"`
 
 	// HWPrefetcher attaches a baseline hardware prefetcher to each core:
 	// "stride" or "imp".
-	HWPrefetcher string
+	HWPrefetcher string `json:",omitempty"`
 
 	// SplitThreshold breaks tasks with more edges into subtasks
 	// (§6.2.1); 0 disables splitting.
-	SplitThreshold int32
+	SplitThreshold int32 `json:",omitempty"`
 	// WorkBudget aborts runs after this many operator applications
 	// (0 = unlimited); aborted runs report TimedOut.
-	WorkBudget int64
+	WorkBudget int64 `json:",omitempty"`
 	// Serial elides atomics (the optimized 1-thread serial baseline).
-	Serial bool
+	Serial bool `json:",omitempty"`
 	// MemChannels sets the DRAM channel count (default 12).
-	MemChannels int
+	MemChannels int `json:",omitempty"`
 	// PerfectBP / NoFences idealize the cores (Fig. 4 modes).
-	PerfectBP, NoFences bool
+	PerfectBP, NoFences bool `json:",omitempty"`
 
 	// CustomPrefetch overrides the benchmark's prefetch program (§5.3's
 	// user-written prefetch function hook). Requires Minnow+Prefetch.
-	CustomPrefetch PrefetchFunc
+	CustomPrefetch PrefetchFunc `json:"-"`
 
 	// SkipVerify disables the post-run check against the reference
 	// implementation.
-	SkipVerify bool
+	SkipVerify bool `json:",omitempty"`
 
 	// TraceEvents records the last N Minnow engine events; the rendered
 	// log is returned in Result.TraceText (requires Minnow).
-	TraceEvents int
+	TraceEvents int `json:",omitempty"`
 
 	// MetricsEvery samples the time-series metrics (per-core IPC,
 	// worklist occupancy, interval MPKI, prefetch accuracy, credit pool,
 	// NoC/DRAM activity) every N simulated cycles; the interval CSV is
 	// returned in Result.IntervalCSV. 0 disables sampling.
-	MetricsEvery int64
+	MetricsEvery int64 `json:",omitempty"`
 	// Timeline records a full-system event timeline (task spans, stalls,
 	// cache misses, engine spill/fill/prefetch activity, counter tracks);
 	// the Chrome-trace/Perfetto JSON is returned in Result.TimelineJSON.
-	Timeline bool
+	Timeline bool `json:",omitempty"`
 	// Profile enables the top-down cycle-attribution profiler: every core
 	// cycle is refined into stall cause × serving level × prefetch
 	// outcome, keyed by attribution site. The folded-stack rendering is
 	// returned in Result.Folded and the pprof protobuf in
 	// Result.ProfilePprof. Off by default; observe-only.
-	Profile bool
+	Profile bool `json:",omitempty"`
 	// OnSample, when non-nil, is invoked at every crossed metrics-sample
 	// boundary with the boundary's simulated cycle and the latest metrics
 	// row in Prometheus text format (the live run inspector's feed).
 	// Requires MetricsEvery > 0. The callback must not mutate simulation
 	// state; it runs on the simulation goroutine.
-	OnSample func(cycles int64, metrics string)
+	OnSample func(cycles int64, metrics string) `json:"-"`
 	// Cancel, when non-nil, is a cooperative cancellation hook polled on
 	// the watchdog cadence (every few tens of thousands of actor steps).
 	// When it returns true the run is abandoned: Run returns an error
@@ -115,13 +115,13 @@ type Config struct {
 	// CustomPrefetch this is a host-only knob — it is not expressible in
 	// JSON job submissions and is excluded from the service's cache key;
 	// a run the hook never fires on is byte-identical to one without it.
-	Cancel func() bool
+	Cancel func() bool `json:"-"`
 
 	// Faults arms the deterministic fault-injection plan: a preset name
 	// ("transient", "offline", "chaos") or a clause expression such as
 	// "seed=7;engine-stall:p=0.01,cycles=400;engine-offline:at=50000".
 	// Empty disables injection. See docs/ROBUSTNESS.md for the grammar.
-	Faults string
+	Faults string `json:",omitempty"`
 	// Arrivals arms the deterministic open-loop arrival plan: a preset
 	// name ("steady", "burst", "waves", "trickle") or a clause expression
 	// such as "seed=1;poisson:gap=600,count=400". Tasks are injected into
@@ -130,14 +130,14 @@ type Config struct {
 	// in Result.Latency. Empty keeps the run closed-loop. Only
 	// re-entrant-operator benchmarks accept arrivals (not TC or BC). See
 	// EXPERIMENTS.md's open-loop latency walkthrough for the grammar.
-	Arrivals string
+	Arrivals string `json:",omitempty"`
 	// Invariants enables the runtime invariant checker (task
 	// conservation, credit-pool accounting, cache/directory sanity) and
 	// arms the no-progress watchdog.
-	Invariants bool
+	Invariants bool `json:",omitempty"`
 	// MaxCycles halts runs whose simulated clock passes this bound with a
 	// diagnostic snapshot instead of hanging (0 = a large default).
-	MaxCycles int64
+	MaxCycles int64 `json:",omitempty"`
 
 	// IntraJobs selects the simulation kernel's execution mode: 0 (the
 	// default) is the classic serial engine; n >= 1 runs the epoch-based
@@ -145,11 +145,11 @@ type Config struct {
 	// independent actors concurrently inside each epoch. Results are
 	// byte-identical for every value — the differential equivalence suite
 	// pins the contract — so this is purely a host-time knob.
-	IntraJobs int
+	IntraJobs int `json:",omitempty"`
 	// EpochWindow sets the bound/weave epoch length in cycles when
 	// IntraJobs >= 1 (0 selects the default). Like IntraJobs it never
 	// changes simulation output.
-	EpochWindow int64
+	EpochWindow int64 `json:",omitempty"`
 	// SharedHorizons enables conservative-lookahead horizons for
 	// shared-machine runs: idle worker backoffs become private steps the
 	// bound/weave engine can execute concurrently, so a single big
@@ -159,7 +159,7 @@ type Config struct {
 	// so results are comparable only among runs with the same setting;
 	// for a fixed setting output remains byte-identical across engines
 	// and worker counts.
-	SharedHorizons bool
+	SharedHorizons bool `json:",omitempty"`
 }
 
 // Validate rejects nonsensical configurations with a descriptive error

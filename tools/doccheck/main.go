@@ -1,8 +1,8 @@
 // Command doccheck fails when an exported identifier in the audited
 // packages lacks a doc comment. It guards the observability, statistics,
-// and service surfaces (internal/obs, internal/trace, internal/stats,
-// internal/prof, internal/inspect, internal/arrival, internal/service
-// and its cache, journal, and tracing subpackages), whose doc comments
+// and service surfaces (internal/obs, internal/stats, internal/prof,
+// internal/inspect, internal/arrival, internal/service and its cache,
+// journal, and tracing subpackages), whose doc comments
 // carry the determinism and observe-only contracts the rest of the
 // simulator is written against; the CI docs job runs it on every push.
 //
@@ -29,7 +29,6 @@ import (
 // defaultDirs are the packages whose documentation the build gates on.
 var defaultDirs = []string{
 	"internal/obs",
-	"internal/trace",
 	"internal/stats",
 	"internal/prof",
 	"internal/inspect",
