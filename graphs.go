@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"minnow/internal/core"
 	"minnow/internal/graph"
 	"minnow/internal/harness"
 	"minnow/internal/kernels"
-	"minnow/internal/worklist"
 )
 
 // Graph is an immutable CSR graph usable with RunGraph. Construct one
@@ -146,7 +144,6 @@ func RunGraph(benchmark string, g *Graph, source int32, cfg Config) (*Result, er
 	// into the harness's address space. CSR slices are shared read-only;
 	// the binding (addresses) is per-run.
 	userGraph := g.g
-	var bound *graph.Graph // the per-run bound clone (set by Build)
 	spec.Build = func(_ int, _ uint64, as *graph.AddrSpace, cores int) kernels.Kernel {
 		gg := &graph.Graph{
 			Name:    userGraph.Name,
@@ -156,7 +153,6 @@ func RunGraph(benchmark string, g *Graph, source int32, cfg Config) (*Result, er
 			Weights: userGraph.Weights,
 		}
 		gg.Bind(as, benchmark == "TC")
-		bound = gg
 		switch benchmark {
 		case "SSSP":
 			return kernels.NewSSSP(gg, source, as, cores)
@@ -181,14 +177,6 @@ func RunGraph(benchmark string, g *Graph, source int32, cfg Config) (*Result, er
 	o, err := cfg.toOptions()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CustomPrefetch != nil {
-		f := cfg.CustomPrefetch
-		// Build runs (and sets `bound`) before any engine starts.
-		o.CustomPrefetch = &core.FuncProgram{F: func(t worklist.Task, emit func(addrs ...uint64)) {
-			f(Task{Priority: t.Priority, Node: t.Node, EdgeLo: t.EdgeLo, EdgeHi: t.EdgeHi},
-				GraphView{g: bound}, emit)
-		}}
 	}
 	r, err := harness.Run(spec, o)
 	if err != nil {

@@ -21,15 +21,14 @@
 // L3/NoC/DRAM reservations — so a core-driving actor interacts with
 // shared state from its first simulated instruction. Actors built on
 // this model declare sim.HorizonAlwaysWeave in sim.Engine.RunParallel
-// unless their entire memory system is a private copy (see
-// galois.Worker.Isolated and harness.RunRate) or the pending step is a
-// pure clock advance (Advance with no timeline attached), which touches
-// only per-core state and is the lookahead galois.Config.SharedHorizons
-// exposes. Note the floor accessors on the shared models (mem.System,
-// noc.Mesh, dram.Memory: MinLatency) bound when an access *completes*,
-// not when the shared reservation is *made* — reservations happen at
-// issue time — so they document and validate timing, but cannot extend
-// a core actor's horizon past its next memory access.
+// unless the pending step is a pure clock advance (Advance with no
+// timeline attached), which touches only per-core state and is the
+// lookahead galois.Config.SharedHorizons exposes. Note the floor
+// accessors on the shared models (mem.System, noc.Mesh, dram.Memory:
+// MinLatency) bound when an access *completes*, not when the shared
+// reservation is *made* — reservations happen at issue time — so they
+// document and validate timing, but cannot extend a core actor's horizon
+// past its next memory access.
 package cpu
 
 import (

@@ -103,15 +103,6 @@ type Worker struct {
 	Core   *cpu.Core
 	Ctx    worklist.Ctx
 	runner *Runner
-	// Isolated declares that this worker's entire world — scheduler,
-	// runner, core, memory system, kernel state — is private to it
-	// (SPECrate-style throughput copies built by harness.RunRate). An
-	// isolated worker reports an unbounded interaction horizon, making it
-	// eligible for concurrent stepping in sim.Engine.RunParallel bound
-	// phases. Never set this for workers that share a worklist or memory
-	// system: every ordinary worker step pops a shared scheduler and
-	// reserves shared L3/NoC/DRAM resources.
-	Isolated bool
 	// Degrees lets Push split tasks; kernels set it to the graph's
 	// degree function.
 	Degrees func(node int32) int32
@@ -368,25 +359,19 @@ func (w *Worker) Step() (sim.Time, bool) {
 	return w.Core.Now(), false
 }
 
-// Horizon implements sim.BoundedActor. A worker whose world is fully
-// private (Isolated) never interacts with shared simulation state, so it
-// can be bound-stepped through entire epochs. A shared-machine worker
-// with a deferred idle backoff pending (Config.SharedHorizons) is
-// private up to idleUntil: the pending step only advances its own core's
-// clock and counters — unless the core has a timeline attached, whose
-// buffer is shared across tracks, in which case the idle step must weave
-// so the event order stays serial. Every other step interacts on its
-// very first action (the scheduler pop touches the shared worklist, and
-// each memory access reserves shared L3/NoC/DRAM state), so the worker
-// reports HorizonAlwaysWeave.
+// Horizon implements sim.BoundedActor. A worker with a deferred idle
+// backoff pending (Config.SharedHorizons) is private up to idleUntil: the
+// pending step only advances its own core's clock and counters — unless
+// the core has a timeline attached, whose buffer is shared across tracks,
+// in which case the idle step must weave so the event order stays serial.
+// Every other step interacts on its very first action (the scheduler pop
+// touches the shared worklist, and each memory access reserves shared
+// L3/NoC/DRAM state), so the worker reports HorizonAlwaysWeave.
 //
 // Horizon runs on pool goroutines during bound phases, so it reads only
 // the worker's own fields and its core's setup-time wiring (the TL
 // pointer, set once before the run) — never runner or scheduler state.
 func (w *Worker) Horizon() sim.Time {
-	if w.Isolated {
-		return sim.HorizonNever
-	}
 	if w.idlePending && w.Core.TL == nil {
 		return w.idleUntil
 	}

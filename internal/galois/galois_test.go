@@ -6,6 +6,7 @@ import (
 	"minnow/internal/cpu"
 	"minnow/internal/graph"
 	"minnow/internal/mem"
+	"minnow/internal/obs"
 	"minnow/internal/sim"
 	"minnow/internal/worklist"
 )
@@ -185,5 +186,32 @@ func TestOpStatsAccounting(t *testing.T) {
 	}
 	if st.TasksRun != 2 {
 		t.Fatalf("tasks %d", st.TasksRun)
+	}
+}
+
+// TestWorkerHorizon pins the horizon contract: a worker always weaves,
+// except for a deferred idle backoff under SharedHorizons, which is
+// private up to its wake-up cycle unless a timeline (shared across
+// tracks) is attached to the core.
+func TestWorkerHorizon(t *testing.T) {
+	cores, as := env(1)
+	r := NewRunner(Config{Threads: 1, SharedHorizons: true}, cores, &SWScheduler{WL: worklist.NewFIFO(as, 1)}, &countOp{}, nil)
+	w := r.Workers()[0]
+	if h := w.Horizon(); h != sim.HorizonAlwaysWeave {
+		t.Fatalf("fresh worker horizon %d, want HorizonAlwaysWeave", h)
+	}
+	// An empty worklist with work still outstanding elsewhere: the pop
+	// fails and the worker defers its idle backoff to the next step.
+	r.outstanding = 1
+	if _, done := w.Step(); done {
+		t.Fatal("worker retired with work outstanding")
+	}
+	want := w.Core.Now() + r.cfg.IdleBackoff
+	if h := w.Horizon(); h != want {
+		t.Fatalf("idle-pending horizon %d, want idleUntil %d", h, want)
+	}
+	w.Core.TL = obs.NewTimeline()
+	if h := w.Horizon(); h != sim.HorizonAlwaysWeave {
+		t.Fatalf("idle-pending horizon with timeline %d, want HorizonAlwaysWeave", h)
 	}
 }

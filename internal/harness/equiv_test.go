@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"minnow/internal/kernels"
@@ -214,70 +213,6 @@ func TestSharedHorizonCoverage(t *testing.T) {
 	}
 }
 
-// TestRateEquivalence pins the configuration where the bound phase does
-// real work: isolated SPECrate-style copies. Per-copy summaries, total
-// steps, and wall cycles must match the serial schedule bit-for-bit at
-// every worker count, and the bound phase must actually engage.
-func TestRateEquivalence(t *testing.T) {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sched := range []string{"obim", "fifo"} {
-		sched := sched
-		t.Run(sched, func(t *testing.T) {
-			t.Parallel()
-			o := Options{Scheduler: sched, WorkBudget: 800, SkipVerify: true}
-			const copies = 4
-			base, err := RunRate(spec, o, copies)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.BoundSteps != 0 {
-				t.Fatalf("serial rate run reported %d bound steps", base.BoundSteps)
-			}
-			baseSums := make([][]byte, copies)
-			for i, r := range base.Runs {
-				baseSums[i] = r.Summary().JSON()
-			}
-			for _, w := range equivWorkers {
-				po := o
-				po.IntraJobs = w
-				got, err := RunRate(spec, po, copies)
-				if err != nil {
-					t.Fatalf("intra-jobs %d: %v", w, err)
-				}
-				if got.SimSteps != base.SimSteps || got.WallCycles != base.WallCycles {
-					t.Fatalf("intra-jobs %d: steps/wall diverge: serial (%d,%d), parallel (%d,%d)",
-						w, base.SimSteps, base.WallCycles, got.SimSteps, got.WallCycles)
-				}
-				if got.BoundSteps == 0 {
-					t.Errorf("intra-jobs %d: bound phase never engaged on isolated copies", w)
-				}
-				for i, r := range got.Runs {
-					if !bytes.Equal(r.Summary().JSON(), baseSums[i]) {
-						t.Fatalf("intra-jobs %d: copy %d summary diverges\nserial: %s\nparallel: %s",
-							w, i, baseSums[i], r.Summary().JSON())
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestRateRejectsUnsupported(t *testing.T) {
-	spec, err := kernels.SpecByName("BFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunRate(spec, Options{Scheduler: "minnow"}, 2); err == nil || !strings.Contains(err.Error(), "software scheduler") {
-		t.Errorf("rate with minnow scheduler: got %v, want software-scheduler error", err)
-	}
-	if _, err := RunRate(spec, Options{Scheduler: "fifo", Timeline: true}, 2); err == nil || !strings.Contains(err.Error(), "bare timing") {
-		t.Errorf("rate with timeline: got %v, want bare-timing error", err)
-	}
-}
-
 func TestSplitBudget(t *testing.T) {
 	if jobs, intra := SplitBudget(3, 5); jobs != 3 || intra != 5 {
 		t.Errorf("explicit values must pass through: got (%d,%d)", jobs, intra)
@@ -310,5 +245,20 @@ func TestSplitBudget(t *testing.T) {
 	// corrupting the division.
 	if jobs, intra := SplitBudget(0, -3); jobs < 1 || intra != 0 {
 		t.Errorf("negative intra width: got (%d,%d), want (>=1,0)", jobs, intra)
+	}
+}
+
+// TestSplitBudgetFollowsGOMAXPROCS pins that SplitBudget's automatic job
+// count means the same "all CPUs" as Workers and RunJobs — GOMAXPROCS,
+// not NumCPU — so a host capped at fewer procs never fans out more
+// simulations than it will schedule.
+func TestSplitBudgetFollowsGOMAXPROCS(t *testing.T) {
+	procs := runtime.NumCPU() + 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if jobs, _ := SplitBudget(0, 0); jobs != procs {
+		t.Errorf("auto jobs %d, want GOMAXPROCS %d", jobs, procs)
+	}
+	if jobs, _ := SplitBudget(0, 2); jobs != procs/2 {
+		t.Errorf("auto jobs at intra width 2: %d, want %d", jobs, procs/2)
 	}
 }

@@ -46,8 +46,9 @@ type Options struct {
 	Prefetch bool // worklist-directed prefetching
 	Credits  int  // prefetch credits (0 = default 32)
 	// CustomPrefetch overrides the kernel's prefetch program (the §5.3
-	// "users can write a custom prefetch function" hook).
-	CustomPrefetch core.PrefetchProgram
+	// "users can write a custom prefetch function" hook). Run calls it
+	// once with the run's bound input graph.
+	CustomPrefetch func(*graph.Graph) core.PrefetchProgram
 	// EngineSharing is how many cores share one Minnow engine (§4's
 	// resource-sharing variant; 0/1 = dedicated engines).
 	EngineSharing int
@@ -146,12 +147,11 @@ type Options struct {
 	// SharedHorizons turns on conservative-lookahead horizons for
 	// shared-machine workers (galois.Config.SharedHorizons): idle
 	// backoffs become private steps that RunParallel can bound-step
-	// concurrently, so a single big run parallelizes instead of only
-	// RunRate's isolated copies. It changes the step schedule (idle
-	// waits split in two), so summaries are comparable only among runs
-	// with the same setting; within a setting, output stays byte-identical
-	// across IntraJobs values — the shared-horizon equivalence suite
-	// pins it.
+	// concurrently, so a single shared-machine run parallelizes. It
+	// changes the step schedule (idle waits split in two), so summaries
+	// are comparable only among runs with the same setting; within a
+	// setting, output stays byte-identical across IntraJobs values — the
+	// shared-horizon equivalence suite pins it.
 	SharedHorizons bool
 }
 
@@ -260,7 +260,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		if o.Prefetch {
 			ecfg.Program = kern.PrefetchProgram()
 			if o.CustomPrefetch != nil {
-				ecfg.Program = o.CustomPrefetch
+				ecfg.Program = o.CustomPrefetch(kern.Graph())
 			}
 		}
 		share := o.EngineSharing

@@ -37,6 +37,25 @@ func Workers(n int) int {
 	return n
 }
 
+// SplitBudget divides the host-thread budget between run-level
+// parallelism (-jobs: independent runs in flight) and intra-run
+// parallelism (-intra-jobs: bound-phase workers inside each
+// simulation). A non-positive jobs is resolved to Workers(0) —
+// GOMAXPROCS, the same "all CPUs" RunJobs uses — divided by the effective
+// intra width so jobs x intra-jobs roughly fills the machine; the
+// resolved value is clamped to >= 1 even when intraJobs oversubscribes
+// the machine. A negative intraJobs is normalized to 0 (the serial
+// engine); non-negative values pass through unchanged.
+func SplitBudget(jobs, intraJobs int) (int, int) {
+	if intraJobs < 0 {
+		intraJobs = 0
+	}
+	if jobs <= 0 {
+		jobs = max(Workers(0)/max(intraJobs, 1), 1)
+	}
+	return jobs, intraJobs
+}
+
 // RunJobs executes the jobs across a worker pool of the given width
 // (0 = GOMAXPROCS) and returns results in submission order, so sweep
 // output is identical for every worker count. Each simulation remains a

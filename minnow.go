@@ -153,12 +153,11 @@ type Config struct {
 	// SharedHorizons enables conservative-lookahead horizons for
 	// shared-machine runs: idle worker backoffs become private steps the
 	// bound/weave engine can execute concurrently, so a single big
-	// simulation gains bound-phase coverage instead of only the
-	// isolated-copy rate harness. Unlike IntraJobs/EpochWindow this DOES
-	// change the step schedule (each idle wait splits into poll + wait),
-	// so results are comparable only among runs with the same setting;
-	// for a fixed setting output remains byte-identical across engines
-	// and worker counts.
+	// simulation gains bound-phase coverage. Unlike IntraJobs and
+	// EpochWindow this DOES change the step schedule (each idle wait
+	// splits into poll + wait), so results are comparable only among
+	// runs with the same setting; for a fixed setting output remains
+	// byte-identical across engines and worker counts.
 	SharedHorizons bool `json:",omitempty"`
 }
 
@@ -347,9 +346,10 @@ type ClassLatency struct {
 // SplitBudget divides the host-thread budget between run-level
 // parallelism (jobs: independent runs in flight) and intra-run
 // parallelism (intraJobs: bound/weave workers inside each simulation).
-// A non-positive jobs resolves to NumCPU divided by the effective intra
-// width so jobs x intraJobs roughly fills the machine; intraJobs passes
-// through unchanged (0 keeps the serial engine).
+// A non-positive jobs resolves to GOMAXPROCS (as RunMany's jobs <= 0
+// does) divided by the effective intra width so jobs x intraJobs roughly
+// fills the machine; intraJobs passes through unchanged (0 keeps the
+// serial engine).
 func SplitBudget(jobs, intraJobs int) (int, int) {
 	return harness.SplitBudget(jobs, intraJobs)
 }
@@ -399,6 +399,9 @@ func (c Config) toOptions() (harness.Options, error) {
 	if c.Minnow {
 		o.Scheduler = "minnow"
 	}
+	if c.CustomPrefetch != nil {
+		o.CustomPrefetch = prefetchBridge(c.CustomPrefetch)
+	}
 	if c.LgInterval != nil {
 		o.LgInterval = *c.LgInterval
 		o.LgIntervalSet = true
@@ -444,9 +447,6 @@ func Run(benchmark string, cfg Config) (*Result, error) {
 	o, err := cfg.toOptions()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CustomPrefetch != nil {
-		o.CustomPrefetch = adaptPrefetch(spec, o, cfg.CustomPrefetch)
 	}
 	r, err := harness.Run(spec, o)
 	if err != nil {
@@ -563,30 +563,15 @@ func (v GraphView) EdgeAddr(i int32) uint64 { return v.g.EdgeAddr(i) }
 // load's data); separate emits overlap in the engine's load buffer.
 type PrefetchFunc func(t Task, g GraphView, emit func(addrs ...uint64))
 
-// adaptPrefetch bridges the public PrefetchFunc onto the engine's
-// program interface for the benchmark's graph.
-func adaptPrefetch(spec kernels.Spec, o harness.Options, f PrefetchFunc) core.PrefetchProgram {
-	// The kernel (and its graph) are rebuilt inside harness.Run; to hand
-	// the user the right GraphView we rebuild an identical graph here
-	// (generators are deterministic in (scale, seed)).
-	as := graph.NewAddrSpace()
-	scale := o.Scale
-	if scale == 0 {
-		scale = 1
+// prefetchBridge adapts the public PrefetchFunc onto the engine's
+// program interface over the graph the harness built for the run.
+func prefetchBridge(f PrefetchFunc) func(*graph.Graph) core.PrefetchProgram {
+	return func(g *graph.Graph) core.PrefetchProgram {
+		view := GraphView{g: g}
+		return &core.FuncProgram{F: func(t worklist.Task, emit func(addrs ...uint64)) {
+			f(Task{Priority: t.Priority, Node: t.Node, EdgeLo: t.EdgeLo, EdgeHi: t.EdgeHi}, view, emit)
+		}}
 	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	threads := o.Threads
-	if threads == 0 {
-		threads = 8
-	}
-	k := spec.Build(scale, seed, as, threads)
-	view := GraphView{g: k.Graph()}
-	return &core.FuncProgram{F: func(t worklist.Task, emit func(addrs ...uint64)) {
-		f(Task{Priority: t.Priority, Node: t.Node, EdgeLo: t.EdgeLo, EdgeHi: t.EdgeHi}, view, emit)
-	}}
 }
 
 // Figures lists the regenerable tables and figures from the paper.

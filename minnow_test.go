@@ -79,6 +79,45 @@ func TestCustomPrefetchRuns(t *testing.T) {
 	}
 }
 
+// TestCustomPrefetchHashPinned pins the summary hash of a custom-prefetch
+// run through each public entry point — Run, RunMany, and RunGraph — so a
+// change to how the user's PrefetchFunc is bridged onto the engine cannot
+// silently change which addresses it sees.
+func TestCustomPrefetchHashPinned(t *testing.T) {
+	f := func(tk Task, g GraphView, emit func(addrs ...uint64)) {
+		emit(g.NodeAddr(tk.Node))
+		lo, hi := g.EdgeRange(tk.Node)
+		for i := lo; i < hi && i < lo+4; i++ {
+			emit(g.EdgeAddr(i), g.NodeAddr(g.Dest(i)))
+		}
+	}
+	cfg := Config{Threads: 2, Minnow: true, Prefetch: true, CustomPrefetch: f}
+	const wantRun = "04e101c1cf7d4ad2314ea98fa074e9392916209008876acc6d2afcff98eeb549"
+	const wantGraph = "e21fd1fbed002a1b2bec349c679fe9ca3812e7b48d91fa10740a3309847ee701"
+
+	res, err := Run("SSSP", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SummaryHash != wantRun {
+		t.Errorf("Run hash %s, want %s", res.SummaryHash, wantRun)
+	}
+	many := RunMany([]RunRequest{{Benchmark: "SSSP", Config: cfg}}, 1)
+	if many[0].Err != nil {
+		t.Fatal(many[0].Err)
+	}
+	if got := many[0].Result.SummaryHash; got != wantRun {
+		t.Errorf("RunMany hash %s, want %s", got, wantRun)
+	}
+	gres, err := RunGraph("SSSP", NewRoadMesh(600, 7), 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gres.SummaryHash != wantGraph {
+		t.Errorf("RunGraph hash %s, want %s", gres.SummaryHash, wantGraph)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := Config{Threads: 3, Seed: 11, Minnow: true, Prefetch: true}
 	a, err := Run("BC", cfg)

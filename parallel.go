@@ -1,9 +1,6 @@
 package minnow
 
-import (
-	"minnow/internal/harness"
-	"minnow/internal/kernels"
-)
+import "minnow/internal/harness"
 
 // RunRequest names one benchmark × configuration for the parallel runner.
 type RunRequest struct {
@@ -18,8 +15,8 @@ type RunResult struct {
 	Err     error
 }
 
-// toJob converts a request to a harness job, wiring the custom prefetch
-// hook exactly as Run does.
+// toJob converts a request to a harness job, validating it exactly as
+// Run does.
 func (r RunRequest) toJob() (harness.Job, error) {
 	if err := r.Config.Validate(); err != nil {
 		return harness.Job{}, err
@@ -27,13 +24,6 @@ func (r RunRequest) toJob() (harness.Job, error) {
 	o, err := r.Config.toOptions()
 	if err != nil {
 		return harness.Job{}, err
-	}
-	if r.Config.CustomPrefetch != nil {
-		spec, err := kernels.SpecByName(r.Benchmark)
-		if err != nil {
-			return harness.Job{}, err
-		}
-		o.CustomPrefetch = adaptPrefetch(spec, o, r.Config.CustomPrefetch)
 	}
 	return harness.Job{Bench: r.Benchmark, Opts: o}, nil
 }
