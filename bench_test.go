@@ -95,7 +95,7 @@ func BenchmarkFig16OverallSpeedup(b *testing.B) {
 	spec, _ := kernels.SpecByName("SSSP")
 	for i := 0; i < b.N; i++ {
 		f := quickFig()
-		base := harness.Options{Threads: f.Threads, Scale: f.Scale, Seed: f.Seed, SplitThreshold: 2048}
+		base := harness.Options{Config: Config{Threads: f.Threads, Scale: f.Scale, Seed: f.Seed, SplitThreshold: 2048}}
 		sw, err := harness.Run(spec, base)
 		if err != nil {
 			b.Fatal(err)
@@ -168,7 +168,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, _ := kernels.SpecByName("SSSP")
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		o := harness.Options{Threads: 8, Seed: 42, Scheduler: "minnow", Prefetch: true}
+		o := harness.Options{Config: Config{Threads: 8, Seed: 42, Scheduler: "minnow", Prefetch: true}}
 		r, err := harness.Run(spec, o)
 		if err != nil {
 			b.Fatal(err)

@@ -16,10 +16,6 @@ func RunChaos(cfg Config, jobs int) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	o, err := cfg.toOptions()
-	if err != nil {
-		return "", err
-	}
-	rep := harness.Chaos(o, jobs)
+	rep := harness.Chaos(harness.Options{Config: cfg}, jobs)
 	return rep.String(), rep.Err()
 }

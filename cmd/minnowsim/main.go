@@ -29,7 +29,7 @@ func main() {
 		useMin   = flag.Bool("minnow", false, "offload the worklist to Minnow engines")
 		prefetch = flag.Bool("prefetch", false, "worklist-directed prefetching (needs -minnow)")
 		credits  = flag.Int("credits", 32, "prefetch credits")
-		sched    = flag.String("sched", "obim", "software scheduler: obim, fifo, lifo, strictpq")
+		sched    = flag.String("sched", "", "software scheduler: obim (default), fifo, lifo, strictpq")
 		hwpf     = flag.String("hwpf", "", "hardware prefetcher baseline: stride, imp")
 		split    = flag.Int("split", 0, "task-splitting threshold (0 = off)")
 		channels = flag.Int("channels", 12, "DRAM channels")
@@ -54,15 +54,6 @@ func main() {
 		shareHz  = flag.Bool("shared-horizons", false, "conservative-lookahead horizons: idle backoffs become private steps the bound/weave engine can run concurrently (changes the step schedule; byte-identical across -intra-jobs values for a fixed setting)")
 	)
 	flag.Parse()
-
-	// -sched defaults to obim for software runs; with -minnow the engine
-	// owns the worklist, so only an explicit -sched should conflict.
-	schedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sched" {
-			schedSet = true
-		}
-	})
 
 	cfg := minnow.Config{
 		Threads:        *threads,
@@ -91,9 +82,6 @@ func main() {
 	}
 	if *serial {
 		cfg.Threads = 1
-	}
-	if *useMin && !schedSet {
-		cfg.Scheduler = ""
 	}
 	if *httpAddr != "" {
 		// The inspector is observe-only: it republishes each crossed

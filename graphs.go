@@ -29,7 +29,7 @@ func (g *Graph) Weighted() bool { return g.g.Weights != nil }
 
 // View returns the read-only structural view used by custom prefetch
 // functions.
-func (g *Graph) View() GraphView { return GraphView{g: g.g} }
+func (g *Graph) View() GraphView { return harness.NewGraphView(g.g) }
 
 // Save writes the graph in the binary CSR format understood by LoadGraph
 // and `graphgen -save`.
@@ -47,8 +47,8 @@ func LoadGraph(r io.Reader) (*Graph, error) {
 // Edge is one directed edge for NewGraphFromEdges. Weight is ignored
 // unless weighted graphs are requested.
 type Edge struct {
-	From, To int32
-	Weight   int32
+	From, To int32 // endpoint node IDs
+	Weight   int32 // edge weight (weighted graphs only)
 }
 
 // NewGraphFromEdges builds a CSR graph from an edge list (duplicates and
@@ -174,11 +174,7 @@ func RunGraph(benchmark string, g *Graph, source int32, cfg Config) (*Result, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o, err := cfg.toOptions()
-	if err != nil {
-		return nil, err
-	}
-	r, err := harness.Run(spec, o)
+	r, err := harness.Run(spec, harness.Options{Config: cfg})
 	if err != nil {
 		return nil, err
 	}

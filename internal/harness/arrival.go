@@ -18,7 +18,7 @@ import (
 // application), stamp its birth cycle and class, and deposit it into a
 // worker's pending buffer through the runner's conservation-counted
 // path. It then wakes the workers so retired (drained-out) workers
-// resume polling. The actor exists only when Options.Arrivals is armed;
+// resume polling. The actor exists only when Config.Arrivals is armed;
 // closed-loop runs never construct it, which is what keeps them
 // byte-identical to a build without the arrival layer.
 type arrivalActor struct {
@@ -99,15 +99,15 @@ func (a *arrivalActor) Pending() int64 { return int64(len(a.events) - a.next) }
 // run: kernels whose operator is not re-entrant cannot accept mid-run
 // arrivals and are rejected up front with the offending benchmark
 // named.
-func buildArrivals(spec kernels.Spec, kern kernels.Kernel, o Options) (*arrivalActor, error) {
-	if o.Arrivals == nil {
+func buildArrivals(spec kernels.Spec, kern kernels.Kernel, plan *arrival.Plan) (*arrivalActor, error) {
+	if plan == nil {
 		return nil, nil
 	}
 	ak, ok := kern.(kernels.Arrivable)
 	if !ok {
 		return nil, fmt.Errorf("harness: %s does not support open-loop arrivals (its operator visits each node exactly once and is not re-entrant)", spec.Name)
 	}
-	arr, err := newArrivalActor(o.Arrivals, ak, int32(kern.Graph().N))
+	arr, err := newArrivalActor(plan, ak, int32(kern.Graph().N))
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

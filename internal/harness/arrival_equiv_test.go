@@ -10,16 +10,23 @@ import (
 	"minnow/internal/kernels"
 )
 
-// arrivalOpts returns obsOpts with a parsed arrival plan attached.
+// arrivalOpts returns obsOpts with an arrival plan attached.
 func arrivalOpts(t *testing.T, plan string) Options {
 	t.Helper()
 	o := obsOpts()
-	p, err := arrival.ParsePlan(plan)
+	o.Arrivals = plan
+	scheduled(t, o) // fail early on a bad plan
+	return o
+}
+
+// scheduled returns how many arrivals o's plan delivers.
+func scheduled(t *testing.T, o Options) int64 {
+	t.Helper()
+	p, err := arrival.ParsePlan(o.Arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Arrivals = p
-	return o
+	return p.Total()
 }
 
 // TestArrivalLayerInert is the subsystem's load-bearing contract: with
@@ -77,7 +84,7 @@ func TestArrivalEquivalentAcrossWorkers(t *testing.T) {
 	if serial.Latency == nil {
 		t.Fatal("arrival run recorded no latency stats")
 	}
-	if want := base.Arrivals.Total(); serial.Latency.Injected != want {
+	if want := scheduled(t, base); serial.Latency.Injected != want {
 		t.Fatalf("injected %d of %d scheduled arrivals", serial.Latency.Injected, want)
 	}
 	want := serial.Summary().JSON()
@@ -149,7 +156,7 @@ func TestArrivalConservationInvariants(t *testing.T) {
 				if run.Latency.Injected != run.Latency.Retired {
 					t.Fatalf("injected %d != retired %d", run.Latency.Injected, run.Latency.Retired)
 				}
-				if want := o.Arrivals.Total(); run.Latency.Injected != want {
+				if want := scheduled(t, o); run.Latency.Injected != want {
 					t.Fatalf("injected %d of %d scheduled", run.Latency.Injected, want)
 				}
 				for _, c := range run.Latency.Classes {
@@ -177,7 +184,7 @@ func TestArrivalConservationInvariants(t *testing.T) {
 // arrival-conservation violations from the invariant checker.
 func TestArrivalConservationDetectsDrop(t *testing.T) {
 	arr := &arrivalActor{events: make([]arrival.Event, 3), next: 2, delivered: 2}
-	v := checkInvariants(Options{}, true, new(galois.Runner), nil, nil, nil, buildMem(small(1).withDefaults()), arr)
+	v := checkInvariants(Options{}, true, new(galois.Runner), nil, nil, nil, buildMem(small(1).resolve()), arr)
 	var drop, credit bool
 	for _, msg := range v {
 		if strings.Contains(msg, "delivered 2 of 3 scheduled arrivals") {

@@ -4,9 +4,12 @@
 //
 // The package splits by concern:
 //
-//   - harness.go builds one system from Options and runs it (Run);
+//   - config.go declares Config — the public minnow.Config — with its
+//     validation and its one defaults table (WithDefaults);
+//   - harness.go builds one system from Options (Config plus
+//     ablation-only fields) and runs it (Run);
 //   - observe.go wires the obs package's timeline and sampling registry
-//     into a run when Options.Timeline / Options.MetricsEvery ask for
+//     into a run when Config.Timeline / Config.MetricsEvery ask for
 //     them;
 //   - parallel.go fans independent configurations over a worker pool
 //     (RunJobs) and implements the determinism checker;

@@ -14,7 +14,7 @@ import (
 func TestMoreThreadsThanWork(t *testing.T) {
 	// 64 threads on the tiny TC input: most workers never see a task.
 	spec, _ := kernels.SpecByName("TC")
-	r, err := Run(spec, Options{Threads: 64, Seed: 42})
+	r, err := Run(spec, Options{Config: Config{Threads: 64, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestMoreThreadsThanWork(t *testing.T) {
 
 func TestSingleTaskBudget(t *testing.T) {
 	spec, _ := kernels.SpecByName("SSSP")
-	r, err := Run(spec, Options{Threads: 4, Seed: 42, WorkBudget: 1, SkipVerify: true})
+	r, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, WorkBudget: 1, SkipVerify: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSingleTaskBudget(t *testing.T) {
 func TestMinnowWithOneThread(t *testing.T) {
 	// Engine offload must also work degenerate-serially.
 	spec, _ := kernels.SpecByName("BC")
-	r, err := Run(spec, Options{Threads: 1, Seed: 42, Scheduler: "minnow", Prefetch: true})
+	r, err := Run(spec, Options{Config: Config{Threads: 1, Seed: 42, Scheduler: "minnow", Prefetch: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestMinnowWithOneThread(t *testing.T) {
 func TestEngineSharingAcrossOddGroups(t *testing.T) {
 	// 5 threads with 2-way sharing: groups of 2,2,1.
 	spec, _ := kernels.SpecByName("CC")
-	r, err := Run(spec, Options{Threads: 5, Seed: 42, Scheduler: "minnow", Prefetch: true, EngineSharing: 2})
+	r, err := Run(spec, Options{Config: Config{Threads: 5, Seed: 42, Scheduler: "minnow", Prefetch: true}, EngineSharing: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTinyEngineStructures(t *testing.T) {
 	// Hostile engine sizing: everything minimal, still must drain.
 	spec, _ := kernels.SpecByName("SSSP")
 	r, err := Run(spec, Options{
-		Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true,
+		Config:       Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true},
 		EngineLocalQ: 2, EngineLoadBuf: 1, EngineSpillBatch: 1,
 	})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestTinyEngineStructures(t *testing.T) {
 
 func TestOneMemoryChannel(t *testing.T) {
 	spec, _ := kernels.SpecByName("BFS")
-	if _, err := Run(spec, Options{Threads: 4, Seed: 42, MemChannels: 1}); err != nil {
+	if _, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, MemChannels: 1}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +84,7 @@ func TestCreditsOne(t *testing.T) {
 	// A single prefetch credit: the throttle is maximally tight but must
 	// not deadlock the engine.
 	spec, _ := kernels.SpecByName("CC")
-	r, err := Run(spec, Options{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true, Credits: 1})
+	r, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true, Credits: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAllBenchmarksAtTwoSeeds(t *testing.T) {
 	}
 	for _, spec := range kernels.Suite() {
 		for _, seed := range []uint64{1, 99} {
-			o := Options{Threads: 4, Seed: seed, Scheduler: "minnow", Prefetch: true, SplitThreshold: 2048}
+			o := Options{Config: Config{Threads: 4, Seed: seed, Scheduler: "minnow", Prefetch: true, SplitThreshold: 2048}}
 			if _, err := Run(spec, o); err != nil {
 				t.Fatalf("%s seed %d: %v", spec.Name, seed, err)
 			}
@@ -113,11 +113,11 @@ func TestAllBenchmarksAtTwoSeeds(t *testing.T) {
 
 func TestTracingDoesNotChangeTiming(t *testing.T) {
 	spec, _ := kernels.SpecByName("BC")
-	a, err := Run(spec, Options{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true})
+	a, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec, Options{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true, TraceEvents: 64})
+	b, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true, TraceEvents: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCustomGraphThroughKernels(t *testing.T) {
 			return k
 		},
 	}
-	if _, err := Run(spec, Options{Threads: 1, Seed: 42}); err != nil {
+	if _, err := Run(spec, Options{Config: Config{Threads: 1, Seed: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	d := k.Dist()

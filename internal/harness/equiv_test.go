@@ -59,7 +59,7 @@ func TestEquivalenceSerialParallel(t *testing.T) {
 				spec, sched, seed := spec, sched, seed
 				t.Run(fmt.Sprintf("%s/%s/seed%d", spec.Name, sched, seed), func(t *testing.T) {
 					t.Parallel()
-					o := Options{
+					o := Options{Config: Config{
 						Threads:    4,
 						Seed:       seed,
 						Scheduler:  sched,
@@ -68,7 +68,7 @@ func TestEquivalenceSerialParallel(t *testing.T) {
 						Timeline:   true,
 						Profile:    true,
 						Prefetch:   sched == "minnow",
-					}
+					}}
 					base := artifactsFor(t, spec, o)
 					for _, w := range equivWorkers {
 						po := o
@@ -109,7 +109,7 @@ func TestSharedHorizonEquivalence(t *testing.T) {
 			spec, sched := spec, sched
 			t.Run(fmt.Sprintf("%s/%s", spec.Name, sched), func(t *testing.T) {
 				t.Parallel()
-				o := Options{
+				o := Options{Config: Config{
 					Threads:        4,
 					Scheduler:      sched,
 					WorkBudget:     1000,
@@ -118,7 +118,7 @@ func TestSharedHorizonEquivalence(t *testing.T) {
 					Profile:        true,
 					Prefetch:       sched == "minnow",
 					SharedHorizons: true,
-				}
+				}}
 				base := artifactsFor(t, spec, o)
 				for _, w := range equivWorkers {
 					po := o
@@ -160,7 +160,7 @@ func TestSharedHorizonCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{
+	o := Options{Config: Config{
 		Threads:        64,
 		Scheduler:      "minnow",
 		Prefetch:       true,
@@ -168,7 +168,7 @@ func TestSharedHorizonCoverage(t *testing.T) {
 		SkipVerify:     true,
 		MetricsEvery:   512,
 		SharedHorizons: true,
-	}
+	}}
 	base, err := Run(spec, o)
 	if err != nil {
 		t.Fatal(err)

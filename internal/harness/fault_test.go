@@ -8,17 +8,14 @@ import (
 	"minnow/internal/kernels"
 )
 
-// faultOpts returns obsOpts with a parsed fault plan attached.
+// faultOpts returns obsOpts with a fault plan attached.
 func faultOpts(t *testing.T, plan string) Options {
 	t.Helper()
-	o := obsOpts()
-	if plan != "" {
-		p, err := fault.ParsePlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Faults = p
+	if _, err := fault.ParsePlan(plan); plan != "" && err != nil {
+		t.Fatal(err)
 	}
+	o := obsOpts()
+	o.Faults = plan
 	return o
 }
 

@@ -277,16 +277,8 @@ func Chaos(base Options, workers int) *ChaosReport {
 			o.Scheduler = "minnow"
 			o.Prefetch = true
 			o.Invariants = true
-			cell := ChaosCell{Bench: bench, Preset: preset}
-			if preset != "" {
-				plan, err := fault.ParsePlan(preset)
-				if err != nil {
-					cell.Err = err
-				} else {
-					o.Faults = plan
-				}
-			}
-			rep.Cells = append(rep.Cells, cell)
+			o.Faults = preset
+			rep.Cells = append(rep.Cells, ChaosCell{Bench: bench, Preset: preset})
 			// Each cell runs twice: identical hashes are the
 			// reproducibility proof.
 			jobs = append(jobs, Job{Bench: bench, Opts: o}, Job{Bench: bench, Opts: o})
@@ -295,9 +287,6 @@ func Chaos(base Options, workers int) *ChaosReport {
 	results := RunJobs(jobs, workers)
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
-		if c.Err != nil {
-			continue
-		}
 		a, b := results[2*i], results[2*i+1]
 		switch {
 		case a.Err != nil:

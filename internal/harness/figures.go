@@ -37,13 +37,12 @@ func QuickFigOptions() FigOptions {
 
 // base builds the standard run options.
 func (f FigOptions) base() Options {
-	return Options{
+	return Options{Config: Config{
 		Threads:        f.Threads,
 		Scale:          f.Scale,
 		Seed:           f.Seed,
-		Scheduler:      "obim",
 		SplitThreshold: 512, // §6.2.1 task splitting (10K in the paper, scaled with inputs)
-	}
+	}}
 }
 
 // benchNames returns the benchmark subset for the options.
@@ -123,7 +122,7 @@ func Table2(f FigOptions) (*stats.Table, error) {
 // Table3 prints the simulated microarchitecture configuration (paper
 // Table 3) alongside the scaled values this run actually uses.
 func Table3(f FigOptions) *stats.Table {
-	o := f.base().withDefaults()
+	o := f.base().resolve()
 	m := buildMem(o).Config()
 	c := cpu.DefaultConfig()
 	e := core.DefaultConfig()
@@ -252,8 +251,8 @@ func Fig3(f FigOptions) (*stats.Table, error) {
 			oo := o
 			oo.Scheduler = sched
 			if lg >= 0 {
-				oo.LgInterval = uint(lg)
-				oo.LgIntervalSet = true
+				lgv := uint(lg)
+				oo.LgInterval = &lgv
 			}
 			r, err2 := runOrErr(name, oo)
 			if err2 != nil {

@@ -115,7 +115,7 @@ func TestAreaTable(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	spec, _ := kernels.SpecByName("PR")
-	o := Options{Threads: 3, Seed: 5, Scheduler: "minnow", Prefetch: true}
+	o := Options{Config: Config{Threads: 3, Seed: 5, Scheduler: "minnow", Prefetch: true}}
 	a, err := Run(spec, o)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +134,11 @@ func TestMinnowBeatsBaselineEverywhere(t *testing.T) {
 	// prefetching must not lose to the software baseline on any
 	// benchmark.
 	for _, spec := range kernels.Suite() {
-		base, err := Run(spec, Options{Threads: 4, Seed: 42, SplitThreshold: 2048})
+		base, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, SplitThreshold: 2048}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mn, err := Run(spec, Options{Threads: 4, Seed: 42, SplitThreshold: 2048, Scheduler: "minnow", Prefetch: true})
+		mn, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, SplitThreshold: 2048, Scheduler: "minnow", Prefetch: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +150,11 @@ func TestMinnowBeatsBaselineEverywhere(t *testing.T) {
 
 func TestPrefetchReducesMPKI(t *testing.T) {
 	spec, _ := kernels.SpecByName("SSSP")
-	off, err := Run(spec, Options{Threads: 4, Seed: 42, Scheduler: "minnow"})
+	off, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Run(spec, Options{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true})
+	on, err := Run(spec, Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPrefetchReducesMPKI(t *testing.T) {
 
 func TestMoreChannelsNeverHurt(t *testing.T) {
 	spec, _ := kernels.SpecByName("BFS")
-	o := Options{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true}
+	o := Options{Config: Config{Threads: 4, Seed: 42, Scheduler: "minnow", Prefetch: true}}
 	o.MemChannels = 1
 	narrow, err := Run(spec, o)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestMoreChannelsNeverHurt(t *testing.T) {
 
 func TestGraphMatRunners(t *testing.T) {
 	for _, bench := range []string{"SSSP", "BFS", "CC", "PR"} {
-		res, err := RunGraphMat(bench, Options{Threads: 4, Seed: 42})
+		res, err := RunGraphMat(bench, Options{Config: Config{Threads: 4, Seed: 42}})
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
@@ -194,13 +194,13 @@ func TestGraphMatRunners(t *testing.T) {
 			t.Fatalf("%s: empty result %+v", bench, res)
 		}
 	}
-	if _, err := RunGraphMat("TC", Options{Threads: 2}); err == nil {
+	if _, err := RunGraphMat("TC", Options{Config: Config{Threads: 2}}); err == nil {
 		t.Fatal("graphmat TC should be unsupported")
 	}
 }
 
 func TestGMatStarRunner(t *testing.T) {
-	res, err := RunGMatStar(Options{Threads: 4, Seed: 42}, 13)
+	res, err := RunGMatStar(Options{Config: Config{Threads: 4, Seed: 42}}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestGMatStarRunner(t *testing.T) {
 func TestHWPrefetcherOptions(t *testing.T) {
 	spec, _ := kernels.SpecByName("PR")
 	for _, hw := range []string{"stride", "imp"} {
-		r, err := Run(spec, Options{Threads: 2, Seed: 42, HWPrefetcher: hw})
+		r, err := Run(spec, Options{Config: Config{Threads: 2, Seed: 42, HWPrefetcher: hw}})
 		if err != nil {
 			t.Fatalf("%s: %v", hw, err)
 		}
@@ -224,7 +224,7 @@ func TestHWPrefetcherOptions(t *testing.T) {
 
 func TestUnknownScheduler(t *testing.T) {
 	spec, _ := kernels.SpecByName("BC")
-	if _, err := Run(spec, Options{Scheduler: "bogus"}); err == nil {
+	if _, err := Run(spec, Options{Config: Config{Scheduler: "bogus"}}); err == nil {
 		t.Fatal("bogus scheduler accepted")
 	}
 }

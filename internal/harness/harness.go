@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"minnow/internal/arrival"
 	"minnow/internal/core"
 	"minnow/internal/cpu"
 	"minnow/internal/fault"
@@ -21,34 +20,17 @@ import (
 	"minnow/internal/worklist"
 )
 
-// ErrCanceled reports that a run was abandoned by the Options.Cancel
+// ErrCanceled reports that a run was abandoned by the Config.Cancel
 // hook. Errors returned by Run wrap it, so hosts distinguish
 // cancellation from real failures with errors.Is.
 var ErrCanceled = errors.New("run canceled")
 
-// Options configures one simulated run.
+// Options configures one simulated run: Config plus the ablation-only
+// fields that exist solely inside the harness.
 type Options struct {
-	Threads int
-	Scale   int    // input scale multiplier (1 = laptop defaults)
-	Seed    uint64 // graph generator seed
+	Config
 
-	// Scheduler selects the worklist policy: "obim", "fifo", "lifo",
-	// "strictpq", or "minnow".
-	Scheduler string
-	// LgInterval overrides the OBIM / Minnow bucket interval (log2) when
-	// LgIntervalSet is true; otherwise each kernel's tuned default is
-	// used.
-	LgInterval    uint
-	LgIntervalSet bool
-	Sockets       int // OBIM / Minnow global-worklist shards (0 = auto)
-
-	// Minnow engine settings (Scheduler == "minnow").
-	Prefetch bool // worklist-directed prefetching
-	Credits  int  // prefetch credits (0 = default 32)
-	// CustomPrefetch overrides the kernel's prefetch program (the §5.3
-	// "users can write a custom prefetch function" hook). Run calls it
-	// once with the run's bound input graph.
-	CustomPrefetch func(*graph.Graph) core.PrefetchProgram
+	Sockets int // OBIM / Minnow global-worklist shards (0 = auto)
 	// EngineSharing is how many cores share one Minnow engine (§4's
 	// resource-sharing variant; 0/1 = dedicated engines).
 	EngineSharing int
@@ -56,133 +38,24 @@ type Options struct {
 	// structure sizes for the ablation studies (0 = defaults).
 	EngineLocalQ, EngineLoadBuf, EngineSpillBatch int
 
-	// HWPrefetcher attaches a baseline prefetcher to every core: "",
-	// "stride", or "imp".
-	HWPrefetcher string
-
-	SplitThreshold int32 // task splitting (0 = off)
-	WorkBudget     int64 // operator-application timeout (0 = none)
-	Serial         bool  // serial baseline: elide atomics
-
-	// CacheScale divides all cache capacities so scaled-down inputs
-	// remain DRAM-resident (0 = default 16; 1 = paper-size caches).
-	CacheScale  int
-	MemChannels int // DRAM channels (0 = default 12)
-
-	CoreCfg *cpu.Config // nil = Table-3 defaults
-
-	SkipVerify bool // skip result verification (sweeps that time out)
-
-	// MaxSteps bounds total simulation actor steps as a liveness guard
-	// (0 = a large default).
-	MaxSteps int64
-
-	// TraceEvents, when positive, records the last N Minnow engine
-	// events into Run.Trace (Scheduler "minnow" only).
-	TraceEvents int
-
-	// Faults, when non-nil, arms the seeded fault-injection plan: engine
-	// stalls and offline events, NoC delay spikes, DRAM retries, spill
-	// retries with bounded backoff, and credit-loss events. nil (the
-	// default) leaves every fault hook uninstalled and the run
-	// byte-identical to a build without the fault layer.
-	Faults *fault.Plan
-	// Arrivals, when non-nil, arms the open-loop arrival plan: tasks are
-	// injected into the live worklists at seeded, pre-scheduled cycles
-	// and their queue-wait and sojourn latencies are reported per arrival
-	// class in Run.Latency. nil (the default) leaves the run closed-loop
-	// and byte-identical to a build without the arrival layer. Only
-	// kernels with re-entrant operators accept arrivals (TC and BC do
-	// not; Run rejects the combination).
-	Arrivals *arrival.Plan
-	// Invariants enables the runtime invariant checker: post-run task
-	// conservation, credit-pool accounting, cache/directory sanity, and
-	// the no-progress watchdog arm of the liveness guard.
-	Invariants bool
-	// MaxCycles bounds simulated wall-clock cycles per run; the watchdog
-	// halts the run with a diagnostic snapshot when the frontier passes
-	// it (0 = a large default).
-	MaxCycles int64
-
-	// MetricsEvery, when positive, samples the time-series metrics
-	// registry every MetricsEvery simulated cycles into Run.Intervals.
-	MetricsEvery int64
-	// Timeline, when true, records a full-system event timeline into
-	// Run.Timeline (render with Timeline.Perfetto). Off by default; like
-	// MetricsEvery it observes only and never perturbs the simulation.
-	Timeline bool
-	// Profile, when true, attaches the top-down cycle-attribution
-	// profiler to every core and fills Run.Profile. Off by default; like
-	// the other observability attachments it observes only and never
-	// perturbs the simulation.
-	Profile bool
-	// OnSample, when non-nil (requires MetricsEvery > 0), is called at
-	// each crossed metrics-sample boundary with the boundary's simulated
-	// cycle and the registry's Prometheus text exposition — the live run
-	// inspector's feed. The callback must treat the run as read-only.
-	OnSample func(cycles int64, metrics string)
-	// Cancel, when non-nil, is a host-driven cooperative cancellation
-	// hook polled on the watchdog cadence (every watchdogEvery steps).
-	// Returning true abandons the run: Run returns an error wrapping
-	// ErrCanceled and no statistics. The hook must be read-only and is
-	// a host-only knob — like OnSample it never perturbs a run that
-	// completes (the cancel-inert test pins byte-identical summaries
-	// with a never-firing hook installed).
-	Cancel func() bool
-
-	// IntraJobs selects the simulation kernel's execution mode: 0 (the
-	// default) runs the classic serial engine; n >= 1 runs the epoch-based
-	// bound/weave engine (sim.Engine.RunParallel) with n host workers
-	// stepping provably independent actors concurrently inside each
-	// epoch. IntraJobs = 1 exercises the full epoch machinery without
-	// host concurrency. Output is byte-identical to serial mode for any
-	// value — the equivalence suite pins this. Splits the host-thread
-	// budget with the run-level -jobs fan-out; see SplitBudget.
-	IntraJobs int
-	// EpochWindow is the bound/weave epoch length in cycles when
-	// IntraJobs >= 1 (0 = sim.DefaultEpochWindow). Any value produces
-	// identical output; it only trades partition overhead against
-	// bound-phase batch size.
-	EpochWindow int64
-	// SharedHorizons turns on conservative-lookahead horizons for
-	// shared-machine workers (galois.Config.SharedHorizons): idle
-	// backoffs become private steps that RunParallel can bound-step
-	// concurrently, so a single shared-machine run parallelizes. It
-	// changes the step schedule (idle waits split in two), so summaries
-	// are comparable only among runs with the same setting; within a
-	// setting, output stays byte-identical across IntraJobs values — the
-	// shared-horizon equivalence suite pins it.
-	SharedHorizons bool
+	// CoreCfg replaces the Table-3 core (nil = defaults); Config's
+	// PerfectBP and NoFences still apply on top of it.
+	CoreCfg *cpu.Config
 }
 
-// withDefaults fills zero values.
-func (o Options) withDefaults() Options {
-	if o.Threads == 0 {
-		o.Threads = 8
-	}
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Scheduler == "" {
-		o.Scheduler = "obim"
-	}
+// cacheScale divides all cache capacities so scaled-down inputs remain
+// DRAM-resident.
+const cacheScale = 16
+
+// maxSteps bounds total simulation actor steps as a liveness guard.
+const maxSteps = 2_000_000_000
+
+// resolve fills zero values: Config's defaults, then the harness-only
+// ones.
+func (o Options) resolve() Options {
+	o.Config = o.WithDefaults()
 	if o.Sockets == 0 {
 		o.Sockets = (o.Threads + 7) / 8 // §6.2.1: 8 cores per socket
-	}
-	if o.Credits == 0 {
-		o.Credits = 32
-	}
-	if o.CacheScale == 0 {
-		o.CacheScale = 16
-	}
-	if o.MemChannels == 0 {
-		o.MemChannels = 12
-	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 2_000_000_000
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 1 << 40
@@ -194,15 +67,20 @@ func (o Options) withDefaults() Options {
 // statistics. The result is verified against the kernel's reference
 // implementation unless SkipVerify is set or the run timed out.
 func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
-	o = o.withDefaults()
+	o = o.resolve()
+	faults, arrivals, err := o.plans()
+	if err != nil {
+		return nil, err
+	}
 
 	as := graph.NewAddrSpace()
 	kern := spec.Build(o.Scale, o.Seed, as, o.Threads)
-	if !o.LgIntervalSet {
-		o.LgInterval = kern.DefaultLgInterval()
+	lg := kern.DefaultLgInterval()
+	if o.LgInterval != nil {
+		lg = *o.LgInterval
 	}
 
-	arr, err := buildArrivals(spec, kern, o)
+	arr, err := buildArrivals(spec, kern, arrivals)
 	if err != nil {
 		return nil, err
 	}
@@ -227,12 +105,12 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	// so disabled clauses draw nothing from the RNG streams and a nil
 	// plan leaves the run bit-identical to a fault-free build.
 	var inj *fault.Injector
-	if o.Faults != nil {
-		inj = fault.NewInjector(o.Faults)
-		if o.Faults.NoCDelay.P > 0 {
+	if faults != nil {
+		inj = fault.NewInjector(faults)
+		if faults.NoCDelay.P > 0 {
 			msys.Mesh.FaultDelay = inj.NoCDelay
 		}
-		if o.Faults.DRAMRetry.P > 0 {
+		if faults.DRAMRetry.P > 0 {
 			msys.DRAM.FaultRetry = inj.DRAMRetry
 		}
 	}
@@ -245,7 +123,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	case "minnow":
 		gwl = core.NewGlobalWL(as, o.Threads, o.Sockets)
 		ecfg := core.DefaultConfig()
-		ecfg.LgInterval = o.LgInterval
+		ecfg.LgInterval = lg
 		ecfg.Credits = o.Credits
 		ecfg.Prefetch = o.Prefetch
 		if o.EngineLocalQ > 0 {
@@ -260,7 +138,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		if o.Prefetch {
 			ecfg.Program = kern.PrefetchProgram()
 			if o.CustomPrefetch != nil {
-				ecfg.Program = o.CustomPrefetch(kern.Graph())
+				ecfg.Program = o.CustomPrefetch.program(kern.Graph())
 			}
 		}
 		share := o.EngineSharing
@@ -285,16 +163,16 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 			}
 		}
 		ms := core.NewMinnowScheduler(engines, o.Threads)
-		if inj != nil && o.Faults.OfflineAt > 0 {
+		if inj != nil && faults.OfflineAt > 0 {
 			// Engine-offline plans get a software OBIM fallback the cores
 			// degrade to when their engine dies mid-run. Allocated here
 			// (not lazily) so AddrSpace layout is fixed at setup.
-			ms.EnableFailover(inj, gwl, worklist.NewOBIM(as, o.Threads, o.Sockets, o.LgInterval))
+			ms.EnableFailover(inj, gwl, worklist.NewOBIM(as, o.Threads, o.Sockets, lg))
 		}
 		msys.OnCredit = func(c int, used bool) { ms.EngineFor(c).CreditReturn(used) }
 		sched = ms
 	case "obim":
-		sched = &galois.SWScheduler{WL: worklist.NewOBIM(as, o.Threads, o.Sockets, o.LgInterval)}
+		sched = &galois.SWScheduler{WL: worklist.NewOBIM(as, o.Threads, o.Sockets, lg)}
 	case "fifo":
 		sched = &galois.SWScheduler{WL: worklist.NewFIFO(as, o.Threads)}
 	case "lifo":
@@ -323,7 +201,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	runner := galois.NewRunner(cfg, cores, sched, kern, kern.Graph().Degree)
 	if arr != nil {
 		arr.runner = runner
-		arr.rec = galois.NewLatencyRecorder(len(o.Arrivals.Classes))
+		arr.rec = galois.NewLatencyRecorder(len(arrivals.Classes))
 		runner.SetLatency(arr.rec)
 	}
 
@@ -373,7 +251,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	}
 	if !drained && !runner.TimedOut() {
 		return nil, fmt.Errorf("harness: %s/%s exceeded %d simulation steps (livelock?)",
-			spec.Name, o.Scheduler, o.MaxSteps)
+			spec.Name, o.Scheduler, maxSteps)
 	}
 
 	if o.Invariants {
@@ -418,10 +296,10 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 // this call is mode-agnostic.
 func runEngine(eng *sim.Engine, o Options) bool {
 	if o.IntraJobs <= 0 {
-		_, drained := eng.Run(o.MaxSteps)
+		_, drained := eng.Run(maxSteps)
 		return drained
 	}
-	_, drained := eng.RunParallel(o.MaxSteps, sim.Time(o.EpochWindow), o.IntraJobs)
+	_, drained := eng.RunParallel(maxSteps, sim.Time(o.EpochWindow), o.IntraJobs)
 	return drained
 }
 
@@ -480,9 +358,7 @@ func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, 
 
 func buildMem(o Options) *mem.System {
 	mcfg := mem.DefaultConfig(o.Threads)
-	if o.CacheScale > 1 {
-		mcfg.ScaleCaches(o.CacheScale)
-	}
+	mcfg.ScaleCaches(cacheScale)
 	mcfg.DRAM.Channels = o.MemChannels
 	return mem.NewSystem(mcfg)
 }
@@ -492,6 +368,8 @@ func buildCores(o Options, msys *mem.System) []*cpu.Core {
 	if o.CoreCfg != nil {
 		ccfg = *o.CoreCfg
 	}
+	ccfg.PerfectBP = ccfg.PerfectBP || o.PerfectBP
+	ccfg.NoFences = ccfg.NoFences || o.NoFences
 	cores := make([]*cpu.Core, o.Threads)
 	for i := range cores {
 		cores[i] = cpu.New(i, ccfg, msys)
@@ -531,7 +409,7 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 // RunGraphMat executes a workload under the GraphMat-like BSP baseline and
 // returns its result (wall cycles for Fig. 2/3 normalization).
 func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
-	o = o.withDefaults()
+	o = o.resolve()
 	as := graph.NewAddrSpace()
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
@@ -576,7 +454,7 @@ func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
 
 // RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1).
 func RunGMatStar(o Options, lgInterval uint) (graphmat.Result, error) {
-	o = o.withDefaults()
+	o = o.resolve()
 	as := graph.NewAddrSpace()
 	spec, err := kernels.SpecByName("SSSP")
 	if err != nil {

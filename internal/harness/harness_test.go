@@ -8,7 +8,7 @@ import (
 
 // small returns options sized for fast tests.
 func small(threads int) Options {
-	return Options{Threads: threads, Scale: 1, Seed: 7}
+	return Options{Config: Config{Threads: threads, Scale: 1, Seed: 7}}
 }
 
 func TestSmokeAllBenchmarksOBIM(t *testing.T) {

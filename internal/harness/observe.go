@@ -22,8 +22,8 @@ const timelineCounterEvery = 5000
 type observer struct {
 	tl   *obs.Timeline
 	reg  *obs.Registry
-	tail *obs.EventTail // engine event tail (Options.TraceEvents)
-	// onSample is the live-inspector feed (Options.OnSample): called at
+	tail *obs.EventTail // engine event tail (Config.TraceEvents)
+	// onSample is the live-inspector feed (Config.OnSample): called at
 	// each crossed sampling boundary with the registry's freshest row
 	// rendered as Prometheus text.
 	onSample func(cycles int64, metrics string)

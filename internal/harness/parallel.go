@@ -104,7 +104,7 @@ func runJob(j Job) (res JobResult) {
 		if r := recover(); r != nil {
 			res.Run = nil
 			res.Err = fmt.Errorf("harness: %s/%s panicked: %v\n%s",
-				j.Bench, j.Opts.Scheduler, r, debug.Stack())
+				j.Bench, j.Opts.WithDefaults().Scheduler, r, debug.Stack())
 		}
 	}()
 	spec, err := kernels.SpecByName(j.Bench)
@@ -152,10 +152,10 @@ func VerifyDeterminism(jobs []Job, workers int) ([]DeterminismReport, error) {
 	for i := range jobs {
 		a, b := results[2*i], results[2*i+1]
 		if a.Err != nil {
-			return nil, fmt.Errorf("harness: determinism run 1 of %s/%s: %w", a.Job.Bench, a.Job.Opts.Scheduler, a.Err)
+			return nil, fmt.Errorf("harness: determinism run 1 of %s/%s: %w", a.Job.Bench, a.Job.Opts.WithDefaults().Scheduler, a.Err)
 		}
 		if b.Err != nil {
-			return nil, fmt.Errorf("harness: determinism run 2 of %s/%s: %w", b.Job.Bench, b.Job.Opts.Scheduler, b.Err)
+			return nil, fmt.Errorf("harness: determinism run 2 of %s/%s: %w", b.Job.Bench, b.Job.Opts.WithDefaults().Scheduler, b.Err)
 		}
 		reports[i] = compareRuns(jobs[i], a.Run, b.Run)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"minnow/internal/arrival"
 	"minnow/internal/obs"
 	"minnow/internal/stats"
 )
@@ -130,11 +129,7 @@ func FigSojourn(f FigOptions) (*stats.Table, error) {
 		o := f.base()
 		o.Scheduler = "minnow"
 		o.Prefetch = true
-		plan, err := arrival.ParsePlan(fmt.Sprintf("seed=1;poisson:gap=%d,count=%d", gap, count))
-		if err != nil {
-			return nil, err
-		}
-		o.Arrivals = plan
+		o.Arrivals = fmt.Sprintf("seed=1;poisson:gap=%d,count=%d", gap, count)
 		jobs = append(jobs, Job{Bench: "SSSP", Opts: o})
 	}
 	runs, err := f.runAll(jobs)

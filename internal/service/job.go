@@ -104,63 +104,47 @@ type keyDoc struct {
 //
 // Canonicalization rules (documented for clients in docs/SERVICE.md):
 //
-//   - Defaults are resolved first: Threads 0→8, Scale 0→1, Seed 0→42,
-//     Credits 0→32, MemChannels 0→12, and Scheduler ""→"obim" ("minnow"
-//     whenever Config.Minnow is set), so an explicit default and an
-//     omitted field address the same entry.
-//   - Host-only knobs are excluded: IntraJobs and EpochWindow carry the
-//     bound/weave engine's byte-identical-output guarantee, so they can
-//     never change a result. (The function hooks — Cancel, OnSample,
-//     CustomPrefetch — have no wire form at all: a canceled run never
-//     produces a result to cache, and a run the hooks never fire on is
-//     byte-identical to one without them.)
-//   - Observe-only knobs are excluded: TraceEvents, MetricsEvery,
-//     Timeline, and Profile are provably inert on the RunSummary (the
-//     obs test suites pin it). Artifact-bearing requests that miss an
+//   - Defaults are resolved first (minnow.Config.WithDefaults), so an
+//     explicit default and an omitted field address the same entry.
+//     MaxCycles is keyed as given, after the server's default.
+//   - Fields tagged knob:"host" or knob:"observe" on minnow.Config are
+//     excluded: they cannot change the RunSummary (TestTaggedKnobsInert
+//     in package minnow). Artifact-bearing requests that miss an
 //     artifact-less entry re-simulate and upgrade the entry in place,
-//     hash-checked.
-//   - SkipVerify is excluded: it only affects whether a failed
-//     verification surfaces as an error, and errors are never cached.
-//   - Everything else — including Faults and Arrivals (their plan seeds
-//     included), MaxCycles, and SharedHorizons — participates, because
-//     each can change the deterministic outcome.
+//     hash-checked. The function hooks have no wire form at all.
+//   - Every other field participates — Faults and Arrivals verbatim,
+//     plan seeds included — because each can change the deterministic
+//     outcome (TestCacheKeyExclusions checks the key follows the tags).
 func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
+	r := cfg.WithDefaults()
 	d := keyDoc{
 		// V bumped 1→2 when the arrivals field joined the document; old
 		// entries re-key rather than colliding with open-loop runs.
 		V:     2,
 		Bench: bench,
 
-		Threads:        resolve(cfg.Threads, 8),
-		Scale:          resolve(cfg.Scale, 1),
-		Seed:           cfg.Seed,
-		Scheduler:      cfg.Scheduler,
-		Prefetch:       cfg.Prefetch,
-		Credits:        resolve(cfg.Credits, 32),
+		Threads:        r.Threads,
+		Scale:          r.Scale,
+		Seed:           r.Seed,
+		Scheduler:      r.Scheduler,
+		Prefetch:       r.Prefetch,
+		Credits:        r.Credits,
 		LgInterval:     -1,
-		HWPrefetcher:   cfg.HWPrefetcher,
-		SplitThreshold: cfg.SplitThreshold,
-		WorkBudget:     cfg.WorkBudget,
-		Serial:         cfg.Serial,
-		MemChannels:    resolve(cfg.MemChannels, 12),
-		PerfectBP:      cfg.PerfectBP,
-		NoFences:       cfg.NoFences,
-		Faults:         cfg.Faults,
-		Arrivals:       cfg.Arrivals,
-		Invariants:     cfg.Invariants,
-		MaxCycles:      cfg.MaxCycles,
-		SharedHorizons: cfg.SharedHorizons,
+		HWPrefetcher:   r.HWPrefetcher,
+		SplitThreshold: r.SplitThreshold,
+		WorkBudget:     r.WorkBudget,
+		Serial:         r.Serial,
+		MemChannels:    r.MemChannels,
+		PerfectBP:      r.PerfectBP,
+		NoFences:       r.NoFences,
+		Faults:         r.Faults,
+		Arrivals:       r.Arrivals,
+		Invariants:     r.Invariants,
+		MaxCycles:      r.MaxCycles,
+		SharedHorizons: r.SharedHorizons,
 	}
-	if d.Seed == 0 {
-		d.Seed = 42
-	}
-	if cfg.Minnow {
-		d.Scheduler = "minnow"
-	} else if d.Scheduler == "" {
-		d.Scheduler = "obim"
-	}
-	if cfg.LgInterval != nil {
-		d.LgInterval = int(*cfg.LgInterval)
+	if r.LgInterval != nil {
+		d.LgInterval = int(*r.LgInterval)
 	}
 	doc, err := json.Marshal(d)
 	if err != nil {
@@ -169,14 +153,6 @@ func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
 	}
 	sum := sha256.Sum256(doc)
 	return hex.EncodeToString(sum[:]), doc
-}
-
-// resolve substitutes the documented default for a zero-valued knob.
-func resolve(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // Job statuses reported by the API. Lifecycle: queued → running →

@@ -25,15 +25,6 @@ func TestCacheKeyDefaultResolution(t *testing.T) {
 	}
 }
 
-// keyExclusions are the minnow.Config fields the cache key ignores:
-// host-only (IntraJobs, EpochWindow), observe-only (TraceEvents,
-// MetricsEvery, Timeline, Profile), and SkipVerify, which only decides
-// whether a failed verification surfaces as an (uncached) error.
-var keyExclusions = map[string]bool{
-	"IntraJobs": true, "EpochWindow": true, "TraceEvents": true, "MetricsEvery": true,
-	"Timeline": true, "Profile": true, "SkipVerify": true,
-}
-
 // setNonZero stores a non-zero value derived from n into a settable data
 // field: n for numbers, true for bools, a string naming n, and a pointer
 // to n. It reports false for kinds it does not handle (func hooks).
@@ -61,35 +52,38 @@ func setNonZero(f reflect.Value, n int) bool {
 
 // TestCacheKeyExclusions classifies every minnow.Config data field by
 // reflection: setting it alone to a non-zero, non-default value must
-// leave the key unchanged for the listed exclusions and change it for
-// every other field, so a new knob cannot reach the wire unclassified.
-// Func hooks have no wire form and are skipped.
+// leave the key unchanged for fields tagged knob:"host" or
+// knob:"observe" and change it for every other field, so a new knob
+// cannot reach the wire unclassified. Func hooks have no wire form and
+// are skipped.
 func TestCacheKeyExclusions(t *testing.T) {
 	base, _ := CacheKey("BFS", minnow.Config{})
 	typ := reflect.TypeOf(minnow.Config{})
-	seen := 0
+	excluded := 0
 	for i := 0; i < typ.NumField(); i++ {
 		var cfg minnow.Config
-		name := typ.Field(i).Name
+		field := typ.Field(i)
 		if !setNonZero(reflect.ValueOf(&cfg).Elem().Field(i), 3) {
-			if typ.Field(i).Type.Kind() != reflect.Func {
-				t.Fatalf("%s: unhandled field kind %s", name, typ.Field(i).Type.Kind())
+			if field.Type.Kind() != reflect.Func {
+				t.Fatalf("%s: unhandled field kind %s", field.Name, field.Type.Kind())
 			}
 			continue
 		}
 		k, _ := CacheKey("BFS", cfg)
-		switch {
-		case keyExclusions[name]:
-			seen++
+		switch class := field.Tag.Get("knob"); {
+		case class == "host" || class == "observe":
+			excluded++
 			if k != base {
-				t.Errorf("%s: excluded knob changed the key", name)
+				t.Errorf("%s: knob:%q field changed the key", field.Name, class)
 			}
+		case class != "":
+			t.Errorf("%s: unknown knob class %q", field.Name, class)
 		case k == base:
-			t.Errorf("%s: outcome-affecting knob did not change the key", name)
+			t.Errorf("%s: outcome-affecting knob did not change the key", field.Name)
 		}
 	}
-	if seen != len(keyExclusions) {
-		t.Errorf("found %d of %d excluded fields on minnow.Config", seen, len(keyExclusions))
+	if excluded == 0 {
+		t.Error("no tagged fields found on minnow.Config")
 	}
 	if k, _ := CacheKey("CC", minnow.Config{}); k == base {
 		t.Error("benchmark name did not change the key")

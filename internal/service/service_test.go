@@ -174,8 +174,9 @@ func TestSubmitPollLifecycle(t *testing.T) {
 }
 
 // TestValidationErrors pins the HTTP 400 contract: the
-// minnow.Config.Validate message is served verbatim, unknown benchmarks
-// and unknown config fields are refused.
+// minnow.Config.Validate message is served verbatim, unknown benchmarks,
+// unknown config fields and allocation-sizing knobs past their bounds
+// are refused.
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1})
 	post := func(body string) (int, string) {
@@ -202,6 +203,14 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if code, _ = post(`{not json`); code != http.StatusBadRequest {
 		t.Fatalf("bad JSON = %d", code)
+	}
+	// Knobs that size eager allocations are bounded before any job is
+	// queued: these would ask for gigabytes ahead of the first cycle.
+	if code, body = post(`{"bench":"SSSP","config":{"MemChannels":2000000000}}`); code != http.StatusBadRequest || !strings.Contains(body, "minnow: MemChannels: 2000000000 exceeds") {
+		t.Fatalf("huge MemChannels = %d %s", code, body)
+	}
+	if code, body = post(`{"bench":"SSSP","config":{"Minnow":true,"TraceEvents":2000000000}}`); code != http.StatusBadRequest || !strings.Contains(body, "minnow: TraceEvents: 2000000000 exceeds") {
+		t.Fatalf("huge TraceEvents = %d %s", code, body)
 	}
 }
 

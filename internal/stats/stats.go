@@ -257,17 +257,17 @@ type Run struct {
 	AvgLoadLat  float64 // mean demand-load latency (diagnostics)
 	DirtyRemote int64   // reads served from remote modified copies
 	// Trace holds the engine event tail when tracing was enabled
-	// (Options.TraceEvents); render it with EventTail.String.
+	// (Config.TraceEvents); render it with EventTail.String.
 	Trace *obs.EventTail
 	// Intervals holds the time-series sampling rows when metrics
-	// sampling was enabled (Options.MetricsEvery).
+	// sampling was enabled (Config.MetricsEvery).
 	Intervals *obs.Registry
 	// Timeline holds the full-system event timeline when timeline
-	// collection was enabled (Options.Timeline); render it with
+	// collection was enabled (Config.Timeline); render it with
 	// Timeline.Perfetto.
 	Timeline *obs.Timeline
 	// Profile holds the refined cycle-attribution tree when the top-down
-	// profiler was enabled (Options.Profile); render it with
+	// profiler was enabled (Config.Profile); render it with
 	// Profile.Folded / Profile.Pprof / Profile.Stack.
 	Profile    *prof.Profile
 	LatByLevel [5]int64 // summed demand-load latency by supplying level

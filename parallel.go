@@ -4,15 +4,15 @@ import "minnow/internal/harness"
 
 // RunRequest names one benchmark × configuration for the parallel runner.
 type RunRequest struct {
-	Benchmark string
-	Config    Config
+	Benchmark string // benchmark name (see Benchmarks)
+	Config    Config // configuration to simulate
 }
 
 // RunResult pairs a request with its outcome, in request order.
 type RunResult struct {
-	Request RunRequest
-	Result  *Result
-	Err     error
+	Request RunRequest // the request this result answers
+	Result  *Result    // nil when Err is set
+	Err     error      // validation or simulation failure
 }
 
 // toJob converts a request to a harness job, validating it exactly as
@@ -21,11 +21,7 @@ func (r RunRequest) toJob() (harness.Job, error) {
 	if err := r.Config.Validate(); err != nil {
 		return harness.Job{}, err
 	}
-	o, err := r.Config.toOptions()
-	if err != nil {
-		return harness.Job{}, err
-	}
-	return harness.Job{Bench: r.Benchmark, Opts: o}, nil
+	return harness.Job{Bench: r.Benchmark, Opts: harness.Options{Config: r.Config}}, nil
 }
 
 // RunMany executes the requests across a bounded worker pool (jobs <= 0
@@ -60,7 +56,7 @@ func RunMany(reqs []RunRequest, jobs int) []RunResult {
 
 // DeterminismReport is the outcome of running one configuration twice.
 type DeterminismReport struct {
-	Benchmark  string
+	Benchmark  string   // benchmark name from the request
 	Scheduler  string   // resolved scheduler ("minnow" when Config.Minnow)
 	Mismatches []string // rendered field diffs; empty when deterministic
 	Hash       string   // stats fingerprint of the first run
@@ -91,11 +87,8 @@ func VerifyDeterminism(reqs []RunRequest, jobs int) ([]DeterminismReport, error)
 	for i, hr := range hreps {
 		rep := DeterminismReport{
 			Benchmark: hr.Job.Bench,
-			Scheduler: hr.Job.Opts.Scheduler,
+			Scheduler: hr.Job.Opts.WithDefaults().Scheduler,
 			Hash:      hr.Hash,
-		}
-		if rep.Scheduler == "" {
-			rep.Scheduler = "obim" // the harness default
 		}
 		for _, m := range hr.Mismatches {
 			rep.Mismatches = append(rep.Mismatches, m.String())

@@ -1,10 +1,11 @@
 // Command doccheck fails when an exported identifier in the audited
-// packages lacks a doc comment. It guards the observability, statistics,
-// and service surfaces (internal/obs, internal/stats, internal/prof,
-// internal/inspect, internal/arrival, internal/service and its cache,
-// journal, and tracing subpackages), whose doc comments
-// carry the determinism and observe-only contracts the rest of the
-// simulator is written against; the CI docs job runs it on every push.
+// packages lacks a doc comment. It guards the public minnow package and
+// the observability, statistics, and service surfaces (internal/obs,
+// internal/stats, internal/prof, internal/inspect, internal/arrival,
+// internal/service and its cache, journal, and tracing subpackages),
+// whose doc comments carry the determinism and observe-only contracts
+// the rest of the simulator is written against; the CI docs job runs it
+// on every push.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 
 // defaultDirs are the packages whose documentation the build gates on.
 var defaultDirs = []string{
+	".",
 	"internal/obs",
 	"internal/stats",
 	"internal/prof",

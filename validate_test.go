@@ -26,6 +26,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative budget", Config{WorkBudget: -1}, "WorkBudget"},
 		{"negative channels", Config{MemChannels: -5}, "MemChannels"},
 		{"negative trace", Config{TraceEvents: -1}, "TraceEvents"},
+		{"most channels", Config{MemChannels: 1024}, ""},
+		{"most trace events", Config{TraceEvents: 1 << 20, Minnow: true}, ""},
 		{"negative metrics", Config{MetricsEvery: -1}, "MetricsEvery"},
 		{"negative max cycles", Config{MaxCycles: -1}, "MaxCycles"},
 		{"parallel serial", Config{Serial: true, Threads: 4}, "Serial"},
@@ -84,6 +86,10 @@ func TestValidateErrorForm(t *testing.T) {
 			"minnow: MaxCycles: -7 is negative (0 selects a large default)"},
 		{"scheduler conflict", Config{Minnow: true, Scheduler: "fifo"},
 			`minnow: Scheduler: "fifo" conflicts with Minnow — the engine owns the worklist`},
+		{"mem channels bound", Config{MemChannels: 2000000000},
+			"minnow: MemChannels: 2000000000 exceeds 1024, the most DRAM channels a run may allocate"},
+		{"trace events bound", Config{TraceEvents: 1<<20 + 1},
+			"minnow: TraceEvents: 1048577 exceeds 1048576, the most event slots a run may preallocate"},
 	}
 	for _, tc := range exact {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,6 +116,7 @@ func TestValidateErrorForm(t *testing.T) {
 		{HWPrefetcher: "ghb"}, {Faults: "bogus-kind"}, {Arrivals: "bogus-kind"},
 		{IntraJobs: -1}, {EpochWindow: -1}, {EpochWindow: 5},
 		{OnSample: func(int64, string) {}},
+		{MemChannels: 1025}, {TraceEvents: 1<<20 + 1},
 	}
 	for _, cfg := range bad {
 		err := cfg.Validate()
