@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"minnow/internal/graph"
 	"minnow/internal/mem"
 	"minnow/internal/sim"
@@ -30,10 +28,9 @@ type gwlShard struct {
 	lockAddr uint64
 	lockFree sim.Time
 	mapAddr  uint64
-	buckets  map[int64][]worklist.Task
+	buckets  worklist.Buckets[worklist.Task]
 	slots    map[int64]uint64 // bucket -> simulated storage base
 	as       *graph.AddrSpace
-	minB     int64
 }
 
 // NewGlobalWL builds the engines' shared worklist with the given shard
@@ -50,10 +47,8 @@ func NewGlobalWL(as *graph.AddrSpace, cores, sockets int) *GlobalWL {
 		g.shards = append(g.shards, &gwlShard{
 			lockAddr: as.Alloc(64),
 			mapAddr:  as.Alloc(4096),
-			buckets:  make(map[int64][]worklist.Task),
 			slots:    make(map[int64]uint64),
 			as:       as,
-			minB:     noBucket,
 		})
 	}
 	return g
@@ -64,23 +59,16 @@ func (g *GlobalWL) Len() int { return g.size }
 
 // DrainAll removes and returns every queued task (engine-offline rescue).
 // Tasks come out in deterministic order — shards in index order, buckets
-// ascending within a shard (map iteration order must not leak into the
-// simulation) — with no memory traffic charged: the rescue path models a
-// software recovery routine whose cost the fallback worklist's own
-// operations dominate.
+// ascending within a shard — with no memory traffic charged: the rescue
+// path models a software recovery routine whose cost the fallback
+// worklist's own operations dominate.
 func (g *GlobalWL) DrainAll() []worklist.Task {
 	var out []worklist.Task
 	for _, s := range g.shards {
-		bs := make([]int64, 0, len(s.buckets))
-		for b := range s.buckets {
-			bs = append(bs, b)
+		for b, ok := s.buckets.Min(); ok; b, ok = s.buckets.Min() {
+			out = append(out, s.buckets.Get(b)...)
+			s.buckets.Set(b, nil)
 		}
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		for _, b := range bs {
-			out = append(out, s.buckets[b]...)
-		}
-		s.buckets = make(map[int64][]worklist.Task)
-		s.minB = noBucket
 	}
 	g.size = 0
 	return out
@@ -92,16 +80,8 @@ func (g *GlobalWL) DrainAll() []worklist.Task {
 func (g *GlobalWL) MinBucket() int64 {
 	min := noBucket
 	for _, s := range g.shards {
-		if _, ok := s.buckets[s.minB]; !ok {
-			s.minB = noBucket
-			for b := range s.buckets {
-				if b < s.minB {
-					s.minB = b
-				}
-			}
-		}
-		if s.minB < min {
-			min = s.minB
+		if b, ok := s.buckets.Min(); ok && b < min {
+			min = b
 		}
 	}
 	return min
@@ -158,8 +138,7 @@ func (g *GlobalWL) Spill(e *Engine, t worklist.Task, at sim.Time) sim.Time {
 
 // SpillBatch pushes a group of tasks under one lock acquisition — the
 // §5.2 grouping optimization ("several memory allocation and deallocation
-// tasks may be grouped together"). One map walk is charged per distinct
-// bucket in the batch.
+// tasks may be grouped together"). One map walk is charged per batch.
 func (g *GlobalWL) SpillBatch(e *Engine, tasks []worklist.Task, at sim.Time) sim.Time {
 	if len(tasks) == 0 {
 		return at
@@ -167,17 +146,10 @@ func (g *GlobalWL) SpillBatch(e *Engine, tasks []worklist.Task, at sim.Time) sim
 	s := g.shardOf(e.CoreID)
 	// Write the task slots first — slots are only published by the head
 	// update, so they need no lock.
-	lastB := int64(1) << 61
 	for _, t := range tasks {
 		b := t.Priority >> e.cfg.LgInterval
-		if b != lastB {
-			lastB = b
-		}
-		e.load(s.slotAddr(b, len(s.buckets[b])), mem.EngineStore)
-		s.buckets[b] = append(s.buckets[b], t)
-		if b < s.minB {
-			s.minB = b
-		}
+		e.load(s.slotAddr(b, len(s.buckets.Get(b))), mem.EngineStore)
+		s.buckets.Append(b, t)
 		g.size++
 	}
 	// Short critical section: map walk + head publish.
@@ -202,7 +174,8 @@ func (g *GlobalWL) Fill(e *Engine, want int, at sim.Time) ([]worklist.Task, sim.
 		if probe > 0 {
 			e.load(s.mapAddr, mem.EngineLoad) // remote occupancy check
 		}
-		if len(s.buckets) == 0 {
+		fromB, ok := s.buckets.Min()
+		if !ok {
 			continue
 		}
 		// Short critical section: map walk + claim the chunk by moving
@@ -211,17 +184,7 @@ func (g *GlobalWL) Fill(e *Engine, want int, at sim.Time) ([]worklist.Task, sim.
 		s.acquire(e, e.clock)
 		e.load(s.mapAddr, mem.EngineLoad)
 		e.load(s.mapAddr+256, mem.EngineLoad)
-		// Recompute the minimum bucket if stale.
-		if _, ok := s.buckets[s.minB]; !ok {
-			s.minB = noBucket
-			for b := range s.buckets {
-				if b < s.minB {
-					s.minB = b
-				}
-			}
-		}
-		fromB := s.minB
-		list := s.buckets[fromB]
+		list := s.buckets.Get(fromB)
 		n := want
 		// Fair-share cap: grabbing a huge chunk while little work remains
 		// strands the tail on one engine while the other cores starve.
@@ -233,11 +196,7 @@ func (g *GlobalWL) Fill(e *Engine, want int, at sim.Time) ([]worklist.Task, sim.
 		}
 		out := make([]worklist.Task, n)
 		copy(out, list[:n])
-		if n == len(list) {
-			delete(s.buckets, fromB)
-		} else {
-			s.buckets[fromB] = list[n:]
-		}
+		s.buckets.Set(fromB, list[n:])
 		e.load(s.mapAddr, mem.EngineStore)
 		s.release(e)
 		// Stream the claimed task slots in (4 tasks per 64B line).

@@ -68,17 +68,17 @@ func TestPlanStringRoundTrip(t *testing.T) {
 // TestParsePlanErrors enumerates the rejection paths.
 func TestParsePlanErrors(t *testing.T) {
 	bad := []string{
-		"",                         // empty plan
-		"warp-core:p=0.1",          // unknown clause
-		"seed=banana",              // bad seed
-		"engine-offline:at=0",      // offline needs at > 0
-		"engine-stall:p",           // malformed argument
-		"engine-stall:p=0.1,p=0.2", // duplicate key
-		"engine-stall:p=1.5",       // probability out of range
-		"engine-stall:p=-0.1",      // negative probability
-		"engine-stall:cycles=-4",   // negative count
+		"",                               // empty plan
+		"warp-core:p=0.1",                // unknown clause
+		"seed=banana",                    // bad seed
+		"engine-offline:at=0",            // offline needs at > 0
+		"engine-stall:p",                 // malformed argument
+		"engine-stall:p=0.1,p=0.2",       // duplicate key
+		"engine-stall:p=1.5",             // probability out of range
+		"engine-stall:p=-0.1",            // negative probability
+		"engine-stall:cycles=-4",         // negative count
 		"engine-offline:at=5,engines=-1", // bad engine index
-		"engine-stall:zap=3",       // unknown key
+		"engine-stall:zap=3",             // unknown key
 	}
 	for _, expr := range bad {
 		if _, err := ParsePlan(expr); err == nil {

@@ -31,6 +31,7 @@ func RoadMesh(n int, seed uint64) *Graph {
 	}
 	n = side * side
 	b := NewBuilder(n, true)
+	b.reserve(4*n + n/10) // 4-neighbour links plus 1-in-20 diagonals, both ways
 	const maxW = 1000
 	id := func(x, y int) int32 { return int32(y*side + x) }
 	for y := 0; y < side; y++ {
@@ -59,6 +60,7 @@ func UniformRandom(n, avgDeg int, seed uint64) *Graph {
 	if half < 1 {
 		half = 1
 	}
+	b.reserve(2 * n * half)
 	for v := 0; v < n; v++ {
 		for k := 0; k < half; k++ {
 			d := int32(r.Intn(n))
@@ -81,6 +83,7 @@ func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << scale
 	m := n * edgeFactor
 	b := NewBuilder(n, false)
+	b.reserve(2 * m)
 	const (
 		a  = 0.57
 		bb = 0.19
@@ -115,6 +118,7 @@ func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 func SmallWorld(n, k int, seed uint64) *Graph {
 	r := rng.New(seed)
 	b := NewBuilder(n, false)
+	b.reserve(2 * (n*(k/2) + (n/200+1)*(isqrt(n)/2)))
 	const rewireP = 0.2
 	for v := 0; v < n; v++ {
 		for j := 1; j <= k/2; j++ {
@@ -158,6 +162,9 @@ func PowerLawTalk(n int, seed uint64) *Graph {
 	if core < 4 {
 		core = 4
 	}
+	// Superhubs, the middle's mean degree 2+3 with headroom, and a third
+	// of the leaves.
+	b.reserve(core*(n/25) + 6*(n/10) + n/3)
 	for v := 0; v < n; v++ {
 		var deg int
 		switch {
@@ -187,6 +194,7 @@ func PowerLawTalk(n int, seed uint64) *Graph {
 func CommunityDBLP(n int, seed uint64) *Graph {
 	r := rng.New(seed)
 	b := NewBuilder(n, false)
+	b.reserve(6 * n) // a node's clique has 5 other members on average, plus the back links
 	v := 0
 	for v < n {
 		size := 3 + r.Intn(6)
@@ -216,6 +224,7 @@ func Bipartite(users, items int, seed uint64) *Graph {
 	r := rng.New(seed)
 	n := users + items
 	b := NewBuilder(n, false)
+	b.reserve(6 * users) // 1 + 1.86 ratings per user on average, both ways
 	for u := 0; u < users; u++ {
 		ratings := 1 + r.Geometric(0.35)
 		for j := 0; j < ratings; j++ {

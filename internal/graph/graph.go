@@ -11,8 +11,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Layout constants matching §6.2.
@@ -116,6 +117,18 @@ func NewBuilder(n int, weighted bool) *Builder {
 	return &Builder{n: n, weighted: weighted}
 }
 
+// reserve sizes the edge list for m more edges, so a generator that knows
+// its edge count up front never regrows it. Each regrowth leaves the old
+// list behind as garbage, which sets the process's peak resident set
+// whenever the collector falls behind.
+func (b *Builder) reserve(m int) {
+	b.src = slices.Grow(b.src, m)
+	b.dst = slices.Grow(b.dst, m)
+	if b.weighted {
+		b.w = slices.Grow(b.w, m)
+	}
+}
+
 // AddEdge appends a directed edge.
 func (b *Builder) AddEdge(s, d int32) {
 	b.src = append(b.src, s)
@@ -178,7 +191,7 @@ func (b *Builder) Build(name string) *Graph {
 		end := counts[v+1]
 		row := order[start:end]
 		// Sort each row by destination and drop duplicates/self-loops.
-		sort.Slice(row, func(i, j int) bool { return b.dst[row[i]] < b.dst[row[j]] })
+		slices.SortFunc(row, func(x, y int32) int { return cmp.Compare(b.dst[x], b.dst[y]) })
 		prev := int32(-1)
 		for _, ei := range row {
 			d := b.dst[ei]

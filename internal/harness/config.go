@@ -149,12 +149,17 @@ type Config struct {
 
 // Upper bounds on knobs that size eager allocations, so a submitted
 // configuration cannot exhaust host memory before the first simulated
-// cycle. Both sit far above any configuration the paper or this
+// cycle. All sit far above any configuration the paper or this
 // repository uses (Fig. 21 sweeps 1–12 channels; the -trace examples
-// keep tens of events).
+// keep tens of events; the figures run Scale 2 and the benchmark Scale
+// 4). maxScale is sized by the registry's largest input, PR's power-law
+// graph: its superhubs' degree grows with the node count, so its build
+// allocates with the square of Scale. It allocated 0.04 GB at Scale 4
+// and 0.6 GB at Scale 16; each doubling of Scale quadruples that.
 const (
 	maxMemChannels = 1024
 	maxTraceEvents = 1 << 20
+	maxScale       = 32
 )
 
 // Validate rejects nonsensical configurations with a descriptive error
@@ -176,6 +181,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("minnow: Threads: %d exceeds 64, the coherence directory's sharer-mask width", c.Threads)
 	case c.Scale < 0:
 		return fmt.Errorf("minnow: Scale: %d is negative (0 selects the default of 1)", c.Scale)
+	case c.Scale > maxScale:
+		return fmt.Errorf("minnow: Scale: %d exceeds %d, the largest input scale a run may build", c.Scale, maxScale)
 	case c.Credits < 0:
 		return fmt.Errorf("minnow: Credits: %d is negative — the prefetch credit pool needs at least one credit (0 selects the default of 32)", c.Credits)
 	case c.SplitThreshold < 0:

@@ -151,11 +151,6 @@ func (c *Config) ScaleCaches(factor int) {
 	// the core's L2 TLB would thrash it).
 }
 
-type dirEntry struct {
-	sharers    uint64 // bitmask of cores whose L2 may hold the line
-	dirtyOwner int8   // core holding it modified, or -1
-}
-
 // System is the full simulated memory hierarchy shared by all cores and
 // engines.
 type System struct {
@@ -169,7 +164,7 @@ type System struct {
 	l3  []*Cache // one bank per core
 	l3p []busyUntil
 
-	dir map[uint64]dirEntry
+	dir directory
 
 	// OnCredit, when set, is invoked whenever a prefetch-marked line in
 	// core's L2 is consumed by a demand access (used=true) or evicted or
@@ -218,7 +213,7 @@ func NewSystem(cfg Config) *System {
 		cfg:  cfg,
 		Mesh: noc.New(cfg.MeshW, cfg.MeshH, cfg.HopCycles),
 		DRAM: dram.New(cfg.DRAM),
-		dir:  make(map[uint64]dirEntry, 1<<16),
+		dir:  newDirectory(cfg.Cores * cfg.L2Lines),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		s.TLBs = append(s.TLBs, tlb.New(cfg.TLB))
@@ -285,17 +280,32 @@ func (s *System) handleL2Evict(core int, ev Evicted) {
 	if ev.Prefetch {
 		s.creditEvent(core, false)
 	}
-	if e, ok := s.dir[ev.Line]; ok {
+	if i, ok := s.dir.find(ev.Line); ok {
+		e := &s.dir.slots[i]
 		e.sharers &^= 1 << uint(core)
 		if e.dirtyOwner == int8(core) {
 			e.dirtyOwner = -1
 		}
 		if e.sharers == 0 {
-			delete(s.dir, ev.Line)
-		} else {
-			s.dir[ev.Line] = e
+			s.dir.deleteAt(i)
 		}
 	}
+}
+
+// needsExclusive reports whether a write hit by core must fetch exclusive
+// ownership because another core shares or owns the line. When it need
+// not, a tracked line is marked dirty in core's name.
+func (s *System) needsExclusive(core int, line uint64) bool {
+	i, ok := s.dir.find(line)
+	if !ok {
+		return false
+	}
+	e := &s.dir.slots[i]
+	if e.sharers&^(1<<uint(core)) != 0 || (e.dirtyOwner >= 0 && int(e.dirtyOwner) != core) {
+		return true
+	}
+	e.dirtyOwner = int8(core)
+	return false
 }
 
 // fetchShared brings a line to core's L2 from L3/DRAM, handling the
@@ -310,7 +320,7 @@ func (s *System) fetchShared(core int, line uint64, write bool, t sim.Time) (sim
 	level := uint8(3)
 	remote := false
 
-	e, tracked := s.dir[line]
+	e, tracked := s.dir.get(line)
 	if !tracked {
 		e = dirEntry{dirtyOwner: -1}
 	}
@@ -383,7 +393,7 @@ func (s *System) fetchShared(core int, line uint64, write bool, t sim.Time) (sim
 	if write {
 		e.dirtyOwner = int8(core)
 	}
-	s.dir[line] = e
+	s.dir.put(line, e)
 
 	// Data flit back to the requesting tile.
 	t = s.Mesh.Traverse(bank, core, t)
@@ -471,15 +481,10 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 			// Even an L1 hit may need exclusivity if the line is shared
 			// elsewhere; approximate: only charge when the directory has
 			// other sharers.
-			if write {
-				if e, ok := s.dir[line]; ok && (e.sharers&^(1<<uint(core)) != 0 || (e.dirtyOwner >= 0 && int(e.dirtyOwner) != core)) {
-					done, _, _ := s.fetchShared(core, line, true, now)
-					res.Done = done + s.cfg.L1Latency
-					res.Level = 2
-				} else if ok {
-					e.dirtyOwner = int8(core)
-					s.dir[line] = e
-				}
+			if write && s.needsExclusive(core, line) {
+				done, _, _ := s.fetchShared(core, line, true, now)
+				res.Done = done + s.cfg.L1Latency
+				res.Level = 2
 			}
 			s.lastDone = res.Done
 			s.lastLevel = res.Level
@@ -509,14 +514,8 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 		if kind == Atomic || kind == EngineAtomic {
 			done += s.cfg.AtomicExtra
 		}
-		if write {
-			if e, ok := s.dir[line]; ok && (e.sharers&^(1<<uint(core)) != 0 || (e.dirtyOwner >= 0 && int(e.dirtyOwner) != core)) {
-				d2, _, _ := s.fetchShared(core, line, true, done)
-				done = d2
-			} else if ok {
-				e.dirtyOwner = int8(core)
-				s.dir[line] = e
-			}
+		if write && s.needsExclusive(core, line) {
+			done, _, _ = s.fetchShared(core, line, true, done)
 		}
 		if prefetch {
 			res.Marked = s.l2[core].MarkPrefetch(line)
@@ -580,7 +579,7 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 //     used+waste <= fills).
 func (s *System) CheckInvariants() []string {
 	var v []string
-	for line, e := range s.dir {
+	s.dir.each(func(line uint64, e dirEntry) {
 		if e.sharers == 0 {
 			v = append(v, fmt.Sprintf("mem: dir line %#x has no sharers but was not reclaimed", line))
 		}
@@ -590,12 +589,12 @@ func (s *System) CheckInvariants() []string {
 		if s.cfg.Cores < 64 && e.sharers>>uint(s.cfg.Cores) != 0 {
 			v = append(v, fmt.Sprintf("mem: dir line %#x sharer mask %#x names cores beyond the %d active", line, e.sharers, s.cfg.Cores))
 		}
-	}
+	})
 	var lines []uint64
 	for core, c := range s.l2 {
 		lines = c.ValidLines(lines[:0])
 		for _, line := range lines {
-			if e, ok := s.dir[line]; !ok || e.sharers&(1<<uint(core)) == 0 {
+			if e, ok := s.dir.get(line); !ok || e.sharers&(1<<uint(core)) == 0 {
 				v = append(v, fmt.Sprintf("mem: core %d L2 holds line %#x the directory does not track for it", core, line))
 			}
 		}

@@ -44,8 +44,7 @@ type OBIM struct {
 type obimSocket struct {
 	lock    lock
 	mapAddr uint64
-	buckets map[int64][]*chunk
-	minB    int64
+	buckets Buckets[*chunk]
 }
 
 // NewOBIM builds an OBIM worklist. lgInterval is the log2 bucket interval
@@ -78,8 +77,6 @@ func NewOBIM(as *graph.AddrSpace, threads, sockets int, lgInterval uint) *OBIM {
 		o.sock = append(o.sock, &obimSocket{
 			lock:    newLock(as),
 			mapAddr: as.Alloc(4096),
-			buckets: make(map[int64][]*chunk),
-			minB:    int64(1) << 62,
 		})
 	}
 	return o
@@ -129,7 +126,7 @@ func (o *OBIM) Push(ctx *Ctx, t Task) {
 			ctx.TR.Load(s.mapAddr, false, false)
 			ctx.TR.Store(s.mapAddr)
 			s.lock.release(ctx)
-			o.bucketAppend(s, b, c)
+			s.buckets.Append(b, c)
 			o.push[tid] = nil
 		}
 		return
@@ -149,7 +146,7 @@ func (o *OBIM) globalPush(ctx *Ctx, tid int, b int64, t Task) {
 		ctx.TR.Compute(10)
 		ctx.TR.Store(s.mapAddr)
 		s.lock.release(ctx)
-		o.bucketAppend(s, o.cur[tid], c)
+		s.buckets.Append(o.cur[tid], c)
 		o.push[tid] = nil
 	}
 	if o.push[tid] == nil {
@@ -162,9 +159,6 @@ func (o *OBIM) globalPush(ctx *Ctx, tid int, b int64, t Task) {
 		ctx.TR.Compute(12)
 		ctx.TR.Store(s.mapAddr)
 		s.lock.release(ctx)
-		if b < s.minB {
-			s.minB = b
-		}
 	}
 	c := o.push[tid]
 	ctx.TR.Store(c.slotAddr(len(c.tasks)))
@@ -175,15 +169,8 @@ func (o *OBIM) globalPush(ctx *Ctx, tid int, b int64, t Task) {
 		ctx.TR.Load(s.mapAddr, false, false)
 		ctx.TR.Store(s.mapAddr)
 		s.lock.release(ctx)
-		o.bucketAppend(s, b, c)
+		s.buckets.Append(b, c)
 		o.push[tid] = nil
-	}
-}
-
-func (o *OBIM) bucketAppend(s *obimSocket, b int64, c *chunk) {
-	s.buckets[b] = append(s.buckets[b], c)
-	if b < s.minB {
-		s.minB = b
 	}
 }
 
@@ -194,16 +181,8 @@ func (o *OBIM) bucketAppend(s *obimSocket, b int64, c *chunk) {
 func (o *OBIM) globalMin() int64 {
 	min := int64(1) << 62
 	for _, s := range o.sock {
-		if _, ok := s.buckets[s.minB]; !ok {
-			s.minB = int64(1) << 62
-			for b := range s.buckets {
-				if b < s.minB {
-					s.minB = b
-				}
-			}
-		}
-		if s.minB < min {
-			min = s.minB
+		if b, ok := s.buckets.Min(); ok && b < min {
+			min = b
 		}
 	}
 	return min
@@ -233,7 +212,7 @@ func (o *OBIM) Pop(ctx *Ctx) (Task, bool) {
 			ctx.TR.Compute(8)
 			ctx.TR.Store(s.mapAddr)
 			s.lock.release(ctx)
-			o.bucketAppend(s, o.popBkt[tid], c)
+			s.buckets.Append(o.popBkt[tid], c)
 			o.pop[tid] = nil
 		} else {
 			t := c.tasks[0]
@@ -265,25 +244,19 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 	// Pick the socket with the lowest bucket (bookkeeping mirrors the
 	// shared level line; remote probes are charged below).
 	var best *obimSocket
+	var bestB int64
 	for _, s := range o.sock {
-		if _, ok := s.buckets[s.minB]; !ok {
-			s.minB = int64(1) << 62
-			for b := range s.buckets {
-				if b < s.minB {
-					s.minB = b
-				}
-			}
-		}
-		if len(s.buckets) == 0 {
+		b, ok := s.buckets.Min()
+		if !ok {
 			continue
 		}
-		if best == nil || s.minB < best.minB || (s.minB == best.minB && s == own && best != own) {
-			best = s
+		if best == nil || b < bestB || (b == bestB && s == own && best != own) {
+			best, bestB = s, b
 		}
 	}
 	// The thread's own private push chunk is visible to itself: prefer
 	// it when it holds strictly better work than any published bucket.
-	if c := o.push[tid]; c != nil && len(c.tasks) > 0 && (best == nil || o.cur[tid] < best.minB) {
+	if c := o.push[tid]; c != nil && len(c.tasks) > 0 && (best == nil || o.cur[tid] < bestB) {
 		s := o.socketOf(tid)
 		s.lock.acquire(ctx)
 		ctx.TR.Compute(8)
@@ -304,18 +277,14 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 		ctx.TR.Load(s.mapAddr, false, false)
 		ctx.TR.Load(s.mapAddr+192, false, true)
 		ctx.TR.Compute(16)
-		list := s.buckets[s.minB]
+		list := s.buckets.Get(bestB)
 		c := list[len(list)-1]
-		list = list[:len(list)-1]
-		if len(list) == 0 {
-			delete(s.buckets, s.minB)
-		} else {
-			s.buckets[s.minB] = list
-		}
+		list[len(list)-1] = nil // the slot's array outlives this bucket
+		s.buckets.Set(bestB, list[:len(list)-1])
 		ctx.TR.Store(s.mapAddr)
 		s.lock.release(ctx)
 		o.pop[tid] = c
-		o.popBkt[tid] = o.minBucketOf(s, c)
+		o.popBkt[tid] = o.minBucketOf(c, bestB)
 		return true
 	}
 	// Nothing in any socket map: drain private push chunks (own first).
@@ -335,9 +304,11 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 	return false
 }
 
-func (o *OBIM) minBucketOf(s *obimSocket, c *chunk) int64 {
+// minBucketOf returns the bucket of a chunk taken from bucket b. Published
+// chunks are never empty; an empty one would report b.
+func (o *OBIM) minBucketOf(c *chunk, b int64) int64 {
 	if len(c.tasks) > 0 {
 		return o.bucketOf(c.tasks[0].Priority)
 	}
-	return s.minB
+	return b
 }

@@ -90,6 +90,8 @@ func TestValidateErrorForm(t *testing.T) {
 			"minnow: MemChannels: 2000000000 exceeds 1024, the most DRAM channels a run may allocate"},
 		{"trace events bound", Config{TraceEvents: 1<<20 + 1},
 			"minnow: TraceEvents: 1048577 exceeds 1048576, the most event slots a run may preallocate"},
+		{"scale bound", Config{Scale: 1 << 30},
+			"minnow: Scale: 1073741824 exceeds 32, the largest input scale a run may build"},
 	}
 	for _, tc := range exact {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,7 +118,7 @@ func TestValidateErrorForm(t *testing.T) {
 		{HWPrefetcher: "ghb"}, {Faults: "bogus-kind"}, {Arrivals: "bogus-kind"},
 		{IntraJobs: -1}, {EpochWindow: -1}, {EpochWindow: 5},
 		{OnSample: func(int64, string) {}},
-		{MemChannels: 1025}, {TraceEvents: 1<<20 + 1},
+		{MemChannels: 1025}, {TraceEvents: 1<<20 + 1}, {Scale: 33},
 	}
 	for _, cfg := range bad {
 		err := cfg.Validate()
