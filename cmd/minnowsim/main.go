@@ -1,7 +1,8 @@
 // Command minnowsim runs a single benchmark on the simulated CMP and
 // prints its metrics. With -verify-determinism the configuration is
 // instead run twice and the runs compared field by field (wall cycles,
-// step counts, per-core statistics hash).
+// step counts, per-core statistics hash). Every minnow.Config knob has a
+// flag (minnow.RegisterFlags); a zero value takes the knob's default.
 //
 // Usage:
 //
@@ -21,72 +22,30 @@ import (
 )
 
 func main() {
+	var cfg minnow.Config
 	var (
 		bench    = flag.String("bench", "SSSP", "benchmark: "+strings.Join(minnow.Benchmarks(), ", "))
-		threads  = flag.Int("threads", 8, "simulated core count")
-		scale    = flag.Int("scale", 1, "input scale multiplier")
-		seed     = flag.Uint64("seed", 42, "graph generator seed")
-		useMin   = flag.Bool("minnow", false, "offload the worklist to Minnow engines")
-		prefetch = flag.Bool("prefetch", false, "worklist-directed prefetching (needs -minnow)")
-		credits  = flag.Int("credits", 32, "prefetch credits")
-		sched    = flag.String("sched", "", "software scheduler: obim (default), fifo, lifo, strictpq")
-		hwpf     = flag.String("hwpf", "", "hardware prefetcher baseline: stride, imp")
-		split    = flag.Int("split", 0, "task-splitting threshold (0 = off)")
-		channels = flag.Int("channels", 12, "DRAM channels")
-		serial   = flag.Bool("serial", false, "serial baseline (atomics elided; forces 1 thread)")
-		budget   = flag.Int64("budget", 0, "work budget (0 = unlimited)")
-		traceN   = flag.Int("trace", 0, "print the last N Minnow engine events (needs -minnow)")
 		graphIn  = flag.String("graph", "", "run on a saved binary CSR graph (see graphgen -save)")
 		source   = flag.Int("source", 0, "source node for SSSP/BFS/G500 with -graph")
 		verify   = flag.Bool("verify-determinism", false, "run the configuration twice and compare results")
 		timeline = flag.String("timeline", "", "write a Chrome-trace/Perfetto timeline JSON to this file")
-		every    = flag.Int64("metrics-every", 0, "sample time-series metrics every N simulated cycles")
 		metrics  = flag.String("metrics", "metrics.csv", "interval-metrics CSV path (with -metrics-every)")
-		faults   = flag.String("faults", "", "fault-injection plan: a preset (transient, offline, chaos) or clause expression (see docs/ROBUSTNESS.md)")
-		arrivals = flag.String("arrivals", "", "open-loop arrival plan: a preset (steady, burst, waves, trickle) or clause expression (see EXPERIMENTS.md)")
-		invar    = flag.Bool("invariants", false, "enable runtime invariant checking and the no-progress watchdog")
-		maxCyc   = flag.Int64("max-cycles", 0, "halt with a diagnostic snapshot past this many simulated cycles (0 = large default)")
 		profile  = flag.String("profile", "", "write a pprof profile of simulated cycles to this file (inspect with `go tool pprof`)")
 		folded   = flag.String("folded", "", "write the profiler's folded stacks to this file (feed to flamegraph tooling)")
 		httpAddr = flag.String("http", "", "serve the live run inspector on this address (host:port; needs -metrics-every)")
-		intra    = flag.Int("intra-jobs", 0, "bound/weave engine workers inside the simulation (0 = serial engine; output is byte-identical either way)")
-		window   = flag.Int64("epoch-window", 0, "bound/weave epoch length in cycles (0 = default; needs -intra-jobs)")
-		shareHz  = flag.Bool("shared-horizons", false, "conservative-lookahead horizons: idle backoffs become private steps the bound/weave engine can run concurrently (changes the step schedule; byte-identical across -intra-jobs values for a fixed setting)")
 	)
+	minnow.RegisterFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	cfg := minnow.Config{
-		Threads:        *threads,
-		Scale:          *scale,
-		Seed:           *seed,
-		Minnow:         *useMin,
-		Prefetch:       *prefetch,
-		Credits:        *credits,
-		Scheduler:      *sched,
-		HWPrefetcher:   *hwpf,
-		SplitThreshold: int32(*split),
-		MemChannels:    *channels,
-		Serial:         *serial,
-		WorkBudget:     *budget,
-		TraceEvents:    *traceN,
-		MetricsEvery:   *every,
-		Timeline:       *timeline != "",
-		Profile:        *profile != "" || *folded != "",
-		Faults:         *faults,
-		Arrivals:       *arrivals,
-		Invariants:     *invar,
-		MaxCycles:      *maxCyc,
-		IntraJobs:      *intra,
-		EpochWindow:    *window,
-		SharedHorizons: *shareHz,
-	}
-	if *serial {
+	cfg.Timeline = *timeline != ""
+	cfg.Profile = *profile != "" || *folded != ""
+	if cfg.Serial {
 		cfg.Threads = 1
 	}
 	if *httpAddr != "" {
 		// The inspector is observe-only: it republishes each crossed
 		// metrics-sample boundary over HTTP and serves host-process pprof.
-		if *every <= 0 {
+		if cfg.MetricsEvery <= 0 {
 			fmt.Fprintln(os.Stderr, "minnowsim: -http needs -metrics-every to have samples to publish")
 			os.Exit(1)
 		}
@@ -179,12 +138,12 @@ func main() {
 		}
 		fmt.Printf("timeline         %s (%d bytes; load at ui.perfetto.dev)\n", *timeline, len(res.TimelineJSON))
 	}
-	if *every > 0 {
+	if cfg.MetricsEvery > 0 {
 		if werr := os.WriteFile(*metrics, []byte(res.IntervalCSV), 0o644); werr != nil {
 			fmt.Fprintln(os.Stderr, "minnowsim:", werr)
 			os.Exit(1)
 		}
-		fmt.Printf("interval metrics %s (%d-cycle intervals)\n", *metrics, *every)
+		fmt.Printf("interval metrics %s (%d-cycle intervals)\n", *metrics, cfg.MetricsEvery)
 	}
 	if *profile != "" {
 		if werr := os.WriteFile(*profile, res.ProfilePprof, 0o644); werr != nil {

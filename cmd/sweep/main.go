@@ -16,6 +16,11 @@
 // twice to prove seed-reproducibility. -faults / -invariants apply a
 // fault plan or the invariant checker to an ordinary grid sweep.
 //
+// Every minnow.Config knob has a flag (minnow.RegisterFlags) applied to
+// each run, except the three grid axes -threads, -sched and -credits,
+// which take comma-separated lists. sweep defaults -split to 512 and
+// -prefetch to true; -prefetch applies to the minnow runs only.
+//
 // Usage:
 //
 //	sweep -bench SSSP -threads 1,2,4,8 -sched obim,minnow -credits 32
@@ -48,28 +53,20 @@ func intList(s string) ([]int, error) {
 }
 
 func main() {
+	base := minnow.Config{SplitThreshold: 512, Prefetch: true}
 	var (
 		bench    = flag.String("bench", "SSSP", "comma-separated benchmarks: "+strings.Join(minnow.Benchmarks(), ", "))
 		threads  = flag.String("threads", "8", "comma-separated thread counts")
 		scheds   = flag.String("sched", "obim,minnow", "comma-separated schedulers (obim, fifo, lifo, strictpq, minnow)")
 		credits  = flag.String("credits", "32", "comma-separated credit counts (minnow+prefetch runs)")
-		prefetch = flag.Bool("prefetch", true, "enable worklist-directed prefetching for minnow runs")
-		scale    = flag.Int("scale", 1, "input scale")
-		seed     = flag.Uint64("seed", 42, "generator seed")
-		split    = flag.Int("split", 512, "task-splitting threshold (0 = off)")
 		out      = flag.String("out", "", "CSV output file (default stdout)")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = all CPUs, 1 = serial)")
 		verify   = flag.Bool("verify-determinism", false, "run each configuration twice and compare results instead of emitting CSV")
-		faults   = flag.String("faults", "", "apply a fault-injection plan to every run: preset or clause expression (see docs/ROBUSTNESS.md)")
-		arrivals = flag.String("arrivals", "", "apply an open-loop arrival plan to every run: preset (steady, burst, waves, trickle) or clause expression (see EXPERIMENTS.md)")
-		invar    = flag.Bool("invariants", false, "enable runtime invariant checking on every run")
 		chaos    = flag.Bool("chaos", false, "run the fault-injection sweep instead of the grid (uses the first -threads value)")
 		chaosOut = flag.String("chaos-out", "", "also write the chaos report to this file (written on failure too)")
 		profDir  = flag.String("profile-dir", "", "write per-run cycle profiles (pprof + folded stacks) into this directory")
-		intra    = flag.Int("intra-jobs", 0, "bound/weave engine workers inside each simulation (0 = serial engine; splits the host budget with -jobs, output byte-identical)")
-		window   = flag.Int64("epoch-window", 0, "bound/weave epoch length in cycles (0 = default; needs -intra-jobs)")
-		shareHz  = flag.Bool("shared-horizons", false, "conservative-lookahead horizons on every run: idle backoffs become bound-steppable private steps (changes the step schedule; byte-identical across -intra-jobs for a fixed setting)")
 	)
+	minnow.RegisterFlags(flag.CommandLine, &base)
 	flag.Parse()
 
 	ths, err := intList(*threads)
@@ -79,10 +76,10 @@ func main() {
 	// Split the host-thread budget: -jobs whole runs in flight, each with
 	// -intra-jobs bound-phase workers. An explicit -jobs wins; the auto
 	// value shrinks as -intra-jobs grows so the product fills the machine.
-	*jobs, _ = minnow.SplitBudget(*jobs, *intra)
+	*jobs, _ = minnow.SplitBudget(*jobs, base.IntraJobs)
 
 	if *chaos {
-		report, cerr := minnow.RunChaos(minnow.Config{Threads: ths[0], Scale: *scale, Seed: *seed}, *jobs)
+		report, cerr := minnow.RunChaos(minnow.Config{Threads: ths[0], Scale: base.Scale, Seed: base.Seed}, *jobs)
 		if report != "" {
 			fmt.Println(report)
 			if *chaosOut != "" {
@@ -103,6 +100,7 @@ func main() {
 	}
 	schedList := strings.Split(*scheds, ",")
 	benchList := strings.Split(*bench, ",")
+	base.Profile = *profDir != ""
 
 	// Build the request grid in deterministic nested order; results are
 	// consumed in the same order below, so output never depends on -jobs.
@@ -113,30 +111,16 @@ func main() {
 			for _, sched := range schedList {
 				sched = strings.TrimSpace(sched)
 				creditSet := []int{0}
-				pf := false
-				if sched == "minnow" && *prefetch {
+				if sched == "minnow" && base.Prefetch {
 					creditSet = crs
-					pf = true
 				}
 				for _, cr := range creditSet {
-					cfg := minnow.Config{
-						Threads:        th,
-						Scale:          *scale,
-						Seed:           *seed,
-						Scheduler:      sched,
-						SplitThreshold: int32(*split),
-						Faults:         *faults,
-						Arrivals:       *arrivals,
-						Invariants:     *invar,
-						Profile:        *profDir != "",
-						IntraJobs:      *intra,
-						EpochWindow:    *window,
-						SharedHorizons: *shareHz,
-					}
+					cfg := base
+					cfg.Threads, cfg.Scheduler = th, sched
 					if sched == "minnow" {
-						cfg.Minnow = true
-						cfg.Prefetch = pf
-						cfg.Credits = cr
+						cfg.Minnow, cfg.Credits = true, cr
+					} else {
+						cfg.Prefetch = false
 					}
 					reqs = append(reqs, minnow.RunRequest{Benchmark: b, Config: cfg})
 				}

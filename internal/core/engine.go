@@ -227,13 +227,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Credits returns the current credit count (tests).
 func (e *Engine) Credits() int { return e.credits }
 
-// MinLatency returns the engine's conservative timing floor: the local
-// queue access latency every engine-mediated worklist operation pays at
-// minimum. Threadlet execution, spill/fill traffic, and prefetch issue
-// all complete at or after their start plus this floor; it reads only
-// immutable configuration.
-func (e *Engine) MinLatency() sim.Time { return e.cfg.LocalQLatency }
-
 // CreditSlack returns how many prefetches the engine could issue right
 // now before the credit pool pauses it — the pool headroom. It reads
 // engine-local state only, but note the credits themselves are returned
@@ -495,10 +488,7 @@ func (e *Engine) startPrefetch(fe *frontEnd, t worklist.Task, seq int64, at sim.
 // shared L3/NoC/DRAM resources and draw from the credit pool, and
 // completion calls the registered wake callback. There is no cycle count
 // below which an engine step is provably private, so it declares the
-// sentinel and the parallel engine serializes it in the weave. (The
-// engine does have a useful timing floor — see MinLatency — but a floor
-// on when an operation *completes* is not a window in which the engine
-// refrains from *touching* shared queues, so it cannot become a horizon.)
+// sentinel and the parallel engine serializes it in the weave.
 func (e *Engine) Horizon() sim.Time { return sim.HorizonAlwaysWeave }
 
 // Step implements sim.Actor: execute one threadlet.

@@ -23,12 +23,7 @@
 // this model declare sim.HorizonAlwaysWeave in sim.Engine.RunParallel
 // unless the pending step is a pure clock advance (Advance with no
 // timeline attached), which touches only per-core state and is the
-// lookahead galois.Config.SharedHorizons exposes. Note the floor
-// accessors on the shared models (mem.System, noc.Mesh, dram.Memory:
-// MinLatency) bound when an access *completes*, not when the shared
-// reservation is *made* — reservations happen at issue time — so they
-// document and validate timing, but cannot extend a core actor's horizon
-// past its next memory access.
+// lookahead galois.Config.SharedHorizons exposes.
 package cpu
 
 import (

@@ -17,8 +17,7 @@
 // reservations shared by every actor whose misses reach memory, so DRAM
 // access is weave-only under sim.Engine.RunParallel — the same rule as
 // the mesh and the L3 banks in front of it; actors that can reach it
-// declare sim.HorizonAlwaysWeave. MinLatency exposes the idle-latency
-// completion floor for lookahead reasoning and validation.
+// declare sim.HorizonAlwaysWeave.
 package dram
 
 import "minnow/internal/sim"
@@ -94,14 +93,6 @@ func (m *Memory) Access(lineAddr uint64, t sim.Time) sim.Time {
 	}
 	return done
 }
-
-// MinLatency returns DRAM's conservative timing floor: the idle access
-// latency. Every Access completes at or after t+MinLatency — channel
-// queueing and injected retries only add to it. It reads no reservation
-// state (safe for bound-phase lookahead reasoning), and like the mesh
-// floor it bounds *completion*, not the channel reservation the access
-// makes at its arrival time.
-func (m *Memory) MinLatency() sim.Time { return m.cfg.LatencyCycles }
 
 // BusyChannels returns how many channels hold a service reservation
 // extending past `now` — the instantaneous queue-occupancy gauge the

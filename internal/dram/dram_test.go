@@ -82,24 +82,3 @@ func TestPanicsWithoutChannels(t *testing.T) {
 	}()
 	New(Config{})
 }
-
-// TestMinLatencyFloor pins the conservative-lookahead floor: no access,
-// however queued, completes before t + MinLatency, and an idle channel
-// achieves the floor exactly.
-func TestMinLatencyFloor(t *testing.T) {
-	m := New(Config{Channels: 2, LatencyCycles: 100, ServiceCycles: 8})
-	if got := m.MinLatency(); got != 100 {
-		t.Fatalf("MinLatency = %d, want 100", got)
-	}
-	if done := m.Access(0, 500); done != 500+m.MinLatency() {
-		t.Fatalf("idle access done at %d, want %d", done, 500+m.MinLatency())
-	}
-	// Hammer one channel so every access queues; the floor still holds.
-	for i := 0; i < 200; i++ {
-		at := sim.Time(i % 30)
-		if done := m.Access(0, at); done < at+m.MinLatency() {
-			t.Fatalf("access %d at %d completed at %d, undercutting the %d-cycle floor",
-				i, at, done, m.MinLatency())
-		}
-	}
-}

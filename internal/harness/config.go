@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"minnow/internal/arrival"
 	"minnow/internal/core"
@@ -21,92 +25,100 @@ import (
 // outcome. TestTaggedKnobsInert (package minnow) proves the first rule
 // for every tagged field; TestCacheKeyExclusions (internal/service)
 // proves the key follows the tags.
+//
+// Command-line flags: RegisterFlags gives every field a flag, named and
+// described by its flag:"name,usage" tag (untagged fields get their
+// lower-cased Go name). Fields tagged flag:"-" get none: the function
+// hooks, and the Timeline and Profile switches that minnowsim drives
+// from its output-path flags.
 type Config struct {
 	// Threads is the core count (default 8; the paper evaluates 64).
-	Threads int `json:",omitempty"`
+	Threads int `json:",omitempty" flag:"threads,simulated core count"`
 	// Scale multiplies the default input sizes (default 1).
-	Scale int `json:",omitempty"`
+	Scale int `json:",omitempty" flag:"scale,input scale multiplier"`
 	// Seed drives the graph generators (default 42).
-	Seed uint64 `json:",omitempty"`
+	Seed uint64 `json:",omitempty" flag:"seed,graph generator seed"`
 
 	// Minnow attaches a Minnow engine to every core and offloads the
 	// worklist to it; otherwise the software scheduler below is used.
-	Minnow bool `json:",omitempty"`
+	Minnow bool `json:",omitempty" flag:"minnow,offload the worklist to Minnow engines"`
 	// Prefetch enables worklist-directed prefetching (requires Minnow).
-	Prefetch bool `json:",omitempty"`
+	Prefetch bool `json:",omitempty" flag:"prefetch,worklist-directed prefetching (Minnow runs only)"`
 	// Credits sets the prefetch credit pool (default 32, §5.3.1).
-	Credits int `json:",omitempty"`
+	Credits int `json:",omitempty" flag:"credits,prefetch credits"`
 
 	// Scheduler picks the software worklist when Minnow is false:
 	// "obim" (default), "fifo", "lifo", or "strictpq". "minnow" selects
 	// the engine, as Minnow does.
-	Scheduler string `json:",omitempty"`
+	Scheduler string `json:",omitempty" flag:"sched,software scheduler: obim, fifo, lifo, strictpq (-minnow selects minnow)"`
 	// LgInterval overrides the OBIM/Minnow bucket interval (log2); nil
 	// uses each benchmark's tuned default.
-	LgInterval *uint `json:",omitempty"`
+	LgInterval *uint `json:",omitempty" flag:"lg-interval,log2 OBIM/Minnow bucket interval (unset = the benchmark's tuned value)"`
 
 	// HWPrefetcher attaches a baseline hardware prefetcher to each core:
 	// "stride" or "imp".
-	HWPrefetcher string `json:",omitempty"`
+	HWPrefetcher string `json:",omitempty" flag:"hwpf,hardware prefetcher baseline: stride, imp"`
 
 	// SplitThreshold breaks tasks with more edges into subtasks
 	// (§6.2.1); 0 disables splitting.
-	SplitThreshold int32 `json:",omitempty"`
+	SplitThreshold int32 `json:",omitempty" flag:"split,task-splitting threshold (0 = off)"`
 	// WorkBudget aborts runs after this many operator applications
 	// (0 = unlimited); aborted runs report TimedOut.
-	WorkBudget int64 `json:",omitempty"`
+	WorkBudget int64 `json:",omitempty" flag:"budget,work budget (0 = unlimited)"`
 	// Serial elides atomics (the optimized 1-thread serial baseline).
-	Serial bool `json:",omitempty"`
+	Serial bool `json:",omitempty" flag:"serial,serial baseline (atomics elided; one thread only)"`
 	// MemChannels sets the DRAM channel count (default 12).
-	MemChannels int `json:",omitempty"`
-	// PerfectBP / NoFences idealize the cores (Fig. 4 modes).
-	PerfectBP, NoFences bool `json:",omitempty"`
+	MemChannels int `json:",omitempty" flag:"channels,DRAM channels"`
+	// PerfectBP idealizes branch prediction (a Fig. 4 mode).
+	PerfectBP bool `json:",omitempty" flag:"perfect-bp,perfect branch prediction (Fig. 4)"`
+	// NoFences elides memory fences (a Fig. 4 mode).
+	NoFences bool `json:",omitempty" flag:"no-fences,elide memory fences (Fig. 4)"`
 
 	// CustomPrefetch overrides the benchmark's prefetch program (§5.3's
 	// user-written prefetch function hook). Requires Minnow+Prefetch.
-	CustomPrefetch PrefetchFunc `json:"-"`
+	CustomPrefetch PrefetchFunc `json:"-" flag:"-"`
 
 	// SkipVerify disables the post-run check against the reference
 	// implementation. It only decides whether a failed check surfaces
 	// as an error.
-	SkipVerify bool `json:",omitempty" knob:"host"`
+	SkipVerify bool `json:",omitempty" knob:"host" flag:"skip-verify,skip the post-run check against the reference implementation"`
 
 	// TraceEvents records the last N Minnow engine events; the rendered
 	// log is returned in Result.TraceText (requires Minnow).
-	TraceEvents int `json:",omitempty" knob:"observe"`
+	TraceEvents int `json:",omitempty" knob:"observe" flag:"trace,trace the last N Minnow engine events (needs -minnow)"`
 
 	// MetricsEvery samples the time-series metrics (per-core IPC,
 	// worklist occupancy, interval MPKI, prefetch accuracy, credit pool,
 	// NoC/DRAM activity) every N simulated cycles; the interval CSV is
 	// returned in Result.IntervalCSV. 0 disables sampling.
-	MetricsEvery int64 `json:",omitempty" knob:"observe"`
+	MetricsEvery int64 `json:",omitempty" knob:"observe" flag:"metrics-every,sample time-series metrics every N simulated cycles"`
 	// Timeline records a full-system event timeline (task spans, stalls,
 	// cache misses, engine spill/fill/prefetch activity, counter tracks);
 	// the Chrome-trace/Perfetto JSON is returned in Result.TimelineJSON.
-	Timeline bool `json:",omitempty" knob:"observe"`
+	Timeline bool `json:",omitempty" knob:"observe" flag:"-"`
 	// Profile enables the top-down cycle-attribution profiler: every core
 	// cycle is refined into stall cause × serving level × prefetch
 	// outcome, keyed by attribution site. The folded-stack rendering is
 	// returned in Result.Folded and the pprof protobuf in
 	// Result.ProfilePprof.
-	Profile bool `json:",omitempty" knob:"observe"`
+	Profile bool `json:",omitempty" knob:"observe" flag:"-"`
 	// OnSample, when non-nil, is invoked at every crossed metrics-sample
 	// boundary with the boundary's simulated cycle and the latest metrics
 	// row in Prometheus text format (the live run inspector's feed).
 	// Requires MetricsEvery > 0. The callback must not mutate simulation
 	// state; it runs on the simulation goroutine.
-	OnSample func(cycles int64, metrics string) `json:"-" knob:"observe"`
+	OnSample func(cycles int64, metrics string) `json:"-" knob:"observe" flag:"-"`
 	// Cancel, when non-nil, is a cooperative cancellation hook polled on
 	// the watchdog cadence (every few tens of thousands of actor steps).
 	// When it returns true the run is abandoned: Run returns an error
 	// wrapping ErrCanceled and no Result.
-	Cancel func() bool `json:"-" knob:"host"`
+	Cancel func() bool `json:"-" knob:"host" flag:"-"`
 
 	// Faults arms the deterministic fault-injection plan: a preset name
 	// ("transient", "offline", "chaos") or a clause expression such as
 	// "seed=7;engine-stall:p=0.01,cycles=400;engine-offline:at=50000".
 	// Empty disables injection. See docs/ROBUSTNESS.md for the grammar.
-	Faults string `json:",omitempty"`
+	Faults string `json:",omitempty" flag:"faults,fault-injection plan: a preset (transient, offline, chaos) or clause expression (see docs/ROBUSTNESS.md)"`
 	// Arrivals arms the deterministic open-loop arrival plan: a preset
 	// name ("steady", "burst", "waves", "trickle") or a clause expression
 	// such as "seed=1;poisson:gap=600,count=400". Tasks are injected into
@@ -115,14 +127,14 @@ type Config struct {
 	// in Result.Latency. Empty keeps the run closed-loop. Only
 	// re-entrant-operator benchmarks accept arrivals (not TC or BC). See
 	// EXPERIMENTS.md's open-loop latency walkthrough for the grammar.
-	Arrivals string `json:",omitempty"`
+	Arrivals string `json:",omitempty" flag:"arrivals,open-loop arrival plan: a preset (steady, burst, waves, trickle) or clause expression (see EXPERIMENTS.md)"`
 	// Invariants enables the runtime invariant checker (task
 	// conservation, credit-pool accounting, cache/directory sanity) and
 	// arms the no-progress watchdog.
-	Invariants bool `json:",omitempty"`
+	Invariants bool `json:",omitempty" flag:"invariants,enable runtime invariant checking and the no-progress watchdog"`
 	// MaxCycles halts runs whose simulated clock passes this bound with a
 	// diagnostic snapshot instead of hanging (0 = a large default).
-	MaxCycles int64 `json:",omitempty"`
+	MaxCycles int64 `json:",omitempty" flag:"max-cycles,halt with a diagnostic snapshot past this many simulated cycles (0 = large default)"`
 
 	// IntraJobs selects the simulation kernel's execution mode: 0 (the
 	// default) is the classic serial engine; n >= 1 runs the epoch-based
@@ -131,11 +143,11 @@ type Config struct {
 	// epoch. IntraJobs = 1 exercises the full epoch machinery without
 	// host concurrency. It shares the host-thread budget with run-level
 	// parallelism; see SplitBudget.
-	IntraJobs int `json:",omitempty" knob:"host"`
+	IntraJobs int `json:",omitempty" knob:"host" flag:"intra-jobs,bound/weave engine workers inside the simulation (0 = serial engine; output is byte-identical either way)"`
 	// EpochWindow sets the bound/weave epoch length in cycles when
 	// IntraJobs >= 1 (0 selects sim.DefaultEpochWindow). It trades
 	// partition overhead against bound-phase batch size.
-	EpochWindow int64 `json:",omitempty" knob:"host"`
+	EpochWindow int64 `json:",omitempty" knob:"host" flag:"epoch-window,bound/weave epoch length in cycles (0 = default; needs -intra-jobs)"`
 	// SharedHorizons enables conservative-lookahead horizons for
 	// shared-machine runs: idle worker backoffs become private steps the
 	// bound/weave engine can execute concurrently, so a single big
@@ -144,7 +156,7 @@ type Config struct {
 	// splits into poll + wait), so results are comparable only among
 	// runs with the same setting; for a fixed setting output remains
 	// byte-identical across engines and worker counts.
-	SharedHorizons bool `json:",omitempty"`
+	SharedHorizons bool `json:",omitempty" flag:"shared-horizons,conservative-lookahead horizons: idle backoffs become private steps the bound/weave engine can run concurrently (changes the step schedule; byte-identical across -intra-jobs values for a fixed setting)"`
 }
 
 // Upper bounds on knobs that size eager allocations, so a submitted
@@ -259,6 +271,67 @@ func (c Config) WithDefaults() Config {
 		c.Scheduler = "obim"
 	}
 	return c
+}
+
+// RegisterFlags defines one flag on fs per Config field (see Config),
+// bound to that field of c. Each flag's default is c's current value, so
+// a caller sets its own defaults by filling c first. Where a zero value
+// resolves to something else (WithDefaults), the usage text shows the
+// resolved value. Names fs already defines are skipped, so a caller can
+// take a knob over, e.g. as a list-valued sweep axis.
+func RegisterFlags(fs *flag.FlagSet, c *Config) {
+	v := reflect.ValueOf(c).Elem()
+	resolved := reflect.ValueOf(Config{}.WithDefaults())
+	for i := 0; i < v.NumField(); i++ {
+		field := v.Type().Field(i)
+		name, usage, _ := strings.Cut(field.Tag.Get("flag"), ",")
+		if name == "" {
+			name, usage = strings.ToLower(field.Name), "sets Config."+field.Name
+		}
+		if name == "-" || fs.Lookup(name) != nil {
+			continue
+		}
+		f := v.Field(i)
+		if def := resolved.Field(i); f.IsZero() && !def.IsZero() {
+			if def.Kind() == reflect.String {
+				usage += fmt.Sprintf(" (default %q)", def)
+			} else {
+				usage += fmt.Sprintf(" (default %v)", def)
+			}
+		}
+		switch p := f.Addr().Interface().(type) {
+		case *bool:
+			fs.BoolVar(p, name, *p, usage)
+		case *int:
+			fs.IntVar(p, name, *p, usage)
+		case *int64:
+			fs.Int64Var(p, name, *p, usage)
+		case *uint64:
+			fs.Uint64Var(p, name, *p, usage)
+		case *string:
+			fs.StringVar(p, name, *p, usage)
+		default:
+			fs.Var(jsonFlag{f}, name, usage)
+		}
+	}
+}
+
+// jsonFlag binds a Config field of a kind package flag has no Var for
+// (int32, *uint) through its JSON form.
+type jsonFlag struct{ v reflect.Value }
+
+// String renders the field's value, "" when zero so the flag package
+// prints no default for it.
+func (j jsonFlag) String() string {
+	if !j.v.IsValid() || j.v.IsZero() {
+		return ""
+	}
+	return fmt.Sprint(reflect.Indirect(j.v))
+}
+
+// Set parses s as the field's JSON value.
+func (j jsonFlag) Set(s string) error {
+	return json.Unmarshal([]byte(s), j.v.Addr().Interface())
 }
 
 // plans parses the Faults and Arrivals expressions; each plan is nil

@@ -403,31 +403,6 @@ func (s *System) fetchShared(core int, line uint64, write bool, t sim.Time) (sim
 // Access runs one memory access through the hierarchy and returns its
 // timing and outcome. now is the time the access reaches the L1 (core
 // accesses) or the L2 (engine accesses).
-// MinLatency returns the hierarchy's conservative timing floor for one
-// access kind: the uncontended best-case completion delta. Demand
-// accesses enter at the L1 and pay at least its lookup latency; engine
-// and hardware-prefetch accesses enter at the L2; atomics add the RMW
-// surcharge on every path. Every Access completes at or after
-// now+MinLatency(kind) — TLB walks, deeper levels, bank service,
-// directory forwarding, mesh hops, and DRAM queueing only add to it.
-// The floor reads only immutable configuration (safe anywhere, bound
-// phases included); like the mesh and DRAM floors it bounds when an
-// access *completes*, while the shared reservations it makes start at
-// issue time, so it cannot by itself extend an actor's horizon past its
-// next access.
-func (s *System) MinLatency(kind Kind) sim.Time {
-	switch kind {
-	case Atomic:
-		return s.cfg.L1Latency + s.cfg.AtomicExtra
-	case EngineAtomic:
-		return s.cfg.L2Latency + s.cfg.AtomicExtra
-	case EngineLoad, EngineStore, EnginePrefetch, HWPrefetch:
-		return s.cfg.L2Latency
-	default: // Load, Store
-		return s.cfg.L1Latency
-	}
-}
-
 func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 	if kind == Load {
 		start := now

@@ -244,36 +244,3 @@ func TestMeshDims(t *testing.T) {
 		t.Fatalf("100 cores: mesh %dx%d too small", cfg.MeshW, cfg.MeshH)
 	}
 }
-
-// TestMinLatencyFloor pins the hierarchy's conservative-lookahead floors:
-// no access of any kind completes before now + MinLatency(kind), across
-// cold misses, warm hits, dirty remote forwards, atomics, and engine
-// traffic.
-func TestMinLatencyFloor(t *testing.T) {
-	s := testSystem(4)
-	kinds := []Kind{Load, Store, Atomic, EngineLoad, EngineStore, EnginePrefetch, EngineAtomic, HWPrefetch}
-	if s.MinLatency(Load) != s.cfg.L1Latency || s.MinLatency(EngineLoad) != s.cfg.L2Latency {
-		t.Fatalf("entry-level floors wrong: load %d, engine load %d", s.MinLatency(Load), s.MinLatency(EngineLoad))
-	}
-	if s.MinLatency(Atomic) <= s.MinLatency(Load) || s.MinLatency(EngineAtomic) <= s.MinLatency(EngineLoad) {
-		t.Fatal("atomic floors must include the RMW surcharge")
-	}
-	rng := uint64(0x9e3779b97f4a7c15)
-	now := sim.Time(0)
-	for i := 0; i < 4000; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		core := int(rng>>60) % 4
-		kind := kinds[int(rng>>32)%len(kinds)]
-		// Small address pool forces hits, sharing, invalidations, and
-		// dirty remote forwards alongside cold misses.
-		addr := (rng % 64) * LineSize
-		res := s.Access(core, addr, kind, now)
-		if res.Done < now+s.MinLatency(kind) {
-			t.Fatalf("access %d (kind %d, core %d) done at %d from %d, undercutting the %d-cycle floor",
-				i, kind, core, res.Done, now, s.MinLatency(kind))
-		}
-		if i%3 == 0 {
-			now += sim.Time(rng % 40)
-		}
-	}
-}

@@ -16,9 +16,7 @@
 // mutable state between every actor whose traffic crosses the mesh, so
 // the mesh may only be driven from sim.Engine.RunParallel's weave phase;
 // an actor that can reach it on its next step declares
-// sim.HorizonAlwaysWeave. MinLatency exposes the uncontended traversal
-// floor (Hops × HopCycles) for lookahead reasoning and validation; it
-// bounds arrival, not the reservations made en route.
+// sim.HorizonAlwaysWeave.
 package noc
 
 import "minnow/internal/sim"
@@ -123,19 +121,6 @@ func (m *Mesh) Traverse(from, to int, start sim.Time) sim.Time {
 func (m *Mesh) RoundTrip(from, to int, start sim.Time) sim.Time {
 	arrive := m.Traverse(from, to, start)
 	return m.Traverse(to, from, arrive)
-}
-
-// MinLatency returns the mesh's conservative timing floor between two
-// nodes: the uncontended X-Y traversal time, Hops × HopCycles. Every
-// Traverse from `from` to `to` completes at or after start+MinLatency —
-// contention and injected faults only add to it. It reads no reservation
-// state, so it is safe to consult from bound-phase lookahead reasoning;
-// note it floors when a message *arrives*, while the link reservations
-// the message makes begin at its *send* time, which is why a lookahead
-// horizon must be derived from the sender's next send, not from this
-// floor alone.
-func (m *Mesh) MinLatency(from, to int) sim.Time {
-	return sim.Time(m.Hops(from, to)) * m.HopCycles
 }
 
 // contentionWindow bounds how far in the past an arrival may be relative

@@ -99,30 +99,3 @@ func TestNodeOf(t *testing.T) {
 		t.Fatalf("NodeOf(10) = (%d,%d)", x, y)
 	}
 }
-
-// TestMinLatencyFloor pins the conservative-lookahead floor: no
-// traversal, however contended, completes before start + MinLatency, and
-// the floor is exact for uncontended traffic.
-func TestMinLatencyFloor(t *testing.T) {
-	m := New(8, 8, 3)
-	if got := m.MinLatency(0, 63); got != 14*3 {
-		t.Fatalf("MinLatency(0,63) = %d, want 42", got)
-	}
-	if got := m.MinLatency(5, 5); got != 0 {
-		t.Fatalf("MinLatency(5,5) = %d, want 0", got)
-	}
-	// Uncontended: the floor is achieved exactly.
-	if arrive := m.Traverse(0, 63, 1000); arrive != 1000+m.MinLatency(0, 63) {
-		t.Fatalf("uncontended traversal arrived at %d, want %d", arrive, 1000+m.MinLatency(0, 63))
-	}
-	// Contended property sweep: hammer overlapping routes and check the
-	// floor is never undercut.
-	prop := func(from, to uint8, start uint16) bool {
-		f, to2 := int(from)%64, int(to)%64
-		st := sim.Time(start)
-		return m.Traverse(f, to2, st) >= st+m.MinLatency(f, to2)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}

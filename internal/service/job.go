@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 
 	"minnow"
 )
@@ -15,7 +16,8 @@ import (
 // form; the server re-wires them on execution. See minnow.Config for
 // per-field semantics. Two zero values take server defaults: MaxCycles
 // adopts -job-max-cycles and IntraJobs adopts -intra-jobs. MetricsEvery
-// also sets the /jobs/{id}/stream event cadence.
+// also sets the /jobs/{id}/stream event cadence. The cache key hashes
+// this same form of the resolved configuration (see CacheKey).
 type ConfigSpec minnow.Config
 
 // ToConfig converts the wire form to the simulator's configuration.
@@ -40,115 +42,57 @@ type JobSpec struct {
 	Corr string `json:"corr,omitempty"`
 }
 
-// keyDoc is the canonical cache-key document: the semantically
-// significant subset of a validated configuration, defaults resolved,
-// in a fixed field order. Its JSON is hashed into the cache key, and
-// stored alongside entries as the debuggable "what question does this
-// entry answer" record. V guards the schema: any change to the
-// canonicalization rules must bump it, which invalidates (re-keys)
-// every existing cache entry rather than serving stale answers.
-type keyDoc struct {
-	// V is the key schema version.
-	V int `json:"v"`
-	// Bench is the exact benchmark name.
-	Bench string `json:"bench"`
-	// Threads is the resolved simulated core count.
-	Threads int `json:"threads"`
-	// Scale is the resolved input scale.
-	Scale int `json:"scale"`
-	// Seed is the resolved generator seed.
-	Seed uint64 `json:"seed"`
-	// Scheduler is the resolved worklist policy ("minnow" when the
-	// engine owns the worklist).
-	Scheduler string `json:"scheduler"`
-	// Prefetch mirrors Config.Prefetch.
-	Prefetch bool `json:"prefetch"`
-	// Credits is the resolved prefetch credit pool.
-	Credits int `json:"credits"`
-	// LgInterval is the bucket-interval override, -1 when unset (the
-	// benchmark's tuned default applies).
-	LgInterval int `json:"lg_interval"`
-	// HWPrefetcher mirrors Config.HWPrefetcher.
-	HWPrefetcher string `json:"hw_prefetcher"`
-	// SplitThreshold mirrors Config.SplitThreshold.
-	SplitThreshold int32 `json:"split_threshold"`
-	// WorkBudget mirrors Config.WorkBudget.
-	WorkBudget int64 `json:"work_budget"`
-	// Serial mirrors Config.Serial.
-	Serial bool `json:"serial"`
-	// MemChannels is the resolved DRAM channel count.
-	MemChannels int `json:"mem_channels"`
-	// PerfectBP mirrors Config.PerfectBP.
-	PerfectBP bool `json:"perfect_bp"`
-	// NoFences mirrors Config.NoFences.
-	NoFences bool `json:"no_fences"`
-	// Faults is the fault-plan expression (seed included), verbatim.
-	Faults string `json:"faults"`
-	// Arrivals is the arrival-plan expression (seed included), verbatim.
-	// Arrivals change the deterministic outcome (injected tasks and
-	// latency stats), so two jobs differing only here must address
-	// different entries.
-	Arrivals string `json:"arrivals"`
-	// Invariants mirrors Config.Invariants.
-	Invariants bool `json:"invariants"`
-	// MaxCycles is the resolved watchdog cycle bound (after the server's
-	// default is applied), since it can change a run's outcome.
-	MaxCycles int64 `json:"max_cycles"`
-	// SharedHorizons mirrors Config.SharedHorizons: it changes the step
-	// schedule, so it keys separately.
-	SharedHorizons bool `json:"shared_horizons"`
-}
+// keyExcluded indexes the minnow.Config fields tagged knob:"host" or
+// knob:"observe", found once by reflection on the tag.
+var keyExcluded = func() (idx []int) {
+	t := reflect.TypeOf(minnow.Config{})
+	for i := 0; i < t.NumField(); i++ {
+		if class := t.Field(i).Tag.Get("knob"); class == "host" || class == "observe" {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}()
 
 // CacheKey computes the content-address of a validated configuration:
-// the sha256 of the canonical key document, plus the document itself.
+// the sha256 of the canonical key document, plus the document itself,
+// which entries store as the debuggable "what question does this entry
+// answer" record. The document is {"v":3,"bench":…,"config":…}, where
+// config is the resolved configuration in its ConfigSpec wire form.
 //
 // Canonicalization rules (documented for clients in docs/SERVICE.md):
 //
 //   - Defaults are resolved first (minnow.Config.WithDefaults), so an
-//     explicit default and an omitted field address the same entry.
-//     MaxCycles is keyed as given, after the server's default.
+//     explicit default and an omitted field address the same entry. The
+//     resolved Scheduler carries the engine choice, so Minnow is left
+//     out. MaxCycles is keyed as given, after the server's default.
 //   - Fields tagged knob:"host" or knob:"observe" on minnow.Config are
-//     excluded: they cannot change the RunSummary (TestTaggedKnobsInert
+//     zeroed: they cannot change the RunSummary (TestTaggedKnobsInert
 //     in package minnow). Artifact-bearing requests that miss an
 //     artifact-less entry re-simulate and upgrade the entry in place,
 //     hash-checked. The function hooks have no wire form at all.
 //   - Every other field participates — Faults and Arrivals verbatim,
 //     plan seeds included — because each can change the deterministic
 //     outcome (TestCacheKeyExclusions checks the key follows the tags).
+//
+// V guards the schema: a change to these rules bumps it, which re-keys
+// every existing entry rather than serving stale answers. V2 added the
+// arrivals field; V3 replaced the hand-written document with the wire
+// form.
 func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
 	r := cfg.WithDefaults()
-	d := keyDoc{
-		// V bumped 1→2 when the arrivals field joined the document; old
-		// entries re-key rather than colliding with open-loop runs.
-		V:     2,
-		Bench: bench,
-
-		Threads:        r.Threads,
-		Scale:          r.Scale,
-		Seed:           r.Seed,
-		Scheduler:      r.Scheduler,
-		Prefetch:       r.Prefetch,
-		Credits:        r.Credits,
-		LgInterval:     -1,
-		HWPrefetcher:   r.HWPrefetcher,
-		SplitThreshold: r.SplitThreshold,
-		WorkBudget:     r.WorkBudget,
-		Serial:         r.Serial,
-		MemChannels:    r.MemChannels,
-		PerfectBP:      r.PerfectBP,
-		NoFences:       r.NoFences,
-		Faults:         r.Faults,
-		Arrivals:       r.Arrivals,
-		Invariants:     r.Invariants,
-		MaxCycles:      r.MaxCycles,
-		SharedHorizons: r.SharedHorizons,
+	r.Minnow = false // the resolved Scheduler carries the engine choice
+	v := reflect.ValueOf(&r).Elem()
+	for _, i := range keyExcluded {
+		v.Field(i).SetZero()
 	}
-	if r.LgInterval != nil {
-		d.LgInterval = int(*r.LgInterval)
-	}
-	doc, err := json.Marshal(d)
+	doc, err := json.Marshal(struct {
+		V      int           `json:"v"`
+		Bench  string        `json:"bench"`
+		Config minnow.Config `json:"config"`
+	}{3, bench, r})
 	if err != nil {
-		// keyDoc contains only plain data types; Marshal cannot fail.
+		// The hooks are json:"-"; the rest is plain data.
 		panic("service: cache key marshal: " + err.Error())
 	}
 	sum := sha256.Sum256(doc)

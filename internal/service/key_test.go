@@ -90,21 +90,21 @@ func TestCacheKeyExclusions(t *testing.T) {
 	}
 }
 
-// TestCacheKeyV2Golden pins today's V2 key hex for two fixed
+// TestCacheKeyV3Golden pins today's V3 key hex for two fixed
 // configurations, so on-disk caches keyed by earlier builds stay valid.
-// A deliberate canonicalization change must bump keyDoc.V and update
-// these values.
-func TestCacheKeyV2Golden(t *testing.T) {
+// A deliberate canonicalization change must bump the document's "v" and
+// update these values.
+func TestCacheKeyV3Golden(t *testing.T) {
 	lg := uint(4)
 	for i, c := range []struct {
 		bench string
 		cfg   minnow.Config
 		want  string
 	}{
-		{"SSSP", minnow.Config{}, "613d96c0f78efd69ac773c3c1576f8575c3681a0e07e7b158ca34aaa7c5512f6"},
+		{"SSSP", minnow.Config{}, "422113f2281540fbaf301ce43eda0d3f8d499dbabcac9dc7d359dcd3bc71b31f"},
 		{"BFS", minnow.Config{Threads: 4, Minnow: true, Prefetch: true, Credits: 8, LgInterval: &lg,
 			Faults: "transient", Arrivals: "steady", MaxCycles: 1 << 30, SharedHorizons: true,
-			IntraJobs: 2, Timeline: true}, "43acf1374ca3b0013fd4c07579acc51b5cfe728f2675130715ec8814c6327742"},
+			IntraJobs: 2, Timeline: true}, "6065bd6a23feb7f5b84c2322203c7e648b6915f6e0fbbbaa9d43fa0d07b1881d"},
 	} {
 		if got, _ := CacheKey(c.bench, c.cfg); got != c.want {
 			t.Errorf("case %d: key %s, want %s", i, got, c.want)
@@ -156,6 +156,9 @@ func TestCacheKeySchedulerResolution(t *testing.T) {
 	if a != b {
 		t.Fatal("Minnow with implicit and explicit scheduler key differently")
 	}
+	if s, _ := CacheKey("SSSP", minnow.Config{Scheduler: "minnow"}); s != a {
+		t.Fatal(`Scheduler "minnow" without Minnow keys differently from Minnow`)
+	}
 	c, _ := CacheKey("SSSP", minnow.Config{Scheduler: "obim"})
 	d, _ := CacheKey("SSSP", minnow.Config{})
 	if c != d {
@@ -166,16 +169,29 @@ func TestCacheKeySchedulerResolution(t *testing.T) {
 	}
 }
 
+// keyDocConfig decodes a key document, checks its version is 3, and
+// returns its config object.
+func keyDocConfig(t *testing.T, doc []byte) map[string]any {
+	t.Helper()
+	var m struct {
+		V      int            `json:"v"`
+		Config map[string]any `json:"config"`
+	}
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatalf("key doc is not JSON: %v", err)
+	}
+	if m.V != 3 {
+		t.Fatalf("key doc version %d, want 3: %s", m.V, doc)
+	}
+	return m.Config
+}
+
 // TestCacheKeyDocRoundTrips checks the canonical document is valid JSON
 // carrying the resolved values (the debuggable form stored in entries).
 func TestCacheKeyDocRoundTrips(t *testing.T) {
 	lg := uint(3)
 	_, doc := CacheKey("SSSP", minnow.Config{LgInterval: &lg})
-	var m map[string]any
-	if err := json.Unmarshal(doc, &m); err != nil {
-		t.Fatalf("key doc is not JSON: %v", err)
-	}
-	if m["threads"] != float64(8) || m["lg_interval"] != float64(3) || m["v"] != float64(2) {
+	if m := keyDocConfig(t, doc); m["Threads"] != float64(8) || m["LgInterval"] != float64(3) {
 		t.Fatalf("key doc fields not resolved: %v", m)
 	}
 }
@@ -183,9 +199,9 @@ func TestCacheKeyDocRoundTrips(t *testing.T) {
 // TestCacheKeyArrivals pins the open-loop additions: the arrival plan
 // keys verbatim (two plans differing only in their seed clause are
 // different deterministic outcomes, so they must address different
-// entries), and the document version is 2 — the canonicalization
-// changed when the arrivals field joined, so pre-arrival entries
-// re-key instead of colliding.
+// entries), and the arrival plan appears in the version-3 document.
+// (Version 2 added arrivals, so pre-arrival entries re-key instead of
+// colliding.)
 func TestCacheKeyArrivals(t *testing.T) {
 	closed, _ := CacheKey("SSSP", minnow.Config{Minnow: true, Prefetch: true})
 	a, _ := CacheKey("SSSP", minnow.Config{Minnow: true, Prefetch: true, Arrivals: "seed=1;poisson:gap=600,count=400"})
@@ -197,12 +213,8 @@ func TestCacheKeyArrivals(t *testing.T) {
 		t.Fatal("arrival plans differing only in seed share a key")
 	}
 	_, doc := CacheKey("SSSP", minnow.Config{Minnow: true, Prefetch: true, Arrivals: "steady"})
-	var m map[string]any
-	if err := json.Unmarshal(doc, &m); err != nil {
-		t.Fatalf("key doc is not JSON: %v", err)
-	}
-	if m["arrivals"] != "steady" {
-		t.Fatalf("key doc arrivals = %v, want steady", m["arrivals"])
+	if m := keyDocConfig(t, doc); m["Arrivals"] != "steady" {
+		t.Fatalf("key doc Arrivals = %v, want steady", m["Arrivals"])
 	}
 }
 

@@ -448,6 +448,48 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestReplayRekeysStaleKey pins that replay re-keys an unfinished job
+// under the running key schema. A submit record journaled under an
+// older schema's key must still coalesce with a fresh identical
+// submission (one simulation), and its result must be filed under the
+// current CacheKey with a matching key document.
+func TestReplayRekeysStaleKey(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	spec := slowSpec(9)
+	raw, err := json.Marshal(spec.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(journal.Record{Op: journal.OpSubmit, ID: "j-1", Bench: spec.Bench, Key: "stale-v2-key", Spec: raw}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Shards: 1, JournalPath: path, CacheDir: filepath.Join(dir, "cache")})
+	fresh := submit(t, ts.URL, spec)
+	if !fresh.Coalesced {
+		t.Fatalf("fresh submission did not coalesce with the replayed job: %+v", fresh)
+	}
+	replayed, fresh := await(t, ts.URL, "j-1"), await(t, ts.URL, fresh.ID)
+	if sims := metric(t, s.MetricsText(), "minnowd_sims_total"); sims != 1 {
+		t.Fatalf("simulated %v times, want 1", sims)
+	}
+	want, wantDoc := CacheKey(spec.Bench, spec.Config.ToConfig())
+	if replayed.Key != want || fresh.Key != want {
+		t.Fatalf("keys replayed=%s fresh=%s, want %s", replayed.Key, fresh.Key, want)
+	}
+	e, ok := s.cache.Get(want)
+	if !ok || string(e.KeyJSON) != string(wantDoc) {
+		t.Fatalf("entry under %s: ok=%v key doc %s, want %s", want, ok, e.KeyJSON, wantDoc)
+	}
+}
+
 // TestSSESubscriberNoLeak pins the stream lifecycle: 100 abrupt
 // subscribe/disconnect cycles against a live job leave no subscriber
 // channels and no goroutines behind.

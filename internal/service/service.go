@@ -502,7 +502,9 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 			}
 			j.cfg = spec.ToConfig()
 			j.seq = s.seq // preserves journal order within a priority
-			_, j.keyJSON = CacheKey(j.bench, j.cfg)
+			// Re-key under the running schema: after a key-version bump
+			// the journaled key names no entry this server would write.
+			j.key, j.keyJSON = CacheKey(j.bench, j.cfg)
 			// An identical job may have completed while this one was
 			// lost: replay checks the cache exactly like a fresh Submit.
 			if e, ok := s.cache.Get(j.key); ok && e.Covers(j.cfg.Timeline, j.cfg.Profile) {

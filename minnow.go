@@ -20,6 +20,7 @@
 package minnow
 
 import (
+	"flag"
 	"fmt"
 	"sort"
 
@@ -155,6 +156,11 @@ type ClassLatency struct {
 func SplitBudget(jobs, intraJobs int) (int, int) {
 	return harness.SplitBudget(jobs, intraJobs)
 }
+
+// RegisterFlags defines a command-line flag on fs for every Config knob,
+// bound to that field of c and defaulting to its current value; names
+// fs already defines are skipped. See Config for the flag tags.
+func RegisterFlags(fs *flag.FlagSet, c *Config) { harness.RegisterFlags(fs, c) }
 
 // Benchmarks lists the available workloads: the paper's Table-2 suite
 // plus extensions (currently KCORE, the §8 future-work demonstration).
