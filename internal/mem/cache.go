@@ -4,6 +4,13 @@
 // prefetch bit per line that Minnow's credit-based throttling relies on
 // (§5.3.1 of the paper).
 //
+// Layout: a Cache keeps its ways in flat set-major arrays (tags, fill
+// times, LRU stamps, dirty bits), so probing a set reads one contiguous
+// run of tags, and keeps the prefetch bits as one mask per set, so the
+// credit-return probe made on every L1 demand hit costs one load when
+// the set holds no marked line. The layout is a host-speed choice only;
+// hits, victims and counters are those of a plain per-way model.
+//
 // Data values are never stored here — the hierarchy tracks *addresses*
 // only. Benchmark state lives in ordinary Go slices; kernels compute the
 // simulated addresses of what they touch from the CSR layout and feed
@@ -23,7 +30,11 @@
 // (time, ID)-ordered weave may call into it.
 package mem
 
-import "minnow/internal/sim"
+import (
+	"math/bits"
+
+	"minnow/internal/sim"
+)
 
 // LineShift is log2 of the 64-byte line size.
 const LineShift = 6
@@ -34,16 +45,8 @@ const LineSize = 1 << LineShift
 // LineAddr returns the line-granular address of a byte address.
 func LineAddr(addr uint64) uint64 { return addr >> LineShift }
 
-type way struct {
-	tag      uint64
-	readyAt  sim.Time // fill completion; hits before this wait (in-flight line)
-	lru      uint32
-	valid    bool
-	dirty    bool
-	prefetch bool // Minnow prefetch bit (meaningful in L2 only)
-}
-
-// Evicted describes a line displaced by a fill.
+// Evicted describes a line displaced by a fill. A fill into an invalid
+// way evicts nothing and returns the zero Evicted.
 type Evicted struct {
 	Line     uint64
 	Valid    bool
@@ -53,12 +56,18 @@ type Evicted struct {
 
 // Cache is one set-associative, write-back, write-allocate cache (or one
 // L3 bank). All methods take line addresses.
+// Way w of set s is index s*assoc+w in every per-way array (see the
+// package doc for why the ways are laid out this way).
 type Cache struct {
-	sets  [][]way
-	assoc int
-	mask  uint64
-	tick  uint32
-	Stats CacheCounters
+	tags    []uint64   // line+1; 0 marks an invalid way
+	readyAt []sim.Time // fill completion; hits before this wait (in-flight line)
+	lru     []uint32
+	dirty   []bool
+	pf      []uint32 // per set: bit w set when way w is prefetch-marked (L2 only)
+	assoc   int
+	mask    uint64
+	tick    uint32
+	Stats   CacheCounters
 }
 
 // CacheCounters tracks raw event counts for one cache.
@@ -73,26 +82,47 @@ type CacheCounters struct {
 }
 
 // NewCache builds a cache with the given total line count and
-// associativity. lines must be a multiple of assoc and lines/assoc a power
-// of two.
+// associativity. lines must be a multiple of assoc, lines/assoc a power
+// of two, and assoc at most 32 (the width of a set's prefetch mask).
 func NewCache(lines, assoc int) *Cache {
 	nsets := lines / assoc
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("mem: cache sets must be a positive power of two")
 	}
-	c := &Cache{assoc: assoc, mask: uint64(nsets - 1)}
-	c.sets = make([][]way, nsets)
-	backing := make([]way, nsets*assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
+	if assoc > 32 {
+		panic("mem: cache associativity above 32")
 	}
-	return c
+	n := nsets * assoc
+	return &Cache{
+		tags:    make([]uint64, n),
+		readyAt: make([]sim.Time, n),
+		lru:     make([]uint32, n),
+		dirty:   make([]bool, n),
+		pf:      make([]uint32, nsets),
+		assoc:   assoc,
+		mask:    uint64(nsets - 1),
+	}
 }
 
 // Lines returns the capacity in lines.
-func (c *Cache) Lines() int { return len(c.sets) * c.assoc }
+func (c *Cache) Lines() int { return len(c.tags) }
 
-func (c *Cache) setOf(line uint64) []way { return c.sets[line&c.mask] }
+// setOf returns the set index of line and the index of its first way.
+func (c *Cache) setOf(line uint64) (set, base int) {
+	set = int(line & c.mask)
+	return set, set * c.assoc
+}
+
+// find returns the way of the set holding line, or -1.
+func (c *Cache) find(base int, line uint64) int {
+	key := line + 1
+	for w, t := range c.tags[base : base+c.assoc] {
+		if t == key {
+			return w
+		}
+	}
+	return -1
+}
 
 // Lookup probes for a line. On a hit it updates LRU, optionally sets the
 // dirty bit, and returns the line's fill-completion time — a demand access
@@ -103,37 +133,34 @@ func (c *Cache) setOf(line uint64) []way { return c.sets[line&c.mask] }
 func (c *Cache) Lookup(line uint64, write, demand bool) (hit, wasPrefetch bool, readyAt sim.Time) {
 	c.tick++
 	c.Stats.Accesses++
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			w.lru = c.tick
-			if write {
-				w.dirty = true
-			}
-			readyAt = w.readyAt
-			if w.prefetch && demand {
-				w.prefetch = false
-				c.Stats.PrefetchUsed++
-				return true, true, readyAt
-			}
-			return true, false, readyAt
-		}
+	set, base := c.setOf(line)
+	w := c.find(base, line)
+	if w < 0 {
+		c.Stats.Misses++
+		return false, false, 0
 	}
-	c.Stats.Misses++
-	return false, false, 0
+	i := base + w
+	c.lru[i] = c.tick
+	if write {
+		c.dirty[i] = true
+	}
+	if bit := uint32(1) << w; demand && c.pf[set]&bit != 0 {
+		c.pf[set] &^= bit
+		c.Stats.PrefetchUsed++
+		return true, true, c.readyAt[i]
+	}
+	return true, false, c.readyAt[i]
 }
 
 // ProbePrefetch reports whether a line is present with its prefetch bit
 // set, without touching LRU, statistics, or the bit itself.
 func (c *Cache) ProbePrefetch(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line && set[i].prefetch {
-			return true
-		}
+	set, base := c.setOf(line)
+	if c.pf[set] == 0 {
+		return false
 	}
-	return false
+	w := c.find(base, line)
+	return w >= 0 && c.pf[set]&(1<<w) != 0
 }
 
 // ClearPrefetch clears a resident line's prefetch bit, counting it as
@@ -141,48 +168,51 @@ func (c *Cache) ProbePrefetch(line uint64) bool {
 // demand hits that are satisfied above the L2 (see DESIGN.md on L1
 // shielding at reduced scale).
 func (c *Cache) ClearPrefetch(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line && w.prefetch {
-			w.prefetch = false
-			c.Stats.PrefetchUsed++
-			return true
-		}
+	if c.pf[line&c.mask] == 0 { // the common case; small enough to inline
+		return false
 	}
-	return false
+	return c.clearPrefetch(line)
+}
+
+func (c *Cache) clearPrefetch(line uint64) bool {
+	set, base := c.setOf(line)
+	w := c.find(base, line)
+	if w < 0 || c.pf[set]&(1<<w) == 0 {
+		return false
+	}
+	c.pf[set] &^= 1 << w
+	c.Stats.PrefetchUsed++
+	return true
 }
 
 // Contains probes without touching LRU or statistics.
 func (c *Cache) Contains(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
+	_, base := c.setOf(line)
+	return c.find(base, line) >= 0
 }
 
 // Fill installs a line (after a miss), returning whatever was evicted.
 // prefetch marks the new line as prefetcher-installed; readyAt records
-// when the fill's data actually arrives.
+// when the fill's data actually arrives. The victim is the set's first
+// invalid way, otherwise its least recently used one.
 func (c *Cache) Fill(line uint64, dirty, prefetch bool, readyAt sim.Time) Evicted {
 	c.tick++
-	set := c.setOf(line)
+	set, base := c.setOf(line)
+	tags, lru := c.tags[base:base+c.assoc], c.lru[base:base+c.assoc]
 	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+	for w, t := range tags {
+		if t == 0 {
+			victim = w
 			break
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if lru[w] < lru[victim] {
+			victim = w
 		}
 	}
-	w := &set[victim]
-	ev := Evicted{Line: w.tag, Valid: w.valid, Dirty: w.dirty, Prefetch: w.prefetch}
-	if ev.Valid {
+	i, bit := base+victim, uint32(1)<<victim
+	var ev Evicted
+	if tags[victim] != 0 {
+		ev = Evicted{Line: tags[victim] - 1, Valid: true, Dirty: c.dirty[i], Prefetch: c.pf[set]&bit != 0}
 		c.Stats.Evictions++
 		if ev.Dirty {
 			c.Stats.Writebacks++
@@ -191,9 +221,15 @@ func (c *Cache) Fill(line uint64, dirty, prefetch bool, readyAt sim.Time) Evicte
 			c.Stats.PrefetchWaste++
 		}
 	}
-	*w = way{tag: line, lru: c.tick, valid: true, dirty: dirty, prefetch: prefetch, readyAt: readyAt}
+	tags[victim] = line + 1
+	lru[victim] = c.tick
+	c.dirty[i] = dirty
+	c.readyAt[i] = readyAt
 	if prefetch {
+		c.pf[set] |= bit
 		c.Stats.PrefetchFills++
+	} else {
+		c.pf[set] &^= bit
 	}
 	return ev
 }
@@ -202,19 +238,14 @@ func (c *Cache) Fill(line uint64, dirty, prefetch bool, readyAt sim.Time) Evicte
 // if the line was present and previously unmarked (i.e. a credit should be
 // consumed for it).
 func (c *Cache) MarkPrefetch(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			if w.prefetch {
-				return false
-			}
-			w.prefetch = true
-			c.Stats.PrefetchFills++
-			return true
-		}
+	set, base := c.setOf(line)
+	w := c.find(base, line)
+	if w < 0 || c.pf[set]&(1<<w) != 0 {
+		return false
 	}
-	return false
+	c.pf[set] |= 1 << w
+	c.Stats.PrefetchFills++
+	return true
 }
 
 // CountPrefetchMarked returns how many valid lines currently carry the
@@ -223,12 +254,8 @@ func (c *Cache) MarkPrefetch(line uint64) bool {
 // marked in its cores' L2s).
 func (c *Cache) CountPrefetchMarked() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].prefetch {
-				n++
-			}
-		}
+	for _, m := range c.pf {
+		n += bits.OnesCount32(m)
 	}
 	return n
 }
@@ -237,11 +264,9 @@ func (c *Cache) CountPrefetchMarked() int {
 // it, in set-major order (deterministic). Read-only; used by the
 // inclusion audit.
 func (c *Cache) ValidLines(dst []uint64) []uint64 {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				dst = append(dst, set[i].tag)
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			dst = append(dst, t-1)
 		}
 	}
 	return dst
@@ -250,16 +275,16 @@ func (c *Cache) ValidLines(dst []uint64) []uint64 {
 // Invalidate removes a line (coherence back-invalidation). It reports
 // whether the line was present, was dirty, and carried a set prefetch bit.
 func (c *Cache) Invalidate(line uint64) (present, dirty, prefetch bool) {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			present, dirty, prefetch = true, w.dirty, w.prefetch
-			w.valid = false
-			return
-		}
+	set, base := c.setOf(line)
+	w := c.find(base, line)
+	if w < 0 {
+		return false, false, false
 	}
-	return
+	i, bit := base+w, uint32(1)<<w
+	prefetch = c.pf[set]&bit != 0
+	c.tags[i] = 0
+	c.pf[set] &^= bit
+	return true, c.dirty[i], prefetch
 }
 
 // busyUntil models a simple fully-pipelined-but-bandwidth-limited port.

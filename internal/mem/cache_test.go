@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"minnow/internal/rng"
+	"minnow/internal/sim"
 )
 
 func TestLookupMissThenHit(t *testing.T) {
@@ -168,10 +170,284 @@ func TestCapacityInvariant(t *testing.T) {
 }
 
 func TestNewCachePanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two sets did not panic")
+	for _, g := range []struct {
+		lines, assoc int
+		why          string
+	}{
+		{12, 4, "non-power-of-two sets"},
+		{128, 64, "64 ways, wider than a set's prefetch mask,"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", g.why)
+				}
+			}()
+			NewCache(g.lines, g.assoc)
+		}()
+	}
+}
+
+// refWay and refCache are the cache as it was before its ways were
+// packed into flat per-way arrays: one struct per way, one slice per
+// set. They are kept verbatim as the reference that the packed Cache
+// must match operation for operation.
+type refWay struct {
+	tag      uint64
+	readyAt  sim.Time
+	lru      uint32
+	valid    bool
+	dirty    bool
+	prefetch bool
+}
+
+type refCache struct {
+	sets  [][]refWay
+	assoc int
+	mask  uint64
+	tick  uint32
+	Stats CacheCounters
+}
+
+func newRefCache(lines, assoc int) *refCache {
+	nsets := lines / assoc
+	c := &refCache{assoc: assoc, mask: uint64(nsets - 1)}
+	c.sets = make([][]refWay, nsets)
+	backing := make([]refWay, nsets*assoc)
+	for i := range c.sets {
+		c.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
+	}
+	return c
+}
+
+func (c *refCache) setOf(line uint64) []refWay { return c.sets[line&c.mask] }
+
+func (c *refCache) Lookup(line uint64, write, demand bool) (hit, wasPrefetch bool, readyAt sim.Time) {
+	c.tick++
+	c.Stats.Accesses++
+	set := c.setOf(line)
+	for i := range set {
+		w := &set[i]
+		if w.valid && w.tag == line {
+			w.lru = c.tick
+			if write {
+				w.dirty = true
+			}
+			readyAt = w.readyAt
+			if w.prefetch && demand {
+				w.prefetch = false
+				c.Stats.PrefetchUsed++
+				return true, true, readyAt
+			}
+			return true, false, readyAt
 		}
-	}()
-	NewCache(12, 4) // 3 sets
+	}
+	c.Stats.Misses++
+	return false, false, 0
+}
+
+func (c *refCache) ProbePrefetch(line uint64) bool {
+	set := c.setOf(line)
+	for i := range set {
+		if set[i].valid && set[i].tag == line && set[i].prefetch {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) ClearPrefetch(line uint64) bool {
+	set := c.setOf(line)
+	for i := range set {
+		w := &set[i]
+		if w.valid && w.tag == line && w.prefetch {
+			w.prefetch = false
+			c.Stats.PrefetchUsed++
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Contains(line uint64) bool {
+	set := c.setOf(line)
+	for i := range set {
+		if set[i].valid && set[i].tag == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(line uint64, dirty, prefetch bool, readyAt sim.Time) Evicted {
+	c.tick++
+	set := c.setOf(line)
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	w := &set[victim]
+	ev := Evicted{Line: w.tag, Valid: w.valid, Dirty: w.dirty, Prefetch: w.prefetch}
+	if ev.Valid {
+		c.Stats.Evictions++
+		if ev.Dirty {
+			c.Stats.Writebacks++
+		}
+		if ev.Prefetch {
+			c.Stats.PrefetchWaste++
+		}
+	}
+	*w = refWay{tag: line, lru: c.tick, valid: true, dirty: dirty, prefetch: prefetch, readyAt: readyAt}
+	if prefetch {
+		c.Stats.PrefetchFills++
+	}
+	return ev
+}
+
+func (c *refCache) MarkPrefetch(line uint64) bool {
+	set := c.setOf(line)
+	for i := range set {
+		w := &set[i]
+		if w.valid && w.tag == line {
+			if w.prefetch {
+				return false
+			}
+			w.prefetch = true
+			c.Stats.PrefetchFills++
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) CountPrefetchMarked() int {
+	n := 0
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].valid && set[i].prefetch {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (c *refCache) ValidLines(dst []uint64) []uint64 {
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].valid {
+				dst = append(dst, set[i].tag)
+			}
+		}
+	}
+	return dst
+}
+
+func (c *refCache) Invalidate(line uint64) (present, dirty, prefetch bool) {
+	set := c.setOf(line)
+	for i := range set {
+		w := &set[i]
+		if w.valid && w.tag == line {
+			present, dirty, prefetch = true, w.dirty, w.prefetch
+			w.valid = false
+			return
+		}
+	}
+	return
+}
+
+// runCacheProgram drives a Cache and a refCache with the same operations
+// and fails at the first step where any return value, the Stats, the
+// valid lines or the prefetch-marked count differ. prog[0] picks the
+// geometry; each following pair of bytes is one operation (low 3 bits of
+// the first: which method; its high bits: write, demand, dirty and
+// prefetch flags) on one line (the second byte, folded onto three times
+// the capacity so sets conflict). A line is filled only while absent, as
+// the hierarchy does.
+func runCacheProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	if len(prog) == 0 {
+		return
+	}
+	assoc := 1 << (prog[0] & 7 % 6) // 1..32 ways
+	sets := 1 << (prog[0] >> 3 & 3) // 1..8 sets
+	c, ref := NewCache(sets*assoc, assoc), newRefCache(sets*assoc, assoc)
+	span := uint64(3 * sets * assoc)
+	var got, want []uint64
+	for step, i := 0, 1; i+1 < len(prog); step, i = step+1, i+2 {
+		op, line := prog[i], uint64(prog[i+1])%span
+		f1, f2 := op&0x40 != 0, op&0x80 != 0
+		var g, w [3]any
+		switch op & 7 {
+		case 0, 1:
+			h1, p1, r1 := c.Lookup(line, f1, f2)
+			h2, p2, r2 := ref.Lookup(line, f1, f2)
+			g, w = [3]any{h1, p1, r1}, [3]any{h2, p2, r2}
+		case 2, 3:
+			if ref.Contains(line) {
+				continue
+			}
+			rdy := sim.Time(step)
+			g[0] = c.Fill(line, f1, f2, rdy)
+			ev := ref.Fill(line, f1, f2, rdy)
+			if !ev.Valid {
+				ev = Evicted{} // the reference reports an invalid victim's stale fields
+			}
+			w[0] = ev
+		case 4:
+			p1, d1, m1 := c.Invalidate(line)
+			p2, d2, m2 := ref.Invalidate(line)
+			g, w = [3]any{p1, d1, m1}, [3]any{p2, d2, m2}
+		case 5:
+			g[0], w[0] = c.MarkPrefetch(line), ref.MarkPrefetch(line)
+			g[1], w[1] = c.ProbePrefetch(line), ref.ProbePrefetch(line)
+		case 6:
+			g[0], w[0] = c.ClearPrefetch(line), ref.ClearPrefetch(line)
+		default:
+			g[0], w[0] = c.Contains(line), ref.Contains(line)
+			g[1], w[1] = c.ProbePrefetch(line), ref.ProbePrefetch(line)
+		}
+		if g != w {
+			t.Fatalf("%d sets x %d ways, step %d (op %#x, line %d): got %v, reference %v", sets, assoc, step, op, line, g, w)
+		}
+		if c.Stats != ref.Stats {
+			t.Fatalf("%d sets x %d ways, step %d: stats %+v, reference %+v", sets, assoc, step, c.Stats, ref.Stats)
+		}
+		if g, w := c.CountPrefetchMarked(), ref.CountPrefetchMarked(); g != w {
+			t.Fatalf("%d sets x %d ways, step %d: %d lines prefetch-marked, reference %d", sets, assoc, step, g, w)
+		}
+		got, want = c.ValidLines(got[:0]), ref.ValidLines(want[:0])
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d sets x %d ways, step %d: valid lines %v, reference %v", sets, assoc, step, got, want)
+		}
+	}
+}
+
+func TestCacheMatchesReference(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 200; trial++ {
+		prog := make([]byte, 1+2*2000)
+		for i := range prog {
+			prog[i] = byte(r.Uint64())
+		}
+		runCacheProgram(t, prog)
+	}
+}
+
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{0x0a, 0x02, 1, 0x00, 1, 0x85, 1, 0x06, 1})
+	f.Add([]byte{0x1b, 0x82, 3, 0x42, 11, 0x80, 3, 0x04, 3, 0x43, 19, 0xc1, 11})
+	f.Add([]byte("fill lookup invalidate mark clear probe contains"))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 4097 {
+			prog = prog[:4097]
+		}
+		runCacheProgram(t, prog)
+	})
 }

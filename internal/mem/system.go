@@ -132,18 +132,13 @@ func meshDims(cores int) (w, h int) {
 // graph inputs DRAM-resident the way the paper's full-size inputs are:
 // the fixed 64-bank L3 would otherwise swallow the scaled inputs whole.
 func (c *Config) ScaleCaches(factor int) {
-	scale := func(lines, f int) int {
-		l := lines / f
-		// keep at least 2 sets per way
-		min := 2 * c.L1Assoc
-		if l < min {
-			l = min
-		}
-		return l
+	// Each level keeps at least 2 sets of its own associativity.
+	scale := func(lines, f, assoc int) int {
+		return max(lines/f, 2*assoc)
 	}
-	c.L1Lines = scale(c.L1Lines, factor)
-	c.L2Lines = scale(c.L2Lines, factor)
-	c.L3BankLines = scale(c.L3BankLines, 4*factor)
+	c.L1Lines = scale(c.L1Lines, factor, c.L1Assoc)
+	c.L2Lines = scale(c.L2Lines, factor, c.L2Assoc)
+	c.L3BankLines = scale(c.L3BankLines, 4*factor, c.L3Assoc)
 	// TLBs are NOT scaled: 4KB pages do not shrink with the caches, and
 	// the paper's ZSim baseline models translation only for the Minnow
 	// engine's exception path. A scaled TLB would add a worker-side
@@ -189,8 +184,6 @@ type System struct {
 	DemandLatencySum int64 // total demand-load latency (diagnostics)
 	DemandCount      int64
 	DirtyRemote      int64 // reads served from a remote modified copy
-	lastDone         sim.Time
-	lastLevel        uint8
 	LatByLevel       [5]int64
 	CntByLevel       [5]int64
 
@@ -400,24 +393,24 @@ func (s *System) fetchShared(core int, line uint64, write bool, t sim.Time) (sim
 	return t, level, remote
 }
 
+// recordLoad adds a finished access to the demand-load latency
+// statistics if it was a Load that reached the L1 at start.
+func (s *System) recordLoad(kind Kind, start sim.Time, res Result) {
+	if kind != Load {
+		return
+	}
+	lat := int64(res.Done - start)
+	s.DemandCount++
+	s.DemandLatencySum += lat
+	s.LatByLevel[res.Level] += lat
+	s.CntByLevel[res.Level]++
+}
+
 // Access runs one memory access through the hierarchy and returns its
 // timing and outcome. now is the time the access reaches the L1 (core
 // accesses) or the L2 (engine accesses).
 func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
-	if kind == Load {
-		start := now
-		defer func(st sim.Time) {
-			s.DemandCount++
-			lat := int64(s.lastDone - st)
-			s.DemandLatencySum += lat
-			lv := s.lastLevel
-			if lv > 4 {
-				lv = 4
-			}
-			s.LatByLevel[lv] += lat
-			s.CntByLevel[lv]++
-		}(start)
-	}
+	start := now
 	line := LineAddr(addr)
 	res := Result{}
 	write := kind == Store || kind == Atomic || kind == EngineStore || kind == EngineAtomic
@@ -451,8 +444,6 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 			if kind == Atomic {
 				res.Done += s.cfg.AtomicExtra
 			}
-			s.lastDone = res.Done
-			s.lastLevel = 1
 			// Even an L1 hit may need exclusivity if the line is shared
 			// elsewhere; approximate: only charge when the directory has
 			// other sharers.
@@ -461,8 +452,7 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 				res.Done = done + s.cfg.L1Latency
 				res.Level = 2
 			}
-			s.lastDone = res.Done
-			s.lastLevel = res.Level
+			s.recordLoad(kind, start, res)
 			return res
 		}
 		now += s.cfg.L1Latency // L1 lookup time before going below
@@ -500,8 +490,7 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 			s.l1[core].Fill(line, write, false, done)
 		}
 		res.Done = done
-		s.lastDone = res.Done
-		s.lastLevel = res.Level
+		s.recordLoad(kind, start, res)
 		return res
 	}
 
@@ -536,8 +525,7 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 		s.l1[core].Fill(line, write, false, done)
 	}
 	res.Done = done
-	s.lastDone = res.Done
-	s.lastLevel = res.Level
+	s.recordLoad(kind, start, res)
 	return res
 }
 

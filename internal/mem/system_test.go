@@ -228,6 +228,29 @@ func TestScaleCaches(t *testing.T) {
 	}
 }
 
+// TestScaleCachesKeepsTwoSets scales the Table-3 geometry by factors up
+// to 4096 and checks that every level keeps at least 2 sets of its own
+// associativity and still builds.
+func TestScaleCachesKeepsTwoSets(t *testing.T) {
+	for factor := 1; factor <= 4096; factor *= 2 {
+		cfg := DefaultConfig(4)
+		cfg.ScaleCaches(factor)
+		for _, l := range []struct {
+			name         string
+			lines, assoc int
+		}{
+			{"L1", cfg.L1Lines, cfg.L1Assoc},
+			{"L2", cfg.L2Lines, cfg.L2Assoc},
+			{"L3 bank", cfg.L3BankLines, cfg.L3Assoc},
+		} {
+			if sets := l.lines / l.assoc; sets < 2 {
+				t.Errorf("factor %d: %s has %d lines of %d ways, %d set(s); want at least 2", factor, l.name, l.lines, l.assoc, sets)
+			}
+			NewCache(l.lines, l.assoc)
+		}
+	}
+}
+
 func TestMeshDims(t *testing.T) {
 	// The chip is fixed at (at least) 64 tiles regardless of the active
 	// core count; only >64-core requests grow the mesh.

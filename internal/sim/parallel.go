@@ -59,7 +59,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -203,7 +202,7 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 		}
 		if len(bound) > 0 {
 			for _, ent := range bound {
-				heap.Remove(&e.heap, ent.index)
+				e.heap.remove(ent.index)
 				ent.epoch = e.epoch
 				ent.stepTimes = ent.stepTimes[:0]
 				ent.boundSteps = 0
@@ -229,7 +228,7 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 					repanic, repanicID = ent.panicked, ent.id
 				}
 				if !ent.boundDone {
-					heap.Push(&e.heap, ent)
+					e.heap.push(ent)
 				}
 			}
 			if repanic != nil {
@@ -281,7 +280,7 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 			e.steppingID = -1
 			if done {
 				if ent.index >= 0 {
-					heap.Remove(&e.heap, ent.index)
+					e.heap.remove(ent.index)
 				}
 				continue
 			}
@@ -290,9 +289,9 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 			}
 			ent.at = next
 			if ent.index >= 0 {
-				heap.Fix(&e.heap, ent.index)
+				e.heap.fix(ent.index)
 			} else {
-				heap.Push(&e.heap, ent)
+				e.heap.push(ent)
 			}
 		}
 	}

@@ -62,10 +62,7 @@
 // algorithm and the horizon contract.
 package sim
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // timeMax is the disabled-probe sentinel; no simulation reaches it.
 const timeMax = Time(1) << 62
@@ -109,33 +106,88 @@ type entry struct {
 	panicked   any
 }
 
+// actorHeap is a binary min-heap of the queued entries in (at, id)
+// order. Every method keeps each entry's index field equal to its slot.
+// It sifts exactly as container/heap does, so the slot layout is the
+// one that package would produce for the same operations.
 type actorHeap []*entry
 
-func (h actorHeap) Len() int { return len(h) }
-func (h actorHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order: earlier time first, then lower ID.
+func before(a, b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h actorHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// push queues ent.
+func (h *actorHeap) push(ent *entry) {
+	*h = append(*h, ent)
+	h.up(len(*h) - 1)
 }
-func (h *actorHeap) Push(x any) {
-	e := x.(*entry)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// fix restores the order after the entry at slot i changed its time.
+func (h actorHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
 }
-func (h *actorHeap) Pop() any {
+
+// remove dequeues the entry at slot i.
+func (h *actorHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ent := old[i]
+	if i != n {
+		old[i] = old[n]
+		old[i].index = i
+		if !old[:n].down(i, n) {
+			old.up(i)
+		}
+	}
+	old[n] = nil
+	ent.index = -1
+	*h = old[:n]
+}
+
+// up moves the entry at slot j toward the root while it sorts before
+// its parent.
+func (h actorHeap) up(j int) {
+	ent := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !before(ent, p) {
+			break
+		}
+		h[j], p.index = p, j
+		j = i
+	}
+	h[j], ent.index = ent, j
+}
+
+// down moves the entry at slot i0 toward the leaves of the first n
+// slots while a child sorts before it, and reports whether it moved.
+func (h actorHeap) down(i0, n int) bool {
+	ent := h[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && before(h[j2], h[j]) {
+			j = j2
+		}
+		c := h[j]
+		if !before(c, ent) {
+			break
+		}
+		h[i], c.index = c, i
+		i = j
+	}
+	h[i], ent.index = ent, i
+	return i > i0
 }
 
 // Engine schedules actors in simulated-time order.
@@ -326,12 +378,12 @@ func (e *Engine) Wake(id int, at Time) {
 	if ent.index >= 0 {
 		if at < ent.at {
 			ent.at = at
-			heap.Fix(&e.heap, ent.index)
+			e.heap.fix(ent.index)
 		}
 		return
 	}
 	ent.at = at
-	heap.Push(&e.heap, ent)
+	e.heap.push(ent)
 }
 
 // Now returns the local time of the most recently stepped actor — the
@@ -375,12 +427,12 @@ func (e *Engine) Run(maxSteps int64) (Time, bool) {
 		e.steps++
 		// Step may call Wake, which can push or re-sift entries and
 		// displace ent from the root; track ent by its heap index (kept
-		// current by actorHeap.Swap) rather than assuming it is still at
+		// current by the actorHeap methods) rather than assuming it is still at
 		// index 0.
 		next, done := ent.actor.Step()
 		if done {
 			if ent.index >= 0 {
-				heap.Remove(&e.heap, ent.index)
+				e.heap.remove(ent.index)
 			}
 			continue
 		}
@@ -389,9 +441,9 @@ func (e *Engine) Run(maxSteps int64) (Time, bool) {
 		}
 		ent.at = next
 		if ent.index >= 0 {
-			heap.Fix(&e.heap, ent.index)
+			e.heap.fix(ent.index)
 		} else {
-			heap.Push(&e.heap, ent)
+			e.heap.push(ent)
 		}
 	}
 	return e.now, true

@@ -260,7 +260,7 @@ func (a *wakeAndContinue) Step() (Time, bool) {
 // woken entry through the stepping actor's position; fixing index 0
 // afterwards (the old behavior) leaves the rescheduled actor parked above
 // entries with earlier times, and later pops run actors out of time
-// order. The index-tracked heap.Fix must restore correct ordering.
+// order. The index-tracked heap fix must restore correct ordering.
 func TestWakeDuringStepThenReschedule(t *testing.T) {
 	e := NewEngine()
 	var log []int

@@ -6,6 +6,10 @@
 // access that misses the L2 TLB raises an exception serviced by the host
 // core (minnow_enqueue/dequeue "may cause TLB miss exception").
 //
+// Each level stores its entries in two flat set-major arrays (page tags
+// and LRU stamps) and picks a set by masking the page number, so the set
+// count, entries/assoc, must be a power of two; New panics otherwise.
+//
 // Determinism contract: TLB state evolves only through the translated
 // access stream (LRU over page numbers), so identical address sequences
 // always hit and miss identically.
@@ -44,14 +48,13 @@ func DefaultConfig() Config {
 	}
 }
 
-type set struct {
-	tags []uint64
-	lru  []uint64
-}
-
+// level is one set-associative TLB level. Entries are stored flat,
+// set-major: way w of set s is index s*assoc+w in tags and lru.
 type level struct {
-	sets  []set
+	tags  []uint64 // page numbers; ^0 marks an empty way
+	lru   []uint64
 	assoc int
+	mask  uint64 // sets-1; the set count is a power of two
 	tick  uint64
 }
 
@@ -63,37 +66,41 @@ func newLevel(entries, assoc int) *level {
 	if nsets < 1 {
 		nsets = 1
 	}
-	l := &level{assoc: assoc, sets: make([]set, nsets)}
-	for i := range l.sets {
-		l.sets[i] = set{tags: make([]uint64, assoc), lru: make([]uint64, assoc)}
+	if nsets&(nsets-1) != 0 {
+		panic("tlb: set count (entries/assoc) must be a power of two")
+	}
+	l := &level{
+		tags:  make([]uint64, nsets*assoc),
+		lru:   make([]uint64, nsets*assoc),
+		assoc: assoc,
+		mask:  uint64(nsets - 1),
 	}
 	// Tag 0 is a valid page number; use an impossible sentinel.
-	for i := range l.sets {
-		for w := range l.sets[i].tags {
-			l.sets[i].tags[w] = ^uint64(0)
-		}
+	for i := range l.tags {
+		l.tags[i] = ^uint64(0)
 	}
 	return l
 }
 
 func (l *level) lookup(page uint64, insert bool) bool {
 	l.tick++
-	s := &l.sets[page%uint64(len(l.sets))]
-	for w, t := range s.tags {
+	base := int(page&l.mask) * l.assoc
+	tags, lru := l.tags[base:base+l.assoc], l.lru[base:base+l.assoc]
+	for w, t := range tags {
 		if t == page {
-			s.lru[w] = l.tick
+			lru[w] = l.tick
 			return true
 		}
 	}
 	if insert {
 		victim := 0
-		for w := 1; w < l.assoc; w++ {
-			if s.lru[w] < s.lru[victim] {
+		for w := 1; w < len(lru); w++ {
+			if lru[w] < lru[victim] {
 				victim = w
 			}
 		}
-		s.tags[victim] = page
-		s.lru[victim] = l.tick
+		tags[victim] = page
+		lru[victim] = l.tick
 	}
 	return false
 }
@@ -110,7 +117,8 @@ type TLB struct {
 	EngMisses int64 // engine-side L2 TLB misses (exceptions)
 }
 
-// New returns a TLB with the given configuration.
+// New returns a TLB with the given configuration. It panics when either
+// level's set count (entries/assoc) is not a power of two.
 func New(cfg Config) *TLB {
 	return &TLB{cfg: cfg, l1: newLevel(cfg.L1Entries, cfg.L1Assoc), l2: newLevel(cfg.L2Entries, cfg.L2Assoc)}
 }
