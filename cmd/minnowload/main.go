@@ -368,19 +368,7 @@ func checkStamps(v service.JobView) error {
 // the recorder is broken.
 func checkLatency(v service.JobView) error {
 	var sum struct {
-		Latency *struct {
-			Injected int64 `json:"injected"`
-			Retired  int64 `json:"retired"`
-			Classes  []struct {
-				Class      string `json:"class"`
-				WaitP50    int64  `json:"wait_p50"`
-				WaitP95    int64  `json:"wait_p95"`
-				WaitP99    int64  `json:"wait_p99"`
-				SojournP50 int64  `json:"sojourn_p50"`
-				SojournP95 int64  `json:"sojourn_p95"`
-				SojournP99 int64  `json:"sojourn_p99"`
-			} `json:"classes"`
-		} `json:"latency"`
+		Latency *stats.LatencyStats `json:"latency"`
 	}
 	if err := json.Unmarshal(v.Summary, &sum); err != nil {
 		return fmt.Errorf("%s: summary JSON: %w", v.ID, err)

@@ -21,9 +21,9 @@ package arrival
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
+
+	"minnow/internal/plan"
 )
 
 // Kind names an arrival class's generating process.
@@ -131,19 +131,15 @@ func (p *Plan) String() string {
 			}
 			cl = append(cl, s)
 		case Periodic:
-			s := fmt.Sprintf("periodic:period=%s,count=%d", joinInts(c.Periods), c.Count)
+			s := fmt.Sprintf("periodic:period=%s,count=%d", plan.Join(c.Periods), c.Count)
 			if c.Start > 0 {
 				s += fmt.Sprintf(",start=%d", c.Start)
 			}
 			cl = append(cl, s)
 		case Trace:
-			s := "trace:at=" + joinInts(c.At)
+			s := "trace:at=" + plan.Join(c.At)
 			if len(c.Nodes) > 0 {
-				strs := make([]string, len(c.Nodes))
-				for i, n := range c.Nodes {
-					strs[i] = strconv.Itoa(int(n))
-				}
-				s += ",nodes=" + strings.Join(strs, "+")
+				s += ",nodes=" + plan.Join(c.Nodes)
 			}
 			cl = append(cl, s)
 		}
@@ -151,37 +147,27 @@ func (p *Plan) String() string {
 	return strings.Join(cl, ";")
 }
 
-func joinInts(vs []int64) string {
-	strs := make([]string, len(vs))
-	for i, v := range vs {
-		strs[i] = strconv.FormatInt(v, 10)
-	}
-	return strings.Join(strs, "+")
-}
-
-// Presets are the named arrival plans accepted wherever a plan string
-// is: "steady" (a single Poisson stream), "burst" (heavy on/off bursts),
-// "waves" (a deterministic multi-period pattern), and "trickle" (sparse
-// arrivals with long quiet gaps — the watchdog's open-loop stress case).
-var presets = map[string]string{
-	"steady":  "seed=1;poisson:gap=600,count=400",
-	"burst":   "seed=1;burst:gap=250,count=400,on=20000,off=60000",
-	"waves":   "seed=1;periodic:period=500+900+1400,count=300",
-	"trickle": "seed=1;poisson:gap=40000,count=32",
+// grammar declares the arrival-plan language. Its presets are "steady"
+// (a single Poisson stream), "burst" (heavy on/off bursts), "waves" (a
+// deterministic multi-period pattern), and "trickle" (sparse arrivals
+// with long quiet gaps — the watchdog's open-loop stress case).
+var grammar = plan.Grammar{
+	Prefix: "arrival",
+	Presets: map[string]string{
+		"steady":  "seed=1;poisson:gap=600,count=400",
+		"burst":   "seed=1;burst:gap=250,count=400,on=20000,off=60000",
+		"waves":   "seed=1;periodic:period=500+900+1400,count=300",
+		"trickle": "seed=1;poisson:gap=40000,count=32",
+	},
+	Clauses: []string{"poisson", "burst", "periodic", "trace"},
 }
 
 // Presets lists the named plans accepted by ParsePlan, sorted.
-func Presets() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Presets() []string { return grammar.PresetNames() }
 
-// ParsePlan parses an arrival-plan string: either a preset name (see
-// Presets) or semicolon-separated clauses of the form
+// ParsePlan parses an arrival-plan string (see package plan for the
+// grammar): either a preset name (see Presets) or semicolon-separated
+// clauses of the form
 //
 //	seed=N
 //	poisson:gap=N,count=N[,start=N]
@@ -192,69 +178,39 @@ func Presets() []string {
 // Gaps, counts, windows, and cycles must be positive; trace at= lists
 // must be ascending; a plan must contain at least one arrival clause.
 func ParsePlan(s string) (*Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("arrival: empty plan")
-	}
-	if preset, ok := presets[s]; ok {
-		s = preset
-	}
 	p := &Plan{}
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if err := p.parseClause(clause); err != nil {
-			return nil, err
-		}
+	seed, err := grammar.Parse(s, p.clause)
+	if err != nil {
+		return nil, err
 	}
 	if len(p.Classes) == 0 {
 		return nil, fmt.Errorf("arrival: plan has no arrival clauses (want poisson, burst, periodic, or trace)")
 	}
+	p.Seed = seed
 	return p, nil
 }
 
-// parseClause folds one clause into the plan.
-func (p *Plan) parseClause(clause string) error {
-	name, argstr, _ := strings.Cut(clause, ":")
-	name = strings.TrimSpace(name)
-	if strings.Contains(name, "=") {
-		// Bare key=value clause (only "seed=N").
-		key, val, _ := strings.Cut(name, "=")
-		if key != "seed" {
-			return fmt.Errorf("arrival: unknown clause %q", key)
-		}
-		seed, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			return fmt.Errorf("arrival: bad seed %q", val)
-		}
-		p.Seed = seed
-		return nil
-	}
-	args, err := parseArgs(name, argstr)
-	if err != nil {
-		return err
-	}
+// clause appends one clause's class to the plan.
+func (p *Plan) clause(name string, a *plan.Args) error {
 	var c Class
 	switch name {
 	case "poisson":
 		c.Kind = Poisson
-		c.Gap = args.pos("gap", 1000)
-		c.Count = args.pos("count", 100)
-		c.Start = args.num("start", 0)
+		c.Gap = a.Pos("gap", 1000)
+		c.Count = a.Pos("count", 100)
+		c.Start = a.Num("start", 0)
 	case "burst":
 		c.Kind = Burst
-		c.Gap = args.pos("gap", 500)
-		c.Count = args.pos("count", 100)
-		c.On = args.pos("on", 10000)
-		c.Off = args.pos("off", 30000)
-		c.Start = args.num("start", 0)
+		c.Gap = a.Pos("gap", 500)
+		c.Count = a.Pos("count", 100)
+		c.On = a.Pos("on", 10000)
+		c.Off = a.Pos("off", 30000)
+		c.Start = a.Num("start", 0)
 	case "periodic":
 		c.Kind = Periodic
-		c.Periods = args.list("period", []int64{1000})
-		c.Count = args.pos("count", 100)
-		c.Start = args.num("start", 0)
+		c.Periods = a.List("period", []int64{1000})
+		c.Count = a.Pos("count", 100)
+		c.Start = a.Num("start", 0)
 		for _, pd := range c.Periods {
 			if pd <= 0 {
 				return fmt.Errorf("arrival: periodic: period entries must be positive, got %d", pd)
@@ -262,7 +218,7 @@ func (p *Plan) parseClause(clause string) error {
 		}
 	case "trace":
 		c.Kind = Trace
-		c.At = args.list("at", nil)
+		c.At = a.List("at", nil)
 		if len(c.At) == 0 {
 			return fmt.Errorf("arrival: trace: needs a non-empty at= cycle list")
 		}
@@ -271,7 +227,7 @@ func (p *Plan) parseClause(clause string) error {
 				return fmt.Errorf("arrival: trace: at= list must be ascending and non-negative")
 			}
 		}
-		for _, n := range args.list("nodes", nil) {
+		for _, n := range a.List("nodes", nil) {
 			if n < 0 {
 				return fmt.Errorf("arrival: trace: nodes must be non-negative, got %d", n)
 			}
@@ -281,117 +237,7 @@ func (p *Plan) parseClause(clause string) error {
 			return fmt.Errorf("arrival: trace: nodes= list (%d entries) must align with at= (%d entries)",
 				len(c.Nodes), len(c.At))
 		}
-	default:
-		return fmt.Errorf("arrival: unknown clause %q (have poisson, burst, periodic, trace, seed)", name)
-	}
-	if args.err != nil {
-		return args.err
-	}
-	if err := args.unknown(); err != nil {
-		return err
 	}
 	p.Classes = append(p.Classes, c)
 	return nil
-}
-
-// unknown rejects keys the clause never consumed — a silently ignored
-// typo (gaps= for gap=) would make an arrival plan lie about itself.
-func (a *clauseArgs) unknown() error {
-	var extra []string
-	for k := range a.vals {
-		if !a.used[k] {
-			extra = append(extra, k)
-		}
-	}
-	if len(extra) == 0 {
-		return nil
-	}
-	sort.Strings(extra)
-	return fmt.Errorf("arrival: %s: unknown key(s) %s", a.clause, strings.Join(extra, ", "))
-}
-
-// clauseArgs holds one clause's parsed key=value pairs plus the first
-// validation error hit while reading them out.
-type clauseArgs struct {
-	clause string
-	vals   map[string]string
-	used   map[string]bool
-	err    error
-}
-
-func parseArgs(clause, argstr string) (*clauseArgs, error) {
-	a := &clauseArgs{clause: clause, vals: map[string]string{}, used: map[string]bool{}}
-	argstr = strings.TrimSpace(argstr)
-	if argstr == "" {
-		return a, nil
-	}
-	for _, kv := range strings.Split(argstr, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || key == "" || val == "" {
-			return nil, fmt.Errorf("arrival: %s: malformed argument %q", clause, kv)
-		}
-		if _, dup := a.vals[key]; dup {
-			return nil, fmt.Errorf("arrival: %s: duplicate key %q", clause, key)
-		}
-		a.vals[key] = val
-	}
-	return a, nil
-}
-
-// num reads a non-negative integer key, defaulting when absent.
-func (a *clauseArgs) num(key string, def int64) int64 {
-	a.used[key] = true
-	s, ok := a.vals[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		a.fail("%s: %s=%q is not a non-negative integer", a.clause, key, s)
-		return 0
-	}
-	return v
-}
-
-// pos reads a positive integer key, defaulting when absent.
-func (a *clauseArgs) pos(key string, def int64) int64 {
-	a.used[key] = true
-	s, ok := a.vals[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		a.fail("%s: %s=%q is not a positive integer", a.clause, key, s)
-		return 0
-	}
-	return v
-}
-
-// list reads a +-separated non-negative integer list, defaulting when
-// absent.
-func (a *clauseArgs) list(key string, def []int64) []int64 {
-	a.used[key] = true
-	s, ok := a.vals[key]
-	if !ok {
-		return def
-	}
-	parts := strings.Split(s, "+")
-	out := make([]int64, 0, len(parts))
-	for _, ps := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(ps), 10, 64)
-		if err != nil || v < 0 {
-			a.fail("%s: %s=%q is not a +-separated list of non-negative integers", a.clause, key, s)
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func (a *clauseArgs) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf("arrival: "+format, args...)
-	}
 }

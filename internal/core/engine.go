@@ -227,19 +227,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Credits returns the current credit count (tests).
 func (e *Engine) Credits() int { return e.credits }
 
-// CreditSlack returns how many prefetches the engine could issue right
-// now before the credit pool pauses it — the pool headroom. It reads
-// engine-local state only, but note the credits themselves are returned
-// by other actors' memory traffic (mem.System's credit events), so slack
-// observed during a weave step is stale by the next step; it is a
-// diagnostic and validation quantity, not a horizon.
-func (e *Engine) CreditSlack() int {
-	if e.credits < 0 {
-		return 0
-	}
-	return e.credits
-}
-
 // Clock returns the back-end's local time (diagnostics).
 func (e *Engine) Clock() sim.Time { return e.clock }
 
@@ -631,24 +618,12 @@ func (e *Engine) runFill(fe *frontEnd) {
 	e.maybeRefill(fe, e.clock)
 }
 
-// DebugSyntheticEngineMem short-circuits engine memory accesses with a
-// fixed latency, bypassing the shared hierarchy (diagnostic bisection
-// only; never set in real runs).
-var DebugSyntheticEngineMem bool
-
 // load issues one engine load through core's L2, bounded by the load
 // buffer, and returns its completion (including the CAM wakeup latency).
 func (e *Engine) loadFor(core int, addr uint64, kind mem.Kind) mem.Result {
 	issue := e.clock
 	if slot := e.loadDone[e.loadSeq%int64(len(e.loadDone))]; slot > issue {
 		issue = slot // load buffer full: wait for the oldest entry
-	}
-	if DebugSyntheticEngineMem {
-		res := mem.Result{Done: issue + 60, Level: 3}
-		e.loadDone[e.loadSeq%int64(len(e.loadDone))] = res.Done
-		e.loadSeq++
-		e.clock = issue + e.cfg.ContextSwitch
-		return res
 	}
 	res := e.mem.Access(core, addr, kind, issue)
 	res.Done += e.cfg.LoadBufWake

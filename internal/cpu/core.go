@@ -150,14 +150,6 @@ func New(id int, cfg Config, m *mem.System) *Core {
 // Now returns the core's local clock.
 func (c *Core) Now() sim.Time { return c.now }
 
-// SetNow moves the local clock forward (e.g. after blocking on a Minnow
-// dequeue). Moving backwards is ignored.
-func (c *Core) SetNow(t sim.Time) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
 
@@ -177,9 +169,6 @@ func (c *Core) ProfRestore(r prof.Region, cursor int) {
 	c.region = r
 	c.cursor = cursor
 }
-
-// Mem exposes the shared memory system.
-func (c *Core) Mem() *mem.System { return c.mem }
 
 // stallInstantMin is the smallest retire-time gap worth an EvStall*
 // timeline instant; shorter gaps are pipeline noise that would swamp the
@@ -450,6 +439,3 @@ func (c *Core) Advance(t sim.Time, cat stats.CycleCat) {
 		}
 	}
 }
-
-// Mispredicts exposes the predictor's mispredict count (tests).
-func (c *Core) Mispredicts() int64 { return c.bp.Mispredict }

@@ -79,6 +79,11 @@ func TestParsePlanErrors(t *testing.T) {
 		"engine-stall:cycles=-4",         // negative count
 		"engine-offline:at=5,engines=-1", // bad engine index
 		"engine-stall:zap=3",             // unknown key
+
+		// engines= is an ordinary engine-offline key.
+		"engine-stall:p=0.1,engines=0",            // on another clause
+		"credit-loss:p=0.1,engines=3+4",           // on another clause
+		"engine-offline:at=5,engines=0,engines=1", // duplicate key
 	}
 	for _, expr := range bad {
 		if _, err := ParsePlan(expr); err == nil {
@@ -211,8 +216,9 @@ func TestNilInjectorSafe(t *testing.T) {
 }
 
 // FuzzParsePlan feeds arbitrary strings through the parser: it must
-// never panic, and any accepted plan must render canonically and
-// round-trip to the same rendering.
+// never panic, every rejection must carry the "fault:" prefix, and any
+// accepted plan must render canonically and round-trip to the same
+// rendering.
 func FuzzParsePlan(f *testing.F) {
 	for _, seed := range append(Presets(),
 		"seed=3;engine-stall:p=0.5,cycles=9",
@@ -225,6 +231,9 @@ func FuzzParsePlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ParsePlan(s)
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "fault:") {
+				t.Fatalf("ParsePlan(%q) error %q lacks the fault: prefix", s, err)
+			}
 			return
 		}
 		s1 := p.String()

@@ -30,26 +30,30 @@ package fault
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
+	"minnow/internal/plan"
 	"minnow/internal/sim"
 )
 
 // ProbDelay is a per-event fault: with probability P the event is delayed
 // by Cycles.
 type ProbDelay struct {
-	P      float64
+	// P is the per-event probability of a delay.
+	P float64
+	// Cycles is the length of each delay.
 	Cycles sim.Time
 }
 
 // RetrySpec is a per-access retry fault: each of up to Max rounds fails
 // independently with probability P, adding Extra cycles per failed round.
 type RetrySpec struct {
-	P     float64
+	// P is the probability that one round fails.
+	P float64
+	// Extra is the latency each failed round adds.
 	Extra sim.Time
-	Max   int
+	// Max caps the rounds per access.
+	Max int
 }
 
 // BackoffSpec is a retry-with-backoff fault: attempt n fails with
@@ -57,9 +61,12 @@ type RetrySpec struct {
 // geometrically), costs Backoff<<(n-1) cycles of exponential backoff,
 // and gives up after Max attempts.
 type BackoffSpec struct {
-	P       float64
+	// P is the probability that one attempt fails.
+	P float64
+	// Backoff is the first retry's delay; it doubles per attempt.
 	Backoff sim.Time
-	Max     int
+	// Max caps the attempts that may fail; later ones succeed.
+	Max int
 }
 
 // Plan is one parsed fault plan. The zero value injects nothing.
@@ -105,11 +112,7 @@ func (p *Plan) String() string {
 	if p.OfflineAt > 0 {
 		c := fmt.Sprintf("engine-offline:at=%d", p.OfflineAt)
 		if len(p.OfflineEngines) > 0 {
-			strs := make([]string, len(p.OfflineEngines))
-			for i, e := range p.OfflineEngines {
-				strs[i] = strconv.Itoa(e)
-			}
-			c += ",engines=" + strings.Join(strs, "+")
+			c += ",engines=" + plan.Join(p.OfflineEngines)
 		}
 		cl = append(cl, c)
 	}
@@ -128,30 +131,28 @@ func (p *Plan) String() string {
 	return strings.Join(cl, ";")
 }
 
-// Presets are the named fault plans accepted wherever a plan string is:
+// grammar declares the fault-plan language. Its presets are
 // "transient" (every recoverable fault class at once), "offline" (all
 // engines die mid-run), and "chaos" (both).
-var presets = map[string]string{
-	"transient": "seed=1;engine-stall:p=0.002,cycles=400;noc-delay:p=0.001,cycles=150;" +
-		"dram-retry:p=0.002,extra=120,max=2;spill-retry:p=0.005,backoff=64,max=4;credit-loss:p=0.05",
-	"offline": "seed=1;engine-offline:at=50000",
-	"chaos": "seed=1;engine-stall:p=0.002,cycles=400;noc-delay:p=0.001,cycles=150;" +
-		"dram-retry:p=0.002,extra=120,max=2;spill-retry:p=0.005,backoff=64,max=4;credit-loss:p=0.05;" +
-		"engine-offline:at=50000",
+var grammar = plan.Grammar{
+	Prefix: "fault",
+	Presets: map[string]string{
+		"transient": "seed=1;engine-stall:p=0.002,cycles=400;noc-delay:p=0.001,cycles=150;" +
+			"dram-retry:p=0.002,extra=120,max=2;spill-retry:p=0.005,backoff=64,max=4;credit-loss:p=0.05",
+		"offline": "seed=1;engine-offline:at=50000",
+		"chaos": "seed=1;engine-stall:p=0.002,cycles=400;noc-delay:p=0.001,cycles=150;" +
+			"dram-retry:p=0.002,extra=120,max=2;spill-retry:p=0.005,backoff=64,max=4;credit-loss:p=0.05;" +
+			"engine-offline:at=50000",
+	},
+	Clauses: []string{"engine-stall", "engine-offline", "noc-delay", "dram-retry", "spill-retry", "credit-loss"},
 }
 
 // Presets lists the named plans accepted by ParsePlan, sorted.
-func Presets() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Presets() []string { return grammar.PresetNames() }
 
-// ParsePlan parses a fault-plan string: either a preset name (see
-// Presets) or semicolon-separated clauses of the form
+// ParsePlan parses a fault-plan string (see package plan for the
+// grammar): either a preset name (see Presets) or semicolon-separated
+// clauses of the form
 //
 //	seed=N
 //	engine-stall:p=F,cycles=N
@@ -162,169 +163,47 @@ func Presets() []string {
 //	credit-loss:p=F
 //
 // Probabilities must lie in [0, 1]; counts and cycle values must be
-// non-negative. Omitted optional keys take conservative defaults.
+// non-negative. Omitted optional keys take conservative defaults. A plan
+// of only seed= is accepted and injects nothing.
 func ParsePlan(s string) (*Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("fault: empty plan")
-	}
-	if preset, ok := presets[s]; ok {
-		s = preset
-	}
 	p := &Plan{}
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if err := p.parseClause(clause); err != nil {
-			return nil, err
-		}
+	seed, err := grammar.Parse(s, p.clause)
+	if err != nil {
+		return nil, err
 	}
+	p.Seed = seed
 	return p, nil
 }
 
-// parseClause folds one clause into the plan.
-func (p *Plan) parseClause(clause string) error {
-	name, argstr, _ := strings.Cut(clause, ":")
-	name = strings.TrimSpace(name)
-	if strings.Contains(name, "=") {
-		// Bare key=value clause (only "seed=N").
-		key, val, _ := strings.Cut(name, "=")
-		if key != "seed" {
-			return fmt.Errorf("fault: unknown clause %q", key)
-		}
-		seed, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			return fmt.Errorf("fault: bad seed %q", val)
-		}
-		p.Seed = seed
-		return nil
-	}
-	args, err := parseArgs(name, argstr)
-	if err != nil {
-		return err
-	}
+// clause folds one clause into the plan.
+func (p *Plan) clause(name string, a *plan.Args) error {
 	switch name {
 	case "engine-stall":
-		p.EngineStall.P = args.prob("p", 0.001)
-		p.EngineStall.Cycles = sim.Time(args.num("cycles", 400))
+		p.EngineStall.P = a.Prob("p", 0.001)
+		p.EngineStall.Cycles = sim.Time(a.Num("cycles", 400))
 	case "engine-offline":
-		p.OfflineAt = sim.Time(args.num("at", 50000))
-		p.OfflineEngines = args.engines
+		p.OfflineAt = sim.Time(a.Num("at", 50000))
+		var engines []int
+		for _, e := range a.List("engines", nil) {
+			engines = append(engines, int(e))
+		}
+		p.OfflineEngines = engines
 		if p.OfflineAt <= 0 {
 			return fmt.Errorf("fault: engine-offline needs at > 0")
 		}
 	case "noc-delay":
-		p.NoCDelay.P = args.prob("p", 0.001)
-		p.NoCDelay.Cycles = sim.Time(args.num("cycles", 150))
+		p.NoCDelay.P = a.Prob("p", 0.001)
+		p.NoCDelay.Cycles = sim.Time(a.Num("cycles", 150))
 	case "dram-retry":
-		p.DRAMRetry.P = args.prob("p", 0.001)
-		p.DRAMRetry.Extra = sim.Time(args.num("extra", 120))
-		p.DRAMRetry.Max = int(args.num("max", 2))
+		p.DRAMRetry.P = a.Prob("p", 0.001)
+		p.DRAMRetry.Extra = sim.Time(a.Num("extra", 120))
+		p.DRAMRetry.Max = int(a.Num("max", 2))
 	case "spill-retry":
-		p.SpillRetry.P = args.prob("p", 0.001)
-		p.SpillRetry.Backoff = sim.Time(args.num("backoff", 64))
-		p.SpillRetry.Max = int(args.num("max", 4))
+		p.SpillRetry.P = a.Prob("p", 0.001)
+		p.SpillRetry.Backoff = sim.Time(a.Num("backoff", 64))
+		p.SpillRetry.Max = int(a.Num("max", 4))
 	case "credit-loss":
-		p.CreditLoss = args.prob("p", 0.01)
-	default:
-		return fmt.Errorf("fault: unknown clause %q (have engine-stall, engine-offline, noc-delay, dram-retry, spill-retry, credit-loss, seed)", name)
+		p.CreditLoss = a.Prob("p", 0.01)
 	}
-	if args.err != nil {
-		return args.err
-	}
-	return args.unknown()
-}
-
-// unknown rejects keys the clause never consumed — a silently ignored
-// typo (cycle= for cycles=) would make a fault plan lie about itself.
-func (a *clauseArgs) unknown() error {
-	var extra []string
-	for k := range a.vals {
-		if !a.used[k] {
-			extra = append(extra, k)
-		}
-	}
-	if len(extra) == 0 {
-		return nil
-	}
-	sort.Strings(extra)
-	return fmt.Errorf("fault: %s: unknown key(s) %s", a.clause, strings.Join(extra, ", "))
-}
-
-// clauseArgs holds one clause's parsed key=value pairs plus the first
-// validation error hit while reading them out.
-type clauseArgs struct {
-	clause  string
-	vals    map[string]string
-	used    map[string]bool
-	engines []int
-	err     error
-}
-
-func parseArgs(clause, argstr string) (*clauseArgs, error) {
-	a := &clauseArgs{clause: clause, vals: map[string]string{}, used: map[string]bool{}}
-	argstr = strings.TrimSpace(argstr)
-	if argstr == "" {
-		return a, nil
-	}
-	for _, kv := range strings.Split(argstr, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || key == "" || val == "" {
-			return nil, fmt.Errorf("fault: %s: malformed argument %q", clause, kv)
-		}
-		if key == "engines" {
-			for _, es := range strings.Split(val, "+") {
-				e, err := strconv.Atoi(strings.TrimSpace(es))
-				if err != nil || e < 0 {
-					return nil, fmt.Errorf("fault: %s: bad engine index %q", clause, es)
-				}
-				a.engines = append(a.engines, e)
-			}
-			continue
-		}
-		if _, dup := a.vals[key]; dup {
-			return nil, fmt.Errorf("fault: %s: duplicate key %q", clause, key)
-		}
-		a.vals[key] = val
-	}
-	return a, nil
-}
-
-// prob reads a probability key, defaulting when absent.
-func (a *clauseArgs) prob(key string, def float64) float64 {
-	a.used[key] = true
-	s, ok := a.vals[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 || v > 1 {
-		a.fail("%s: %s=%q is not a probability in [0,1]", a.clause, key, s)
-		return 0
-	}
-	return v
-}
-
-// num reads a non-negative integer key, defaulting when absent.
-func (a *clauseArgs) num(key string, def int64) int64 {
-	a.used[key] = true
-	s, ok := a.vals[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		a.fail("%s: %s=%q is not a non-negative integer", a.clause, key, s)
-		return 0
-	}
-	return v
-}
-
-func (a *clauseArgs) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf("fault: "+format, args...)
-	}
+	return nil
 }

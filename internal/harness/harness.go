@@ -305,7 +305,7 @@ func runEngine(eng *sim.Engine, o Options) bool {
 
 // collect assembles the stats.Run from all components.
 func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, msys *mem.System, runner *galois.Runner) *stats.Run {
-	run := &stats.Run{
+	run := &stats.Run{RunSummary: stats.RunSummary{
 		Name:      name,
 		Threads:   o.Threads,
 		TimedOut:  runner.TimedOut(),
@@ -319,7 +319,7 @@ func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, 
 		WasteDemandEvict: msys.WasteDemandEvict,
 		WasteInval:       msys.WasteInval,
 		L1Shielded:       msys.L1ShieldedHits,
-	}
+	}}
 	for _, c := range cores {
 		run.Cores = append(run.Cores, c.Stat)
 		if c.Now() > sim.Time(run.WallCycles) {

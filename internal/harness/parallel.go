@@ -116,20 +116,12 @@ func runJob(j Job) (res JobResult) {
 	return res
 }
 
-// Mismatch records one summary field that differed between two runs of
-// the same configuration.
-type Mismatch struct {
-	Field string
-	A, B  string
-}
-
-func (m Mismatch) String() string { return fmt.Sprintf("%s: %s != %s", m.Field, m.A, m.B) }
-
 // DeterminismReport is the outcome of running one configuration twice.
 type DeterminismReport struct {
-	Job        Job
-	Mismatches []Mismatch
-	Hash       string // stats fingerprint of the first run
+	Benchmark  string   // benchmark name from the job
+	Scheduler  string   // resolved scheduler ("minnow" when Config.Minnow)
+	Mismatches []string // rendered field diffs; empty when deterministic
+	Hash       string   // stats fingerprint of the first run
 }
 
 // OK reports whether the two runs were identical.
@@ -165,21 +157,15 @@ func VerifyDeterminism(jobs []Job, workers int) ([]DeterminismReport, error) {
 // compareRuns diffs the deterministic summaries of two runs of one job.
 func compareRuns(j Job, a, b *stats.Run) DeterminismReport {
 	sa, sb := a.Summary(), b.Summary()
-	rep := DeterminismReport{Job: j, Hash: sa.Hash()}
+	rep := DeterminismReport{Benchmark: j.Bench, Scheduler: j.Opts.WithDefaults().Scheduler, Hash: sa.Hash()}
 	diff := func(field string, va, vb any) {
 		if va != vb {
-			rep.Mismatches = append(rep.Mismatches, Mismatch{
-				Field: field,
-				A:     fmt.Sprintf("%v", va),
-				B:     fmt.Sprintf("%v", vb),
-			})
+			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: %v != %v", field, va, vb))
 		}
 	}
 	diff("wall_cycles", sa.WallCycles, sb.WallCycles)
 	diff("sim_steps", sa.SimSteps, sb.SimSteps)
 	diff("work_items", sa.WorkItems, sb.WorkItems)
-	if ha, hb := sa.Hash(), sb.Hash(); ha != hb {
-		rep.Mismatches = append(rep.Mismatches, Mismatch{Field: "stats_hash", A: ha, B: hb})
-	}
+	diff("stats_hash", rep.Hash, sb.Hash())
 	return rep
 }

@@ -69,10 +69,10 @@ func TestVerifyDeterminism(t *testing.T) {
 	}
 	for _, rep := range reports {
 		if !rep.OK() {
-			t.Errorf("%s/%s nondeterministic: %v", rep.Job.Bench, rep.Job.Opts.Scheduler, rep.Mismatches)
+			t.Errorf("%s/%s nondeterministic: %v", rep.Benchmark, rep.Scheduler, rep.Mismatches)
 		}
 		if rep.Hash == "" {
-			t.Errorf("%s/%s: empty stats hash", rep.Job.Bench, rep.Job.Opts.Scheduler)
+			t.Errorf("%s/%s: empty stats hash", rep.Benchmark, rep.Scheduler)
 		}
 	}
 }

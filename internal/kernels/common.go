@@ -103,11 +103,6 @@ func (e *emitter) loadNode(v int32, depLoad bool) {
 	e.w.TR().LoadPC(e.pcb+site, e.g.NodeAddr(v), true, depLoad)
 }
 
-// touchNode emits a secondary (non-delinquent) access to a node record.
-func (e *emitter) touchNode(v int32) {
-	e.w.TR().Load(e.g.NodeAddr(v), false, false)
-}
-
 // loadEdge emits the (delinquent) first access to an edge record.
 func (e *emitter) loadEdge(i int32) {
 	e.w.TR().LoadPC(e.pcb+pcLoadEdge, e.g.EdgeAddr(i), true, false)

@@ -30,10 +30,9 @@ type Mesh struct {
 	// node in direction dir can accept the next flit.
 	nextFree []sim.Time
 
-	Flits     int64 // total link traversals
-	StallCyc  int64 // total cycles flits waited for links
-	Messages  int64
-	maxQueued sim.Time
+	Flits    int64 // total link traversals
+	StallCyc int64 // total cycles flits waited for links
+	Messages int64
 
 	// FaultDelay, when non-nil, returns an injected extra latency applied
 	// once per message (deterministic fault injection). Nil in fault-free
@@ -135,9 +134,6 @@ func (m *Mesh) crossLink(x, y, dir int, t sim.Time) sim.Time {
 	free := m.nextFree[idx]
 	if free > t && free-t <= contentionWindow {
 		m.StallCyc += int64(free - t)
-		if free-t > m.maxQueued {
-			m.maxQueued = free - t
-		}
 		t = free
 	}
 	// The link is occupied for one flit cycle; the flit arrives at the
@@ -149,19 +145,10 @@ func (m *Mesh) crossLink(x, y, dir int, t sim.Time) sim.Time {
 	return t + m.HopCycles
 }
 
-// MaxQueueDelay returns the largest single-link wait observed, a
-// congestion indicator used in tests.
-func (m *Mesh) MaxQueueDelay() sim.Time { return m.maxQueued }
-
-// Links returns the number of directed links in the mesh, the
-// normalization constant for flit-rate utilisation (flits per link-cycle
-// = ΔFlits / (interval × Links)).
-func (m *Mesh) Links() int { return m.W * m.H * 4 }
-
 // Reset clears link reservations and counters.
 func (m *Mesh) Reset() {
 	for i := range m.nextFree {
 		m.nextFree[i] = 0
 	}
-	m.Flits, m.StallCyc, m.Messages, m.maxQueued = 0, 0, 0, 0
+	m.Flits, m.StallCyc, m.Messages = 0, 0, 0
 }

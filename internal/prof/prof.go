@@ -450,9 +450,6 @@ func New(bench string, cores int) *Profile {
 // harness).
 func (p *Profile) Core(i int) *CoreProf { return p.cores[i] }
 
-// NumCores returns the core count the profile was built for.
-func (p *Profile) NumCores() int { return len(p.cores) }
-
 // sortedLeaves decodes and sorts one leaf map by packed key.
 func sortedLeaves(m map[uint64]int64) []Leaf {
 	keys := make([]uint64, 0, len(m))

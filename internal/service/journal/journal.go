@@ -178,9 +178,6 @@ func Open(path string) (*Journal, []Record, error) {
 	return &Journal{f: f, path: path}, recs, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append writes one record as a single JSON line. With sync=true the
 // file is fsync'd before returning — used for submit and terminal
 // records, whose durability the API's acknowledgment promises;

@@ -229,13 +229,12 @@ func Percentile(sorted []int64, p float64) int64 {
 	return sorted[rank-1]
 }
 
-// Run captures everything measured during one simulated benchmark run.
+// Run captures everything measured during one simulated benchmark run:
+// its deterministic RunSummary plus the host-side counters and
+// observability attachments the summary excludes.
 type Run struct {
-	Name       string // benchmark name
-	Threads    int    // simulated core count
-	WallCycles int64  // end-to-end simulated cycles
-	SimSteps   int64  // discrete-event actor steps executed by the scheduler
-	TimedOut   bool   // hit the work budget (Fig. 3 "timed out" bars)
+	RunSummary
+
 	// BoundSteps counts the SimSteps executed inside bound/weave bound
 	// phases — the concurrency the horizon declarations actually bought.
 	// It is a host-execution metric, not a simulated one: it varies with
@@ -243,19 +242,6 @@ type Run struct {
 	// byte-identical, so it is deliberately excluded from RunSummary.
 	BoundSteps int64
 
-	Cores   []CoreStats   // per-core breakdowns, indexed by core ID
-	L2      CacheStats    // aggregated over all L2s
-	L3      CacheStats    // aggregated over all L3 banks
-	Engines []EngineStats // per-engine activity (Minnow runs only)
-
-	WorkItems   int64   // operator applications (work-efficiency metric)
-	DRAMReads   int64   // lines read from DRAM
-	DRAMRows    int64   // distinct DRAM row activations (diagnostics)
-	InvMsgs     int64   // coherence invalidation messages
-	DRAMStall   int64   // cycles requests queued at busy DRAM channels
-	NoCStall    int64   // cycles flits waited for mesh links
-	AvgLoadLat  float64 // mean demand-load latency (diagnostics)
-	DirtyRemote int64   // reads served from remote modified copies
 	// Trace holds the engine event tail when tracing was enabled
 	// (Config.TraceEvents); render it with EventTail.String.
 	Trace *obs.EventTail
@@ -269,29 +255,11 @@ type Run struct {
 	// Profile holds the refined cycle-attribution tree when the top-down
 	// profiler was enabled (Config.Profile); render it with
 	// Profile.Folded / Profile.Pprof / Profile.Stack.
-	Profile    *prof.Profile
-	LatByLevel [5]int64 // summed demand-load latency by supplying level
-	CntByLevel [5]int64 // demand-load count by supplying level
-
-	// Prefetch waste attribution (diagnostics).
-	WastePFEvict     int64 // prefetched lines evicted by later prefetches
-	WasteDemandEvict int64 // prefetched lines evicted by demand fills
-	WasteInval       int64 // prefetched lines lost to invalidations
-	L1Shielded       int64 // L2 prefetch hits hidden behind L1 hits
-
-	// Faults aggregates injected-fault activity; nil when fault injection
-	// was off (part of the summary, since injected faults are fully
-	// deterministic for a given plan).
-	Faults *FaultStats
-
-	// Latency aggregates open-loop arrival latency; nil when no arrival
-	// plan was armed (part of the summary, since arrivals are fully
-	// deterministic for a given plan).
-	Latency *LatencyStats
+	Profile *prof.Profile
 }
 
 // SumCores returns the element-wise sum of all core stats.
-func (r *Run) SumCores() CoreStats {
+func (r *RunSummary) SumCores() CoreStats {
 	var s CoreStats
 	for i := range r.Cores {
 		c := &r.Cores[i]
@@ -314,7 +282,7 @@ func (r *Run) SumCores() CoreStats {
 }
 
 // L2MPKI returns L2 misses per thousand retired micro-ops.
-func (r *Run) L2MPKI() float64 {
+func (r *RunSummary) L2MPKI() float64 {
 	s := r.SumCores()
 	if s.Instrs == 0 {
 		return 0
@@ -324,7 +292,7 @@ func (r *Run) L2MPKI() float64 {
 
 // DelinquentDensity returns the fraction of loads that were first accesses
 // to node/edge/task data (Fig. 6).
-func (r *Run) DelinquentDensity() float64 {
+func (r *RunSummary) DelinquentDensity() float64 {
 	s := r.SumCores()
 	if s.Loads == 0 {
 		return 0
@@ -333,7 +301,7 @@ func (r *Run) DelinquentDensity() float64 {
 }
 
 // Breakdown returns the fraction of total core cycles per category.
-func (r *Run) Breakdown() [4]float64 {
+func (r *RunSummary) Breakdown() [4]float64 {
 	s := r.SumCores()
 	tot := s.TotalCycles()
 	var out [4]float64
@@ -347,7 +315,7 @@ func (r *Run) Breakdown() [4]float64 {
 }
 
 // AvgEnqCycles returns the mean cycles per worklist enqueue (Fig. 11).
-func (r *Run) AvgEnqCycles() float64 {
+func (r *RunSummary) AvgEnqCycles() float64 {
 	s := r.SumCores()
 	if s.EnqOps == 0 {
 		return 0
@@ -356,7 +324,7 @@ func (r *Run) AvgEnqCycles() float64 {
 }
 
 // AvgDeqCycles returns the mean cycles per worklist dequeue (Fig. 11).
-func (r *Run) AvgDeqCycles() float64 {
+func (r *RunSummary) AvgDeqCycles() float64 {
 	s := r.SumCores()
 	if s.DeqOps == 0 {
 		return 0

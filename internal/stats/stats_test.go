@@ -21,7 +21,7 @@ func TestCycleCatString(t *testing.T) {
 }
 
 func TestBreakdownSumsToOne(t *testing.T) {
-	r := &Run{Cores: []CoreStats{{Cycles: [4]int64{10, 20, 30, 40}}, {Cycles: [4]int64{5, 5, 5, 5}}}}
+	r := &RunSummary{Cores: []CoreStats{{Cycles: [4]int64{10, 20, 30, 40}}, {Cycles: [4]int64{5, 5, 5, 5}}}}
 	bd := r.Breakdown()
 	var sum float64
 	for _, f := range bd {
@@ -36,7 +36,7 @@ func TestBreakdownSumsToOne(t *testing.T) {
 }
 
 func TestBreakdownEmpty(t *testing.T) {
-	r := &Run{}
+	r := &RunSummary{}
 	bd := r.Breakdown()
 	for _, f := range bd {
 		if f != 0 {
@@ -46,21 +46,21 @@ func TestBreakdownEmpty(t *testing.T) {
 }
 
 func TestL2MPKI(t *testing.T) {
-	r := &Run{
+	r := &RunSummary{
 		Cores: []CoreStats{{Instrs: 2000}},
 		L2:    CacheStats{Misses: 50},
 	}
 	if got := r.L2MPKI(); got != 25 {
 		t.Fatalf("MPKI = %v, want 25", got)
 	}
-	empty := &Run{}
+	empty := &RunSummary{}
 	if empty.L2MPKI() != 0 {
 		t.Fatal("empty run MPKI != 0")
 	}
 }
 
 func TestDelinquentDensity(t *testing.T) {
-	r := &Run{Cores: []CoreStats{{Loads: 100, Delinquent: 10}, {Loads: 100, Delinquent: 30}}}
+	r := &RunSummary{Cores: []CoreStats{{Loads: 100, Delinquent: 10}, {Loads: 100, Delinquent: 30}}}
 	if got := r.DelinquentDensity(); got != 0.2 {
 		t.Fatalf("density %v, want 0.2", got)
 	}
@@ -78,14 +78,14 @@ func TestEfficiency(t *testing.T) {
 }
 
 func TestAvgOpCycles(t *testing.T) {
-	r := &Run{Cores: []CoreStats{{EnqOps: 4, EnqCycles: 100, DeqOps: 2, DeqCycles: 30}}}
+	r := &RunSummary{Cores: []CoreStats{{EnqOps: 4, EnqCycles: 100, DeqOps: 2, DeqCycles: 30}}}
 	if r.AvgEnqCycles() != 25 {
 		t.Fatalf("enq %v", r.AvgEnqCycles())
 	}
 	if r.AvgDeqCycles() != 15 {
 		t.Fatalf("deq %v", r.AvgDeqCycles())
 	}
-	empty := &Run{}
+	empty := &RunSummary{}
 	if empty.AvgEnqCycles() != 0 || empty.AvgDeqCycles() != 0 {
 		t.Fatal("empty run op cycles nonzero")
 	}
@@ -176,7 +176,7 @@ func TestGeoMeanExtremeRange(t *testing.T) {
 
 func TestRunSummaryHash(t *testing.T) {
 	mk := func() *Run {
-		r := &Run{Name: "SSSP", Threads: 2, WallCycles: 12345, SimSteps: 678, WorkItems: 42}
+		r := &Run{RunSummary: RunSummary{Name: "SSSP", Threads: 2, WallCycles: 12345, SimSteps: 678, WorkItems: 42}}
 		r.Cores = []CoreStats{{Instrs: 100, Loads: 40}, {Instrs: 90, Loads: 33}}
 		r.L2 = CacheStats{Accesses: 10, Misses: 3, Writebacks: 2}
 		r.Engines = []EngineStats{{Prefetches: 7}}
@@ -216,7 +216,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestSumCores(t *testing.T) {
-	r := &Run{Cores: []CoreStats{
+	r := &RunSummary{Cores: []CoreStats{
 		{Instrs: 10, Loads: 5, Branches: 2, Mispreds: 1, Atomics: 3, TasksRun: 7},
 		{Instrs: 20, Loads: 15, Branches: 4, Mispreds: 2, Atomics: 1, TasksRun: 3},
 	}}

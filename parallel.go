@@ -54,16 +54,10 @@ func RunMany(reqs []RunRequest, jobs int) []RunResult {
 	return out
 }
 
-// DeterminismReport is the outcome of running one configuration twice.
-type DeterminismReport struct {
-	Benchmark  string   // benchmark name from the request
-	Scheduler  string   // resolved scheduler ("minnow" when Config.Minnow)
-	Mismatches []string // rendered field diffs; empty when deterministic
-	Hash       string   // stats fingerprint of the first run
-}
-
-// OK reports whether the two runs were identical.
-func (r DeterminismReport) OK() bool { return len(r.Mismatches) == 0 }
+// DeterminismReport is the outcome of running one configuration twice:
+// the benchmark, its resolved scheduler, the rendered field diffs (empty
+// when deterministic), and the first run's stats fingerprint.
+type DeterminismReport = harness.DeterminismReport
 
 // VerifyDeterminism runs every request twice and compares wall cycles,
 // simulation step counts, and a hash of the complete per-core statistics
@@ -79,21 +73,5 @@ func VerifyDeterminism(reqs []RunRequest, jobs int) ([]DeterminismReport, error)
 		}
 		hjobs[i] = j
 	}
-	hreps, err := harness.VerifyDeterminism(hjobs, jobs)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]DeterminismReport, len(hreps))
-	for i, hr := range hreps {
-		rep := DeterminismReport{
-			Benchmark: hr.Job.Bench,
-			Scheduler: hr.Job.Opts.WithDefaults().Scheduler,
-			Hash:      hr.Hash,
-		}
-		for _, m := range hr.Mismatches {
-			rep.Mismatches = append(rep.Mismatches, m.String())
-		}
-		reports[i] = rep
-	}
-	return reports, nil
+	return harness.VerifyDeterminism(hjobs, jobs)
 }
