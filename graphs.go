@@ -133,44 +133,20 @@ func RunGraph(benchmark string, g *Graph, source int32, cfg Config) (*Result, er
 	if source < 0 || int(source) >= g.g.N {
 		return nil, fmt.Errorf("minnow: source %d out of range [0,%d)", source, g.g.N)
 	}
-	if benchmark == "SSSP" && g.g.Weights == nil {
-		return nil, fmt.Errorf("minnow: SSSP requires a weighted graph (see NewRoadMesh or NewGraphFromEdges weighted=true)")
-	}
 	spec, err := kernels.SpecByName(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	// Wrap the user's graph in a build function that clones its topology
-	// into the harness's address space. CSR slices are shared read-only;
-	// the binding (addresses) is per-run.
-	userGraph := g.g
-	spec.Build = func(_ int, _ uint64, as *graph.AddrSpace, cores int) kernels.Kernel {
-		gg := &graph.Graph{
-			Name:    userGraph.Name,
-			N:       userGraph.N,
-			Offsets: userGraph.Offsets,
-			Dests:   userGraph.Dests,
-			Weights: userGraph.Weights,
-		}
-		gg.Bind(as, benchmark == "TC")
-		switch benchmark {
-		case "SSSP":
-			return kernels.NewSSSP(gg, source, as, cores)
-		case "BFS", "G500":
-			return kernels.NewBFS(benchmark, gg, source, as, cores)
-		case "CC":
-			return kernels.NewCC(gg, as, cores)
-		case "PR":
-			return kernels.NewPR(gg, as, cores)
-		case "TC":
-			return kernels.NewTC(gg, as, cores)
-		case "BC":
-			return kernels.NewBC(gg, as, cores)
-		case "KCORE":
-			return kernels.NewKCore(gg, as, cores)
-		}
-		panic("unreachable: SpecByName validated the name")
+	if spec.Weighted && g.g.Weights == nil {
+		return nil, fmt.Errorf("minnow: %s requires a weighted graph (see NewRoadMesh or NewGraphFromEdges weighted=true)", benchmark)
 	}
+	// The run binds a fresh clone of the user's topology into its own
+	// address space. CSR slices are shared read-only.
+	user := g.g
+	spec.Input = func(int, uint64) *graph.Graph {
+		return &graph.Graph{Name: user.Name, N: user.N, Offsets: user.Offsets, Dests: user.Dests, Weights: user.Weights}
+	}
+	spec.Source = func(*graph.Graph) int32 { return source }
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package minnow
 import (
 	"bytes"
 	"testing"
+
+	"minnow/internal/kernels"
 )
 
 func TestRunGraphOnGenerated(t *testing.T) {
@@ -30,6 +32,29 @@ func TestRunGraphEveryKernel(t *testing.T) {
 		if _, err := RunGraph(bench, g, 0, Config{Threads: 2}); err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
+	}
+}
+
+// TestRunGraphMatchesRun proves both entry points build the same kernel
+// from the catalogue: RunGraph on an entry's own input and source must
+// reproduce Run's summary hash for every benchmark.
+func TestRunGraphMatchesRun(t *testing.T) {
+	cfg := Config{Threads: 2, Minnow: true, Prefetch: true, Scale: 1, Seed: 42}
+	for _, spec := range append(kernels.Suite(), kernels.Extensions()...) {
+		t.Run(spec.Name, func(t *testing.T) {
+			want, err := Run(spec.Name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := spec.Input(cfg.Scale, cfg.Seed)
+			got, err := RunGraph(spec.Name, &Graph{g: g}, spec.SourceNode(g), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.SummaryHash != want.SummaryHash {
+				t.Errorf("RunGraph hash %s, Run hash %s", got.SummaryHash, want.SummaryHash)
+			}
+		})
 	}
 }
 

@@ -131,21 +131,25 @@ func TestTracingDoesNotChangeTiming(t *testing.T) {
 
 func TestCustomGraphThroughKernels(t *testing.T) {
 	// A hand-built two-component graph exercised through the SSSP kernel
-	// (unreachable nodes keep the sentinel distance). The kernel binds
-	// its addresses from the harness's own address space.
+	// (unreachable nodes keep the sentinel distance). The catalogue entry
+	// binds it and constructs the kernel in the harness's own address
+	// space; only the input and the constructor hook are overridden.
+	spec, err := kernels.SpecByName("SSSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Input = func(int, uint64) *graph.Graph {
+		b := graph.NewBuilder(4, true)
+		b.AddUndirectedWeighted(0, 1, 3)
+		// nodes 2,3 disconnected from the source component
+		b.AddUndirectedWeighted(2, 3, 5)
+		return b.Build("two-islands")
+	}
 	var k *kernels.SSSP
-	spec := kernels.Spec{
-		Name: "SSSP",
-		Build: func(_ int, _ uint64, as *graph.AddrSpace, cores int) kernels.Kernel {
-			b := graph.NewBuilder(4, true)
-			b.AddUndirectedWeighted(0, 1, 3)
-			// nodes 2,3 disconnected from the source component
-			b.AddUndirectedWeighted(2, 3, 5)
-			g := b.Build("two-islands")
-			g.Bind(as, false)
-			k = kernels.NewSSSP(g, 0, as, cores)
-			return k
-		},
+	newSSSP := spec.New
+	spec.New = func(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) kernels.Kernel {
+		k = newSSSP(g, src, as, cores).(*kernels.SSSP)
+		return k
 	}
 	if _, err := Run(spec, Options{Config: Config{Threads: 1, Seed: 42}}); err != nil {
 		t.Fatal(err)

@@ -84,9 +84,7 @@ func Table1(f FigOptions) *stats.Table {
 		Headers: []string{"name", "stands-for", "nodes", "edges", "est.diam", "largest-node", "size-MB"},
 	}
 	for _, spec := range kernels.Suite() {
-		as := graph.NewAddrSpace()
-		k := spec.Build(f.Scale, f.Seed, as, 1)
-		g := k.Graph()
+		g := spec.Graph(f.Scale, f.Seed, graph.NewAddrSpace())
 		_, maxDeg := g.MaxDegreeNode()
 		t.AddRow(g.Name, spec.PaperInput, g.N, g.NumEdges(), g.EstimateDiameter(0), maxDeg,
 			float64(g.SizeBytes())/1e6)
@@ -265,8 +263,7 @@ func Fig3(f FigOptions) (*stats.Table, error) {
 			return stats.FormatFloat(float64(r.WallCycles) / float64(gm.Wall))
 		}
 		spec, _ := kernels.SpecByName(name)
-		as := graph.NewAddrSpace()
-		tuned := spec.Build(f.Scale, f.Seed, as, 1).DefaultLgInterval()
+		tuned := spec.LgInterval
 		row := []any{name,
 			cell("fifo", -1), cell("lifo", -1),
 			cell("obim", 2), cell("obim", int(tuned)), cell("obim", 16),

@@ -75,7 +75,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 
 	as := graph.NewAddrSpace()
 	kern := spec.Build(o.Scale, o.Seed, as, o.Threads)
-	lg := kern.DefaultLgInterval()
+	lg := spec.LgInterval
 	if o.LgInterval != nil {
 		lg = *o.LgInterval
 	}
@@ -136,7 +136,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 			ecfg.SpillBatch = o.EngineSpillBatch
 		}
 		if o.Prefetch {
-			ecfg.Program = kern.PrefetchProgram()
+			ecfg.Program = spec.PrefetchProgram(kern.Graph())
 			if o.CustomPrefetch != nil {
 				ecfg.Program = o.CustomPrefetch.program(kern.Graph())
 			}
@@ -410,13 +410,12 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 // returns its result (wall cycles for Fig. 2/3 normalization).
 func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
 	o = o.resolve()
-	as := graph.NewAddrSpace()
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
 		return graphmat.Result{}, err
 	}
-	kern := spec.Build(o.Scale, o.Seed, as, o.Threads)
-	g := kern.Graph()
+	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
+	src := spec.SourceNode(g)
 	msys := buildMem(o)
 	cores := buildCores(o, msys)
 	// GraphMat's sequential frontier sweeps benefit from its tuned
@@ -429,12 +428,9 @@ func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
 	var prog graphmat.Program
 	switch bench {
 	case "SSSP":
-		prog = graphmat.NewSSSP(g, 0)
-	case "BFS":
-		prog = graphmat.NewBFS(g, 0)
-	case "G500":
-		n, _ := g.MaxDegreeNode()
-		prog = graphmat.NewBFS(g, n)
+		prog = graphmat.NewSSSP(g, src)
+	case "BFS", "G500":
+		prog = graphmat.NewBFS(g, src)
 	case "CC":
 		prog = graphmat.NewCC(g)
 	case "PR":
@@ -455,19 +451,17 @@ func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
 // RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1).
 func RunGMatStar(o Options, lgInterval uint) (graphmat.Result, error) {
 	o = o.resolve()
-	as := graph.NewAddrSpace()
 	spec, err := kernels.SpecByName("SSSP")
 	if err != nil {
 		return graphmat.Result{}, err
 	}
-	kern := spec.Build(o.Scale, o.Seed, as, o.Threads)
-	g := kern.Graph()
+	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
 	msys := buildMem(o)
 	cores := buildCores(o, msys)
 	for i, c := range cores {
 		c.Prefetcher = prefetch.NewStride(i, msys, 4)
 	}
-	k := graphmat.NewGMatStar(g, 0, lgInterval)
+	k := graphmat.NewGMatStar(g, spec.SourceNode(g), lgInterval)
 	res := k.Run(cores, o.WorkBudget)
 	if !o.SkipVerify && !res.TimedOut {
 		if err := k.Verify(); err != nil {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -23,34 +22,14 @@ type BC struct {
 // NewBC builds the kernel.
 func NewBC(g *graph.Graph, as *graph.AddrSpace, cores int) *BC {
 	k := &BC{g: g, color: make([]int8, g.N), stacks: allocStacks(as, cores)}
-	k.Reset()
-	return k
-}
-
-// Name implements Kernel.
-func (k *BC) Name() string { return "BC" }
-
-// Graph implements Kernel.
-func (k *BC) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *BC) UsesPriority() bool { return false }
-
-// DefaultLgInterval implements Kernel: BC has no priorities.
-func (k *BC) DefaultLgInterval() uint { return 0 }
-
-// PrefetchProgram implements Kernel.
-func (k *BC) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *BC) Reset() {
 	for i := range k.color {
 		k.color[i] = -1
 	}
-	k.conflict = false
+	return k
 }
+
+// Graph implements Kernel.
+func (k *BC) Graph() *graph.Graph { return k.g }
 
 // InitialTasks implements Kernel: one seed per connected component,
 // pre-colored 0 (found with a cheap union-find — initialization, not

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -16,45 +15,24 @@ import (
 // level-synchronous order without barriers. Run on a uniform random graph
 // it is the paper's BFS; on a Kronecker graph it is G500 (§6.1).
 type BFS struct {
-	name   string
 	g      *graph.Graph
 	src    int32
 	hops   []int64
 	stacks []uint64
 }
 
-// NewBFS builds the kernel. name distinguishes BFS from G500 in reports.
-func NewBFS(name string, g *graph.Graph, src int32, as *graph.AddrSpace, cores int) *BFS {
-	k := &BFS{name: name, g: g, src: src, hops: make([]int64, g.N), stacks: allocStacks(as, cores)}
-	k.Reset()
-	return k
-}
-
-// Name implements Kernel.
-func (k *BFS) Name() string { return k.name }
-
-// Graph implements Kernel.
-func (k *BFS) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *BFS) UsesPriority() bool { return true }
-
-// DefaultLgInterval implements Kernel: hop counts are unit-weight priorities; each BFS
-// level is its own bucket.
-func (k *BFS) DefaultLgInterval() uint { return 0 }
-
-// PrefetchProgram implements Kernel.
-func (k *BFS) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *BFS) Reset() {
+// NewBFS builds the kernel.
+func NewBFS(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) *BFS {
+	k := &BFS{g: g, src: src, hops: make([]int64, g.N), stacks: allocStacks(as, cores)}
 	for i := range k.hops {
 		k.hops[i] = math.MaxInt64 / 4
 	}
-	k.hops[k.src] = 0
+	k.hops[src] = 0
+	return k
 }
+
+// Graph implements Kernel.
+func (k *BFS) Graph() *graph.Graph { return k.g }
 
 // InitialTasks implements Kernel.
 func (k *BFS) InitialTasks() []worklist.Task {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -25,36 +24,14 @@ type CC struct {
 // NewCC builds the kernel.
 func NewCC(g *graph.Graph, as *graph.AddrSpace, cores int) *CC {
 	k := &CC{g: g, comp: make([]int64, g.N), stacks: allocStacks(as, cores)}
-	k.Reset()
-	return k
-}
-
-// Name implements Kernel.
-func (k *CC) Name() string { return "CC" }
-
-// Graph implements Kernel.
-func (k *CC) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *CC) UsesPriority() bool { return true }
-
-// DefaultLgInterval implements Kernel: min-label propagation needs fine
-// buckets — wide buckets let hundreds of label floods interleave and work
-// explodes. The cost is constant bucket churn, which is exactly why CC is
-// the paper's worklist-bound benchmark (92% worklist cycles at 64t, §3.2).
-func (k *CC) DefaultLgInterval() uint { return 2 }
-
-// PrefetchProgram implements Kernel.
-func (k *CC) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *CC) Reset() {
 	for i := range k.comp {
 		k.comp[i] = int64(i)
 	}
+	return k
 }
+
+// Graph implements Kernel.
+func (k *CC) Graph() *graph.Graph { return k.g }
 
 // InitialTasks implements Kernel: every node seeds one task (its own
 // label may win its neighborhood).

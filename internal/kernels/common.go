@@ -13,6 +13,12 @@
 // stack lines. Every kernel verifies its answer against an independent
 // reference implementation.
 //
+// Suite and Extensions in registry.go are the one place a benchmark is
+// declared: each Spec names its input generator, node layout, source,
+// tuned bucket interval, prefetch program and constructor, and every
+// caller (the harness, RunGraph, the GraphMat baseline, the figure
+// tables) reads them from there.
+//
 // Determinism contract: operators read and write only their own algorithm
 // state plus the worker handed to them; any randomness comes from rng
 // streams seeded by the run configuration, so task orders and emitted
@@ -20,35 +26,23 @@
 package kernels
 
 import (
-	"minnow/internal/core"
+	"strconv"
+
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
 )
 
-// Kernel is one benchmark: construction binds addresses; Apply is the
-// Galois operator; Verify checks the parallel result against a reference.
+// Kernel is one benchmark ready to run: its constructor allocates
+// per-core stacks and initializes algorithm state; Apply is the Galois
+// operator; Verify checks the parallel result against a reference.
 type Kernel interface {
 	galois.Operator
-	Name() string
 	Graph() *graph.Graph
 	// InitialTasks seeds the worklist.
 	InitialTasks() []worklist.Task
-	// Reset reinitializes algorithm state for a fresh run.
-	Reset()
 	// Verify checks the computed result; call after the run drains.
 	Verify() error
-	// PrefetchProgram returns the worklist-directed prefetch program for
-	// this kernel's access pattern (§5.3: all workloads share the
-	// standard program except TC).
-	PrefetchProgram() core.PrefetchProgram
-	// UsesPriority reports whether the kernel benefits from priority
-	// scheduling (TC and BC do not, §6.1).
-	UsesPriority() bool
-	// DefaultLgInterval is the kernel's tuned OBIM bucket interval
-	// (log2): the delta in delta-stepping terms, scaled to the kernel's
-	// priority units.
-	DefaultLgInterval() uint
 }
 
 // stackLines is how many distinct stack cache lines each worker's locals
@@ -170,7 +164,7 @@ func kernelOfPC(pc uint64) string {
 	case 8:
 		return "kcore"
 	}
-	return "pc" + itoa(pc>>8)
+	return "pc" + strconv.FormatUint(pc>>8, 10)
 }
 
 // SiteLabel names a kernel static micro-op site (the PCs LoadPC/Branch
@@ -189,21 +183,5 @@ func SiteLabel(pc uint64) string {
 	case pcLoadSearch:
 		return k + ".search-load"
 	}
-	return k + ".branch" + itoa(pc&0xff)
-}
-
-// itoa is a dependency-free decimal formatter for SiteLabel (avoids
-// pulling fmt into the per-leaf rendering path).
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return k + ".branch" + strconv.FormatUint(pc&0xff, 10)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -32,35 +31,14 @@ type KCore struct {
 // NewKCore builds the kernel.
 func NewKCore(g *graph.Graph, as *graph.AddrSpace, cores int) *KCore {
 	k := &KCore{g: g, est: make([]int32, g.N), stacks: allocStacks(as, cores)}
-	k.Reset()
+	for v := range k.est {
+		k.est[v] = g.Degree(int32(v))
+	}
 	return k
 }
 
-// Name implements Kernel.
-func (k *KCore) Name() string { return "KCORE" }
-
 // Graph implements Kernel.
 func (k *KCore) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel: processing low estimates first
-// propagates the peeling frontier in order.
-func (k *KCore) UsesPriority() bool { return true }
-
-// DefaultLgInterval implements Kernel: estimates are small integers.
-func (k *KCore) DefaultLgInterval() uint { return 1 }
-
-// PrefetchProgram implements Kernel: the standard Fig. 14 pattern covers
-// the h-index recomputation's accesses (node, edges, neighbor records).
-func (k *KCore) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *KCore) Reset() {
-	for v := range k.est {
-		k.est[v] = k.g.Degree(int32(v))
-	}
-}
 
 // InitialTasks implements Kernel: every node starts with one estimate
 // task, prioritized by its degree.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -38,35 +37,14 @@ func NewPR(g *graph.Graph, as *graph.AddrSpace, cores int) *PR {
 		residual: make([]float64, g.N),
 		stacks:   allocStacks(as, cores),
 	}
-	k.Reset()
+	for i := range k.residual {
+		k.residual[i] = 1 - PRDamping
+	}
 	return k
 }
 
-// Name implements Kernel.
-func (k *PR) Name() string { return "PR" }
-
 // Graph implements Kernel.
 func (k *PR) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *PR) UsesPriority() bool { return true }
-
-// DefaultLgInterval implements Kernel: residual priorities are scaled by 1e7; 2^18 buckets
-// group residuals ~0.026 apart.
-func (k *PR) DefaultLgInterval() uint { return 18 }
-
-// PrefetchProgram implements Kernel.
-func (k *PR) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *PR) Reset() {
-	for i := range k.rank {
-		k.rank[i] = 0
-		k.residual[i] = 1 - PRDamping
-	}
-}
 
 // InitialTasks implements Kernel: every node starts with residual 1-d.
 func (k *PR) InitialTasks() []worklist.Task {

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"minnow/internal/core"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
 )
@@ -21,14 +22,59 @@ type Arrivable interface {
 	ArrivalTask(node int32) worklist.Task
 }
 
-// Spec declares one Table-2 benchmark: its kernel, its Table-1 input
-// class, and the paper-equivalent input name.
+// Spec declares one benchmark, once: its input, its layout, its tuning
+// and its constructor. Run, RunGraph, the GraphMat baseline and the
+// figure tables all read these fields; none keeps a second copy.
 type Spec struct {
-	Name       string // SSSP, BFS, G500, CC, PR, TC, BC
+	Name       string // SSSP, BFS, G500, CC, PR, TC, BC, KCORE
 	PaperInput string // the Table-1 input this stands in for
-	// Build generates the (scaled) input graph and kernel. cores sizes
-	// per-core stack regions.
-	Build func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel
+	// Input generates the (scaled) input graph, not yet bound.
+	Input func(scale int, seed uint64) *graph.Graph
+	// WideNodes binds 64B node records (TC's hash-index metadata, §6.2).
+	WideNodes bool
+	// Weighted marks a kernel that needs edge weights.
+	Weighted bool
+	// Source picks a source-based kernel's start node; nil means node 0.
+	Source func(g *graph.Graph) int32
+	// LgInterval is the tuned OBIM bucket interval (log2): the delta in
+	// delta-stepping terms, scaled to the kernel's priority units.
+	LgInterval uint
+	// Program builds the worklist-directed prefetch program; nil means
+	// the standard program, which §5.3 gives every workload but TC.
+	Program func(g *graph.Graph) core.PrefetchProgram
+	// New constructs the kernel on a bound graph. cores sizes per-core
+	// stack regions.
+	New func(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel
+}
+
+// Graph generates the input and binds its addresses from as.
+func (s Spec) Graph(scale int, seed uint64, as *graph.AddrSpace) *graph.Graph {
+	g := s.Input(scale, seed)
+	g.Bind(as, s.WideNodes)
+	return g
+}
+
+// SourceNode resolves Source on g.
+func (s Spec) SourceNode(g *graph.Graph) int32 {
+	if s.Source == nil {
+		return 0
+	}
+	return s.Source(g)
+}
+
+// Build generates and binds the input, then constructs the kernel, whose
+// per-core stacks follow the graph in as.
+func (s Spec) Build(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
+	g := s.Graph(scale, seed, as)
+	return s.New(g, s.SourceNode(g), as, cores)
+}
+
+// PrefetchProgram returns the kernel's prefetch program over g.
+func (s Spec) PrefetchProgram(g *graph.Graph) core.PrefetchProgram {
+	if s.Program == nil {
+		return &core.StandardProgram{G: g}
+	}
+	return s.Program(g)
 }
 
 // Suite returns the seven Table-2 benchmarks. scale multiplies the
@@ -42,67 +88,84 @@ func Suite() []Spec {
 		{
 			Name:       "SSSP",
 			PaperInput: "USA-road-d.W",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.RoadMesh(22500*scale, seed)
-				g.Bind(as, false)
-				return NewSSSP(g, 0, as, cores)
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.RoadMesh(22500*scale, seed) },
+			Weighted:   true,
+			// Edge weights are uniform in [1,1000], so a delta of 1024
+			// approximates the classic "delta ~ max weight" tuning.
+			LgInterval: 10,
+			New: func(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel {
+				return NewSSSP(g, src, as, cores)
 			},
 		},
 		{
 			Name:       "BFS",
 			PaperInput: "r4-2e23",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.UniformRandom(24576*scale, 4, seed)
-				g.Bind(as, false)
-				return NewBFS("BFS", g, 0, as, cores)
-			},
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.UniformRandom(24576*scale, 4, seed) },
+			// Hop counts are unit-weight priorities; each level is its
+			// own bucket.
+			LgInterval: 0,
+			New:        newBFS,
 		},
 		{
 			Name:       "G500",
 			PaperInput: "rmat16-2e22",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
+			Input: func(scale int, seed uint64) *graph.Graph {
 				s := 13
 				for sc := scale; sc > 1; sc /= 2 {
 					s++
 				}
-				g := graph.Kronecker(s, 16, seed)
-				g.Bind(as, false)
-				return NewBFS("G500", g, kroneckerRoot(g), as, cores)
+				return graph.Kronecker(s, 16, seed)
 			},
+			Source:     kroneckerRoot,
+			LgInterval: 0, // as BFS
+			New:        newBFS,
 		},
 		{
 			Name:       "CC",
 			PaperInput: "wikipedia-20051105",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.SmallWorld(12288*scale, 6, seed)
-				g.Bind(as, false)
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.SmallWorld(12288*scale, 6, seed) },
+			// Min-label propagation needs fine buckets: wide buckets let
+			// hundreds of label floods interleave and work explodes. The
+			// cost is constant bucket churn, which is exactly why CC is
+			// the paper's worklist-bound benchmark (92% worklist cycles
+			// at 64t, §3.2).
+			LgInterval: 2,
+			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewCC(g, as, cores)
 			},
 		},
 		{
 			Name:       "PR",
 			PaperInput: "wiki-Talk",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.PowerLawTalk(16384*scale, seed)
-				g.Bind(as, false)
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.PowerLawTalk(16384*scale, seed) },
+			// Residual priorities are scaled by 1e7; 2^18 buckets group
+			// residuals ~0.026 apart.
+			LgInterval: 18,
+			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewPR(g, as, cores)
 			},
 		},
 		{
 			Name:       "TC",
 			PaperInput: "com-dblp-sym",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.CommunityDBLP(3072*scale, seed)
-				g.Bind(as, true)
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.CommunityDBLP(3072*scale, seed) },
+			WideNodes:  true,
+			LgInterval: 0, // no priorities
+			// The custom TC prefetch function (§5.3) also covers
+			// destination adjacency lists.
+			Program: func(g *graph.Graph) core.PrefetchProgram { return &core.TCProgram{G: g, MaxListLines: 4} },
+			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewTC(g, as, cores)
 			},
 		},
 		{
 			Name:       "BC",
 			PaperInput: "amazon-ratings",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.Bipartite(10240*scale, 5120*scale, seed)
-				g.Bind(as, false)
+			Input: func(scale int, seed uint64) *graph.Graph {
+				return graph.Bipartite(10240*scale, 5120*scale, seed)
+			},
+			LgInterval: 0, // no priorities
+			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewBC(g, as, cores)
 			},
 		},
@@ -117,9 +180,12 @@ func Extensions() []Spec {
 		{
 			Name:       "KCORE",
 			PaperInput: "(extension: k-core decomposition)",
-			Build: func(scale int, seed uint64, as *graph.AddrSpace, cores int) Kernel {
-				g := graph.SmallWorld(10240*scale, 8, seed)
-				g.Bind(as, false)
+			Input:      func(scale int, seed uint64) *graph.Graph { return graph.SmallWorld(10240*scale, 8, seed) },
+			// Estimates are small integers. The standard Fig. 14
+			// prefetch program covers the h-index recomputation's
+			// accesses (node, edges, neighbor records).
+			LgInterval: 1,
+			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewKCore(g, as, cores)
 			},
 		},
@@ -146,4 +212,9 @@ func SpecByName(name string) (Spec, error) {
 func kroneckerRoot(g *graph.Graph) int32 {
 	n, _ := g.MaxDegreeNode()
 	return n
+}
+
+// newBFS adapts NewBFS to Spec.New.
+func newBFS(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel {
+	return NewBFS(g, src, as, cores)
 }

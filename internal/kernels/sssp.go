@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -30,35 +29,15 @@ func NewSSSP(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) *SSSP {
 		panic("kernels: SSSP needs a weighted graph")
 	}
 	k := &SSSP{g: g, src: src, dist: make([]int64, g.N), stacks: allocStacks(as, cores)}
-	k.Reset()
-	return k
-}
-
-// Name implements Kernel.
-func (k *SSSP) Name() string { return "SSSP" }
-
-// Graph implements Kernel.
-func (k *SSSP) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *SSSP) UsesPriority() bool { return true }
-
-// DefaultLgInterval implements Kernel: edge weights are uniform in [1,1000], so a
-// delta of 1024 approximates the classic "delta ~ max weight" tuning.
-func (k *SSSP) DefaultLgInterval() uint { return 10 }
-
-// PrefetchProgram implements Kernel.
-func (k *SSSP) PrefetchProgram() core.PrefetchProgram {
-	return &core.StandardProgram{G: k.g}
-}
-
-// Reset implements Kernel.
-func (k *SSSP) Reset() {
 	for i := range k.dist {
 		k.dist[i] = math.MaxInt64 / 4
 	}
-	k.dist[k.src] = 0
+	k.dist[src] = 0
+	return k
 }
+
+// Graph implements Kernel.
+func (k *SSSP) Graph() *graph.Graph { return k.g }
 
 // InitialTasks implements Kernel.
 func (k *SSSP) InitialTasks() []worklist.Task {
@@ -165,12 +144,24 @@ type distItem struct {
 	d int64
 }
 
+// distHeap is dijkstra's min-heap of tentative distances, ordered by d
+// through container/heap.
 type distHeap []distItem
 
-func (h distHeap) Len() int           { return len(h) }
+// Len implements heap.Interface.
+func (h distHeap) Len() int { return len(h) }
+
+// Less implements heap.Interface: the shorter distance pops first.
 func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
+
+// Swap implements heap.Interface.
+func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+// Push implements heap.Interface.
+func (h *distHeap) Push(x any) { *h = append(*h, x.(distItem)) }
+
+// Pop implements heap.Interface: it removes the last element, which
+// container/heap has just swapped into place.
 func (h *distHeap) Pop() any {
 	old := *h
 	n := len(old)

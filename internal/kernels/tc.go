@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"minnow/internal/core"
 	"minnow/internal/galois"
 	"minnow/internal/graph"
 	"minnow/internal/worklist"
@@ -27,31 +26,8 @@ func NewTC(g *graph.Graph, as *graph.AddrSpace, cores int) *TC {
 	return &TC{g: g, counts: make([]int64, cores), stacks: allocStacks(as, cores)}
 }
 
-// Name implements Kernel.
-func (k *TC) Name() string { return "TC" }
-
 // Graph implements Kernel.
 func (k *TC) Graph() *graph.Graph { return k.g }
-
-// UsesPriority implements Kernel.
-func (k *TC) UsesPriority() bool { return false }
-
-// DefaultLgInterval implements Kernel: TC has no priorities.
-func (k *TC) DefaultLgInterval() uint { return 0 }
-
-// PrefetchProgram implements Kernel: the custom TC prefetch function
-// (§5.3) that also covers destination adjacency lists.
-func (k *TC) PrefetchProgram() core.PrefetchProgram {
-	return &core.TCProgram{G: k.g, MaxListLines: 4}
-}
-
-// Reset implements Kernel.
-func (k *TC) Reset() {
-	for i := range k.counts {
-		k.counts[i] = 0
-	}
-	k.total = 0
-}
 
 // InitialTasks implements Kernel: one task per node, no priorities.
 func (k *TC) InitialTasks() []worklist.Task {

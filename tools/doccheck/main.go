@@ -1,11 +1,12 @@
 // Command doccheck fails when an exported identifier in the audited
-// packages lacks a doc comment. It guards the public minnow package and
-// the observability, statistics, plan, and service surfaces
-// (internal/obs, internal/stats, internal/prof, internal/inspect,
-// internal/plan, internal/fault, internal/arrival, internal/service and
-// its cache, journal, and tracing subpackages), whose doc comments carry
-// the determinism and observe-only contracts the rest of the simulator
-// is written against; the CI docs job runs it on every push.
+// packages lacks a doc comment. It guards the public minnow package, the
+// benchmark catalogue (internal/kernels), and the observability,
+// statistics, plan, and service surfaces (internal/obs, internal/stats,
+// internal/prof, internal/inspect, internal/plan, internal/fault,
+// internal/arrival, internal/service and its cache, journal, and tracing
+// subpackages), whose doc comments carry the determinism and
+// observe-only contracts the rest of the simulator is written against;
+// the CI docs job runs it on every push.
 //
 // Usage:
 //
@@ -30,6 +31,7 @@ import (
 // defaultDirs are the packages whose documentation the build gates on.
 var defaultDirs = []string{
 	".",
+	"internal/kernels",
 	"internal/obs",
 	"internal/stats",
 	"internal/prof",
