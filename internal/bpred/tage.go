@@ -3,6 +3,12 @@
 // components with geometrically increasing history lengths), following
 // Seznec & Michaud (JILP 2006).
 //
+// Table 3's history lengths are {5, 15, 44, 130} outcomes, but the
+// global history register holds only the newest 64, so the longest
+// table folds 64 bits and the effective lengths are {5, 15, 44, 64}.
+// Each table's folded history lives in circular shift registers
+// updated in O(1) per outcome, as in Seznec & Michaud.
+//
 // Benchmark kernels feed the predictor the *actual* data-dependent branch
 // outcomes their algorithm produces (e.g. "newDist < dist[dst]"), so the
 // mispredict rates the core model sees come from genuinely hard-to-predict
@@ -18,9 +24,17 @@ package bpred
 type Predictor struct {
 	base []int8 // bimodal 2-bit counters
 
-	tables  [numTagged][]taggedEntry
-	histLen [numTagged]uint
-	ghist   uint64 // global history (newest outcome in bit 0)
+	tables [numTagged][]taggedEntry
+	ghist  uint64 // global history (newest outcome in bit 0)
+
+	// fold10[t] and fold11[t] are table t's history window folded to 10
+	// and 11 bits: the low win[t] bits of ghist XORed together in
+	// width-bit chunks. index uses fold10, tag uses both. out10[t] and
+	// out11[t] are win[t] mod 10 and 11, where the bit leaving the window
+	// lands after a register's rotate.
+	fold10, fold11 [numTagged]uint64
+	win            [numTagged]uint
+	out10, out11   [numTagged]uint
 
 	useAltOnNA int8 // "use alternate prediction on newly allocated" counter
 
@@ -45,44 +59,46 @@ type taggedEntry struct {
 	useful uint8
 }
 
-// New returns a predictor with history lengths {5, 15, 44, 130} (geometric
+// histLen is Table 3's history length per tagged table (geometric
 // ratio ~3), the classic TAGE configuration scaled to a 64Kbit budget.
+var histLen = [numTagged]uint{5, 15, 44, 130}
+
+// New returns a predictor with Table 3's history lengths {5, 15, 44,
+// 130}. ghist holds 64 outcomes, so the last table folds only those 64
+// and the effective lengths are {5, 15, 44, 64}.
 func New() *Predictor {
-	p := &Predictor{
-		base:    make([]int8, 1<<baseBits),
-		histLen: [numTagged]uint{5, 15, 44, 130},
-	}
-	for i := range p.tables {
-		p.tables[i] = make([]taggedEntry, 1<<taggedBits)
+	p := &Predictor{base: make([]int8, 1<<baseBits)}
+	for t := range p.tables {
+		p.tables[t] = make([]taggedEntry, 1<<taggedBits)
+		p.win[t] = min(histLen[t], 64)
+		p.out10[t] = p.win[t] % taggedBits
+		p.out11[t] = p.win[t] % tagWidth
 	}
 	return p
 }
 
-// foldedHistory compresses the low histLen bits of ghist into width bits.
-func foldedHistory(ghist uint64, histLen, width uint) uint64 {
-	var folded uint64
-	remaining := histLen
-	h := ghist
-	for remaining > 0 {
-		take := width
-		if take > remaining {
-			take = remaining
-		}
-		folded ^= h & ((1 << take) - 1)
-		h >>= take
-		remaining -= take
-	}
-	return folded
-}
-
 func (p *Predictor) index(table int, pc uint64) uint64 {
-	hl := p.histLen[table]
-	return (pc ^ (pc >> taggedBits) ^ foldedHistory(p.ghist, hl, taggedBits)) & (1<<taggedBits - 1)
+	return (pc ^ (pc >> taggedBits) ^ p.fold10[table]) & (1<<taggedBits - 1)
 }
 
 func (p *Predictor) tag(table int, pc uint64) uint16 {
-	hl := p.histLen[table]
-	return uint16((pc ^ foldedHistory(p.ghist, hl, tagWidth) ^ foldedHistory(p.ghist, hl, tagWidth-1)<<1) & (1<<tagWidth - 1))
+	return uint16((pc ^ p.fold11[table] ^ p.fold10[table]<<1) & (1<<tagWidth - 1))
+}
+
+// pushHistory shifts outcome in (0 or 1) into ghist and every fold
+// register. A register of width w rotates left by one, which moves
+// each window bit to its next chunk position; the bit that leaves the
+// window (ghist bit win-1) lands at win mod w and is XORed out, and the
+// new outcome is XORed into bit 0.
+func (p *Predictor) pushHistory(in uint64) {
+	for t := range p.fold10 {
+		leaving := p.ghist >> (p.win[t] - 1) & 1
+		f := p.fold10[t]
+		p.fold10[t] = (f<<1|f>>(taggedBits-1))&(1<<taggedBits-1) ^ leaving<<p.out10[t] ^ in
+		f = p.fold11[t]
+		p.fold11[t] = (f<<1|f>>(tagWidth-1))&(1<<tagWidth-1) ^ leaving<<p.out11[t] ^ in
+	}
+	p.ghist = p.ghist<<1 | in
 }
 
 // Predict records the outcome of the branch at pc and returns true if the
@@ -188,8 +204,7 @@ func (p *Predictor) Predict(pc uint64, taken bool) (mispredicted bool) {
 		}
 	}
 
-	// History update.
-	p.ghist = p.ghist<<1 | b2u(taken)
+	p.pushHistory(b2u(taken))
 	if mispredicted {
 		p.Mispredict++
 	}

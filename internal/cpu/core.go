@@ -113,19 +113,19 @@ type Core struct {
 
 	now sim.Time
 
-	// In-order retire ring: retireAt[i%ROB] is the retire time of the
-	// i-th uop; head counts issued uops.
-	retireAt []sim.Time
-	seq      int64
-
-	// Sliding windows bounding in-flight ops.
-	loadDone  []sim.Time // completion times of the last LQ loads
-	loadSeq   int64
-	storeDone []sim.Time
-	storeSeq  int64
+	// Window rings, each with a cursor that wraps at its length: the
+	// cursor's slot holds the time of the op issued a full window ago
+	// (the oldest in flight), and push overwrites it with the newest.
+	retireAt  []sim.Time // retire times of the last ROB uops
+	robPos    int
 	rsDone    []sim.Time // completion times of the last RS uops
-	rsSeq     int64
+	rsPos     int
+	loadDone  []sim.Time // completion times of the last LQ loads
+	loadPos   int
+	storeDone []sim.Time // completion times of the last SQ stores/atomics
+	storePos  int
 
+	lastRetire   sim.Time // retire time of the most recent uop (in-order retire)
 	lastLoadDone sim.Time // completion of the most recent load (dependences)
 	fenceUntil   sim.Time // memory ops may not issue before this
 	issueFree    sim.Time // next cycle the front-end can issue
@@ -175,15 +175,22 @@ func (c *Core) ProfRestore(r prof.Region, cursor int) {
 // trace without explaining anything.
 const stallInstantMin = 48
 
-// windowSlot reserves a slot in a completion-time ring of the given
-// capacity: the new op may not issue before the op `cap` positions back
-// has completed.
-func windowSlot(ring []sim.Time, seq int64, issue sim.Time) sim.Time {
-	prev := ring[seq%int64(len(ring))]
-	if prev > issue {
+// windowSlot reserves a slot in a window ring: the new op may not issue
+// before the op a full window back, in the cursor's slot, has completed.
+func windowSlot(ring []sim.Time, pos int, issue sim.Time) sim.Time {
+	if prev := ring[pos]; prev > issue {
 		issue = prev
 	}
 	return issue
+}
+
+// push records v as the newest time in a window ring and advances the
+// cursor, wrapping it at the ring's length.
+func push(ring []sim.Time, pos *int, v sim.Time) {
+	ring[*pos] = v
+	if *pos++; *pos == len(ring) {
+		*pos = 0
+	}
 }
 
 // Run executes a micro-op batch starting at the core's local clock,
@@ -203,9 +210,9 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 		issue := c.issueFree
 
 		// ROB: cannot issue until the op ROB-entries back has retired.
-		issue = windowSlot(c.retireAt, c.seq, issue)
+		issue = windowSlot(c.retireAt, c.robPos, issue)
 		// RS: bounded in-flight uncompleted uops.
-		issue = windowSlot(c.rsDone, c.rsSeq, issue)
+		issue = windowSlot(c.rsDone, c.rsPos, issue)
 
 		var complete sim.Time
 		var stallCat stats.CycleCat = cat
@@ -232,7 +239,7 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			if op.Delinquent {
 				c.Stat.Delinquent++
 			}
-			issue = windowSlot(c.loadDone, c.loadSeq, issue)
+			issue = windowSlot(c.loadDone, c.loadPos, issue)
 			if !c.cfg.NoFences && issue < c.fenceUntil {
 				issue = c.fenceUntil
 			}
@@ -241,8 +248,7 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			}
 			res := c.mem.Access(c.ID, op.Addr, mem.Load, issue)
 			complete = res.Done
-			c.loadDone[c.loadSeq%int64(len(c.loadDone))] = complete
-			c.loadSeq++
+			push(c.loadDone, &c.loadPos, complete)
 			c.lastLoadDone = complete
 			if c.Prefetcher != nil {
 				c.Prefetcher.OnLoad(op.PC, op.Addr, issue)
@@ -256,14 +262,13 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 
 		case uops.Store:
 			c.Stat.Instrs++
-			issue = windowSlot(c.storeDone, c.storeSeq, issue)
+			issue = windowSlot(c.storeDone, c.storePos, issue)
 			if !c.cfg.NoFences && issue < c.fenceUntil {
 				issue = c.fenceUntil
 			}
 			res := c.mem.Access(c.ID, op.Addr, mem.Store, issue)
 			complete = res.Done
-			c.storeDone[c.storeSeq%int64(len(c.storeDone))] = complete
-			c.storeSeq++
+			push(c.storeDone, &c.storePos, complete)
 			if cat == stats.CatUseful && res.Level >= 3 {
 				stallCat = stats.CatStoreMiss
 			}
@@ -274,7 +279,7 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 		case uops.Atomic:
 			c.Stat.Instrs++
 			c.Stat.Atomics++
-			issue = windowSlot(c.storeDone, c.storeSeq, issue)
+			issue = windowSlot(c.storeDone, c.storePos, issue)
 			if !c.cfg.NoFences {
 				// x86-TSO: all prior loads and stores must have
 				// completed before the locked RMW executes.
@@ -291,8 +296,7 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 				// Later memory ops wait for the RMW to complete.
 				c.fenceUntil = complete
 			}
-			c.storeDone[c.storeSeq%int64(len(c.storeDone))] = complete
-			c.storeSeq++
+			push(c.storeDone, &c.storePos, complete)
 			if cat == stats.CatUseful {
 				stallCat = stats.CatStoreMiss
 			}
@@ -332,11 +336,10 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 		}
 
 		// RS slot frees at completion.
-		c.rsDone[c.rsSeq%int64(len(c.rsDone))] = complete
-		c.rsSeq++
+		push(c.rsDone, &c.rsPos, complete)
 
 		// In-order retire.
-		prevRetire := c.retireAt[(c.seq+int64(len(c.retireAt))-1)%int64(len(c.retireAt))]
+		prevRetire := c.lastRetire
 		retire := complete
 		if prevRetire > retire {
 			retire = prevRetire
@@ -373,8 +376,8 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 				c.TL.Instant(c.Track, stallKind(stallCat, op.Kind, mispredicted), base, gap)
 			}
 		}
-		c.retireAt[c.seq%int64(len(c.retireAt))] = retire
-		c.seq++
+		push(c.retireAt, &c.robPos, retire)
+		c.lastRetire = retire
 		c.cursor++
 		if retire > c.now {
 			c.now = retire

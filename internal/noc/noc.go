@@ -30,6 +30,10 @@ type Mesh struct {
 	// node in direction dir can accept the next flit.
 	nextFree []sim.Time
 
+	// col[id] and row[id] are node id's coordinates, so routing needs
+	// no divide.
+	col, row []int
+
 	Flits    int64 // total link traversals
 	StallCyc int64 // total cycles flits waited for links
 	Messages int64
@@ -40,7 +44,9 @@ type Mesh struct {
 	FaultDelay func() sim.Time
 }
 
-// Directions for links leaving a node.
+// Directions for links leaving a node. A link's index is node*4+dir, so
+// the next link along a straight leg is 4 further east (+4), west (−4),
+// south (+4·W) or north (−4·W).
 const (
 	dirEast = iota
 	dirWest
@@ -50,17 +56,23 @@ const (
 
 // New returns a mesh with the given dimensions and per-hop latency.
 func New(w, h int, hopCycles sim.Time) *Mesh {
-	return &Mesh{
+	m := &Mesh{
 		W:         w,
 		H:         h,
 		HopCycles: hopCycles,
 		nextFree:  make([]sim.Time, w*h*4),
+		col:       make([]int, w*h),
+		row:       make([]int, w*h),
 	}
+	for id := range m.col {
+		m.col[id], m.row[id] = id%w, id/w
+	}
+	return m
 }
 
 // NodeOf returns the (x, y) coordinates of node id (row-major).
 func (m *Mesh) NodeOf(id int) (x, y int) {
-	return id % m.W, id / m.W
+	return m.col[id], m.row[id]
 }
 
 // Hops returns the Manhattan distance between two nodes.
@@ -90,27 +102,18 @@ func (m *Mesh) Traverse(from, to int, start sim.Time) sim.Time {
 	if m.FaultDelay != nil {
 		t += m.FaultDelay()
 	}
-	x, y := m.NodeOf(from)
-	tx, ty := m.NodeOf(to)
-	for x != tx {
-		dir := dirEast
-		nx := x + 1
-		if tx < x {
-			dir = dirWest
-			nx = x - 1
-		}
-		t = m.crossLink(x, y, dir, t)
-		x = nx
+	// X leg along from's row, then Y leg along the destination column
+	// from the corner node from+dx.
+	dx, dy := m.col[to]-m.col[from], m.row[to]-m.row[from]
+	if dx > 0 {
+		t = m.leg(from*4+dirEast, 4, dx, t)
+	} else if dx < 0 {
+		t = m.leg(from*4+dirWest, -4, -dx, t)
 	}
-	for y != ty {
-		dir := dirSouth
-		ny := y + 1
-		if ty < y {
-			dir = dirNorth
-			ny = y - 1
-		}
-		t = m.crossLink(x, y, dir, t)
-		y = ny
+	if dy > 0 {
+		t = m.leg((from+dx)*4+dirSouth, 4*m.W, dy, t)
+	} else if dy < 0 {
+		t = m.leg((from+dx)*4+dirNorth, -4*m.W, -dy, t)
 	}
 	return t
 }
@@ -129,20 +132,28 @@ func (m *Mesh) RoundTrip(from, to int, start sim.Time) sim.Time {
 // skew, not real contention, and are ignored rather than waited on.
 const contentionWindow = 64
 
-func (m *Mesh) crossLink(x, y, dir int, t sim.Time) sim.Time {
-	idx := (y*m.W+x)*4 + dir
-	free := m.nextFree[idx]
-	if free > t && free-t <= contentionWindow {
-		m.StallCyc += int64(free - t)
-		t = free
+// leg sends the flit across hops consecutive links of one straight
+// route leg, starting at link index idx and stepping by step, and
+// returns its arrival time at the leg's end.
+func (m *Mesh) leg(idx, step, hops int, t sim.Time) sim.Time {
+	m.Flits += int64(hops)
+	var stall int64
+	for ; hops > 0; hops-- {
+		free := m.nextFree[idx]
+		if free > t && free-t <= contentionWindow {
+			stall += int64(free - t)
+			t = free
+		}
+		// The link is occupied for one flit cycle; the flit arrives at
+		// the next router after the hop pipeline latency.
+		if t+1 > free {
+			m.nextFree[idx] = t + 1
+		}
+		t += m.HopCycles
+		idx += step
 	}
-	// The link is occupied for one flit cycle; the flit arrives at the
-	// next router after the hop pipeline latency.
-	if t+1 > m.nextFree[idx] {
-		m.nextFree[idx] = t + 1
-	}
-	m.Flits++
-	return t + m.HopCycles
+	m.StallCyc += stall
+	return t
 }
 
 // Reset clears link reservations and counters.
