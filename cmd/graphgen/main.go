@@ -27,7 +27,7 @@ func main() {
 	flag.Parse()
 
 	if flag.Arg(0) == "table1" {
-		text, err := minnow.RenderFigure("table1", minnow.FigureOptions{})
+		text, _, err := minnow.RenderFigure("table1", minnow.FigureOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graphgen:", err)
 			os.Exit(1)

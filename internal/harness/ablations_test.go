@@ -2,28 +2,11 @@ package harness
 
 import "testing"
 
-// TestAblations runs the full ablation suite at a reduced thread count
-// and sanity-checks the headline effects.
-func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations take ~20s")
-	}
-	f := QuickFigOptions()
-	f.Threads = 8
-	out, err := Ablations(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + out)
-}
+// ablationOpts is the configuration of the ablation-direction tests.
+func ablationOpts() FigOptions { return FigOptions{Threads: 8, Scale: 1, Quick: true} }
 
 func TestAblationSocketsHelps(t *testing.T) {
-	f := QuickFigOptions()
-	f.Threads = 8
-	tb, err := AblationSockets(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figure(t, "ablation-sockets", ablationOpts())
 	// 8-way sharding must beat a single lock on SSSP at 8 threads.
 	if parseF(t, tb.Rows[0][3]) <= 1.0 {
 		t.Fatalf("sharding did not help: %v", tb.Rows[0])
@@ -31,12 +14,7 @@ func TestAblationSocketsHelps(t *testing.T) {
 }
 
 func TestAblationSharedEnginesTradeoff(t *testing.T) {
-	f := QuickFigOptions()
-	f.Threads = 8
-	tb, err := AblationSharedEngines(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figure(t, "ablation-sharing", ablationOpts())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}

@@ -2,56 +2,82 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestAllFiguresQuick exercises every figure function end-to-end in quick
-// mode at a small thread count — the integration test that guards the
-// whole experiment surface.
+// TestAllFiguresQuick renders every figure in quick mode at 16 threads
+// and scale 1 and pins each table, plus one "bench SummaryHash" line per
+// distinct run in submission order, against
+// testdata/figures.quick.golden. A change that moves a summary hash thus
+// shows which figure cells moved and by how much. Regenerate with
+// `UPDATE_GOLDEN=1 go test ./internal/harness -run TestAllFiguresQuick`
+// and review the diff.
 func TestAllFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f := QuickFigOptions()
-	f.Threads = 4
-	figs := map[string]func(FigOptions) (interface{ String() string }, error){
-		"table2": func(f FigOptions) (interface{ String() string }, error) { return Table2(f) },
-		"fig2":   func(f FigOptions) (interface{ String() string }, error) { return Fig2(f) },
-		"fig3":   func(f FigOptions) (interface{ String() string }, error) { return Fig3(f) },
-		"fig4":   func(f FigOptions) (interface{ String() string }, error) { return Fig4(f) },
-		"fig6":   func(f FigOptions) (interface{ String() string }, error) { return Fig6(f) },
-		"fig11":  func(f FigOptions) (interface{ String() string }, error) { return Fig11(f) },
-		"fig15":  func(f FigOptions) (interface{ String() string }, error) { return Fig15(f) },
-		"fig17":  func(f FigOptions) (interface{ String() string }, error) { return Fig17(f) },
-		"fig18":  func(f FigOptions) (interface{ String() string }, error) { return Fig18(f) },
-		"fig19":  func(f FigOptions) (interface{ String() string }, error) { return Fig19(f) },
-		"fig20":  func(f FigOptions) (interface{ String() string }, error) { return Fig20(f) },
-		"fig21":  func(f FigOptions) (interface{ String() string }, error) { return Fig21(f) },
-		"sojourn": func(f FigOptions) (interface{ String() string }, error) {
-			tb, err := FigSojourn(f)
-			if err != nil {
-				return nil, err
+	names := FigureNames()
+	tables, runs, err := RenderFigures(names, FigOptions{Threads: 16, Scale: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for i, name := range names {
+		fmt.Fprintf(&got, "=== %s ===\n%s\n", name, tables[i])
+	}
+	got.WriteString("=== runs ===\n")
+	for _, r := range runs {
+		fmt.Fprintf(&got, "%s %s\n", r.Job.Bench, r.Run.Summary().Hash())
+	}
+
+	path := filepath.Join("testdata", "figures.quick.golden")
+	if updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (rerun with UPDATE_GOLDEN=1): %v", err)
+	}
+	gotSec, wantSec := goldenSections(got.String()), goldenSections(string(data))
+	if len(gotSec) != len(wantSec) {
+		t.Errorf("golden file has %d sections, the figure table renders %d; rerun with UPDATE_GOLDEN=1 and review",
+			len(wantSec), len(gotSec))
+	}
+	for i, name := range append(names, "runs") {
+		t.Run(name, func(t *testing.T) {
+			if gotSec[name] != wantSec[name] {
+				t.Errorf("drifted from golden file; rerun with UPDATE_GOLDEN=1 and review:\n--- got\n%s--- want\n%s",
+					gotSec[name], wantSec[name])
+			}
+			if name != "sojourn" {
+				return
 			}
 			// The open-loop contract the walkthrough reads off the table:
-			// conservation per row and monotone percentiles.
-			for _, row := range tb.Rows {
+			// every injected arrival retires.
+			for _, row := range tables[i].Rows {
 				if row[1] != row[2] {
-					return nil, fmt.Errorf("sojourn row %v: injected != retired", row)
+					t.Errorf("sojourn row %v: injected != retired", row)
 				}
-			}
-			return tb, err
-		},
-	}
-	for name, fn := range figs {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
-			tb, err := fn(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tb.String()) == 0 {
-				t.Fatal("empty output")
 			}
 		})
 	}
+}
+
+// goldenSections splits a rendering at its "=== name ===" lines.
+func goldenSections(s string) map[string]string {
+	out := map[string]string{}
+	name := ""
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if n, ok := strings.CutPrefix(line, "=== "); ok {
+			name = strings.TrimSuffix(n, " ===\n")
+			continue
+		}
+		out[name] += line
+	}
+	return out
 }

@@ -13,10 +13,12 @@
 //     them;
 //   - parallel.go fans independent configurations over a worker pool
 //     (RunJobs) and implements the determinism checker;
-//   - figures.go and timeseries.go regenerate the paper's tables and
-//     figures, including the time-resolved occupancy and interval-MPKI
-//     views (Fig. 2 / Fig. 13 analogues);
-//   - ablations.go holds the §6.4-style sensitivity sweeps.
+//   - figures.go declares every table and figure once, in one ordered
+//     table: the paper's evaluation, the time-resolved, open-loop and
+//     profiler views, and the ablations. RenderFigures runs the
+//     requested entries' distinct configurations over one pool and
+//     fills their tables; timeseries.go and profiles.go hold the
+//     time-resolved and cpistack entries' table helpers.
 //
 // Determinism contract: each simulation is one goroutine owning all of
 // its state; parallelism exists only across independent configurations,

@@ -10,14 +10,20 @@ import (
 )
 
 // tiny trims the quick options further for unit-test latency.
-func tiny() FigOptions {
-	f := QuickFigOptions()
-	f.Threads = 4
-	return f
+func tiny() FigOptions { return FigOptions{Threads: 4, Scale: 1, Quick: true} }
+
+// figure renders one figure through the figure table.
+func figure(t *testing.T, name string, f FigOptions) *stats.Table {
+	t.Helper()
+	tables, _, err := RenderFigures([]string{name}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables[0]
 }
 
 func TestTable1Complete(t *testing.T) {
-	tb := Table1(tiny())
+	tb := figure(t, "table1", tiny())
 	if len(tb.Rows) != 7 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -30,7 +36,7 @@ func TestTable1Complete(t *testing.T) {
 }
 
 func TestTable3RendersConfig(t *testing.T) {
-	s := Table3(tiny()).String()
+	s := figure(t, "table3", tiny()).String()
 	for _, frag := range []string{"TAGE", "8-way", "mesh", "localQ"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("table3 missing %q:\n%s", frag, s)
@@ -39,50 +45,39 @@ func TestTable3RendersConfig(t *testing.T) {
 }
 
 // TestFiguresJobsInvariant proves the worker pool does not change figure
-// output: the rendered table (and its CSV form) must be byte-identical
-// between a serial and a 4-wide parallel sweep.
+// output: the rendered tables (and their CSV forms) must be
+// byte-identical between a serial and a 4-wide parallel sweep.
 func TestFiguresJobsInvariant(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		fn   func(FigOptions) (*stats.Table, error)
-	}{
-		{"fig5", Fig5},
-		{"fig11", Fig11},
-	} {
-		f1 := tiny()
-		f1.Jobs = 1
-		serial, err := fig.fn(f1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f4 := tiny()
-		f4.Jobs = 4
-		parallel, err := fig.fn(f4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.CSV() != parallel.CSV() {
+	names := []string{"fig5", "fig11"}
+	f1 := tiny()
+	f1.Jobs = 1
+	serial, _, err := RenderFigures(names, f1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f4 := tiny()
+	f4.Jobs = 4
+	parallel, _, err := RenderFigures(names, f4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if serial[i].CSV() != parallel[i].CSV() {
 			t.Errorf("%s differs between -jobs 1 and -jobs 4:\nserial:\n%s\nparallel:\n%s",
-				fig.name, serial.CSV(), parallel.CSV())
+				name, serial[i].CSV(), parallel[i].CSV())
 		}
 	}
 }
 
 func TestFig5BreakdownRows(t *testing.T) {
-	tb, err := Fig5(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figure(t, "fig5", tiny())
 	if len(tb.Rows) != len(tiny().benchNames()) {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
 }
 
 func TestFig16MinnowWins(t *testing.T) {
-	tb, err := Fig16(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figure(t, "fig16", tiny())
 	// The geomean row's prefetch column must beat 1x (the paper's core
 	// claim in miniature).
 	last := tb.Rows[len(tb.Rows)-1]
@@ -107,7 +102,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestAreaTable(t *testing.T) {
-	s := AreaTable().String()
+	s := figure(t, "area", tiny()).String()
 	if !strings.Contains(s, "overhead") {
 		t.Fatalf("area table:\n%s", s)
 	}

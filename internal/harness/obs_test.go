@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,10 +10,12 @@ import (
 	"testing"
 
 	"minnow/internal/kernels"
-	"minnow/internal/stats"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
+// updateGolden makes the golden-file tests (trace, folded, timeline and
+// figures) rewrite their files instead of comparing: run
+// `UPDATE_GOLDEN=1 go test ./internal/harness` and review the diff.
+var updateGolden = os.Getenv("UPDATE_GOLDEN") == "1"
 
 // obsOpts is the reference configuration the observability tests pin:
 // small, Minnow with prefetching (so every track and column is live).
@@ -93,8 +94,9 @@ func TestObservabilityStableAcrossJobs(t *testing.T) {
 func TestTimelineGolden(t *testing.T) {
 	// Golden-file pin: the Perfetto export for a fixed tiny configuration
 	// is valid JSON and byte-stable across refactors. Regenerate with
-	// `go test ./internal/harness -run TimelineGolden -update` and eyeball
-	// the diff (and ideally load it at ui.perfetto.dev) before committing.
+	// `UPDATE_GOLDEN=1 go test ./internal/harness -run TimelineGolden`
+	// and eyeball the diff (and ideally load it at ui.perfetto.dev)
+	// before committing.
 	spec, err := kernels.SpecByName("SSSP")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func TestTimelineGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "timeline.golden.json")
-	if *updateGolden {
+	if updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +132,10 @@ func TestTimelineGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
+		t.Fatalf("missing golden file (rerun with UPDATE_GOLDEN=1): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("timeline drifted from golden file (len %d vs %d); rerun with -update and review",
+		t.Fatalf("timeline drifted from golden file (len %d vs %d); rerun with UPDATE_GOLDEN=1 and review",
 			len(got), len(want))
 	}
 }
@@ -145,7 +147,7 @@ func TestTraceGolden(t *testing.T) {
 	// configuration starves the credit pool so the counts cover credit
 	// stalls and stream drops; the second shares engines so the engine
 	// and core columns differ. Regenerate with
-	// `go test ./internal/harness -run TraceGolden -update` and review.
+	// `UPDATE_GOLDEN=1 go test ./internal/harness -run TraceGolden` and review.
 	spec, err := kernels.SpecByName("SSSP")
 	if err != nil {
 		t.Fatal(err)
@@ -187,17 +189,17 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "trace.golden.txt")
-	if *updateGolden {
+	if updateGolden {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
+		t.Fatalf("missing golden file (rerun with UPDATE_GOLDEN=1): %v", err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("engine trace drifted from golden file; rerun with -update and review:\n%s", got.String())
+		t.Fatalf("engine trace drifted from golden file; rerun with UPDATE_GOLDEN=1 and review:\n%s", got.String())
 	}
 }
 
@@ -247,20 +249,17 @@ func TestIntervalColumnsMinnow(t *testing.T) {
 }
 
 func TestTimeseriesFigures(t *testing.T) {
-	f := FigOptions{Threads: 2, Scale: 1, Seed: 7, Quick: true, Jobs: 2}
-	for name, fn := range map[string]func(FigOptions) (*stats.Table, error){
-		"occupancy":     FigOccupancy,
-		"mpki-interval": FigIntervalMPKI,
-	} {
-		tb, err := fn(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	names := []string{"occupancy", "mpki-interval"}
+	tables, _, err := RenderFigures(names, FigOptions{Threads: 2, Scale: 1, Seed: 7, Quick: true, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tb := range tables {
 		if len(tb.Rows) == 0 {
-			t.Fatalf("%s: empty table", name)
+			t.Fatalf("%s: empty table", names[i])
 		}
 		if got := len(tb.Headers); got != 3 {
-			t.Fatalf("%s: %d columns", name, got)
+			t.Fatalf("%s: %d columns", names[i], got)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestProfileMinnowShape(t *testing.T) {
 // per-run private state: byte-identical folded stacks and pprof bytes
 // whatever the worker-pool width, plus a golden-file pin on the folded
 // rendering for a fixed tiny configuration. Regenerate with
-// `go test ./internal/harness -run ProfileStable -update` and review.
+// `UPDATE_GOLDEN=1 go test ./internal/harness -run ProfileStable` and review.
 func TestProfileStableAcrossJobs(t *testing.T) {
 	o := obsOpts()
 	o.Profile = true
@@ -180,16 +180,16 @@ func TestProfileStableAcrossJobs(t *testing.T) {
 
 	got := []byte(serial[0].Run.Profile.Folded())
 	path := filepath.Join("testdata", "folded.golden.txt")
-	if *updateGolden {
+	if updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
+		t.Fatalf("missing golden file (rerun with UPDATE_GOLDEN=1): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("folded stacks drifted from golden file; rerun with -update and review:\n%s", got)
+		t.Fatalf("folded stacks drifted from golden file; rerun with UPDATE_GOLDEN=1 and review:\n%s", got)
 	}
 }

@@ -1,47 +1,9 @@
 package harness
 
-import (
-	"fmt"
+import "minnow/internal/prof"
 
-	"minnow/internal/prof"
-	"minnow/internal/stats"
-)
-
-// FigCPIStack regenerates the Fig. 5 cycle breakdown through the
-// top-down profiler: the same runs as Fig5, but each bar refined into
-// stall cause × serving level, for the software baseline and the full
-// Minnow+prefetch system side by side. Values are fractions of total
-// core cycles, so each row sums to 1 (the profiler's conservation
-// property).
-func FigCPIStack(f FigOptions) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("cpistack: refined cycle attribution at %d threads (fraction of core cycles)", f.Threads),
-		Headers: []string{"workload", "sched", "useful", "branch", "load-near", "load-L3",
-			"load-remote", "load-DRAM", "store", "fence", "enqueue", "dequeue", "backpressure"},
-	}
-	scheds := []string{"obim", "minnow+pf"}
-	var jobs []Job
-	for _, name := range f.benchNames() {
-		o := f.base()
-		o.Profile = true
-		om := o
-		om.Scheduler = "minnow"
-		om.Prefetch = true
-		jobs = append(jobs, Job{Bench: name, Opts: o}, Job{Bench: name, Opts: om})
-	}
-	runs, err := f.runAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range f.benchNames() {
-		for j, sched := range scheds {
-			t.AddRow(cpiRow(name, sched, runs[2*i+j].Profile)...)
-		}
-	}
-	return t, nil
-}
-
-// cpiRow folds one profile into the cpistack columns.
+// cpiRow folds one profile into the cpistack figure's columns: the
+// Fig. 5 cycle breakdown refined into stall cause × serving level.
 func cpiRow(name, sched string, p *prof.Profile) []any {
 	var useful, branch, store, fence, enq, deq, bp float64
 	loadBy := map[prof.Level]float64{}

@@ -21,8 +21,6 @@ package minnow
 
 import (
 	"flag"
-	"fmt"
-	"sort"
 
 	"minnow/internal/harness"
 	"minnow/internal/kernels"
@@ -281,133 +279,41 @@ type GraphView = harness.GraphView
 // load's data); separate emits overlap in the engine's load buffer.
 type PrefetchFunc = harness.PrefetchFunc
 
-// Figures lists the regenerable tables and figures from the paper.
-func Figures() []string {
-	out := make([]string, 0, len(figureTables)+len(textFigures))
-	for name := range figureTables {
-		out = append(out, name)
-	}
-	for name := range textFigures {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Figures lists the regenerable tables and figures from the paper, in
+// evaluation order.
+func Figures() []string { return harness.FigureNames() }
 
-// FigureOptions parameterizes figure regeneration.
-type FigureOptions struct {
-	Threads int    // default 64 (the paper's configuration)
-	Scale   int    // default 1
-	Seed    uint64 // default 42
-	Quick   bool   // trimmed sweeps
-	// Jobs bounds the worker pool that runs a figure's independent
-	// configurations concurrently (0 = all CPUs, 1 = serial). Output is
-	// byte-identical for every value.
-	Jobs int
-}
+// FigureOptions parameterizes figure regeneration: Threads (default 64,
+// the paper's configuration), Scale (default 2), Seed (default 42),
+// Quick (trimmed sweeps), and Jobs, the width of the worker pool that
+// runs the figures' independent configurations (0 = all CPUs, 1 =
+// serial; output is byte-identical for every value). Zero fields select
+// the defaults; Validate rejects nonsensical values.
+type FigureOptions = harness.FigOptions
 
-// Validate rejects nonsensical figure options with a descriptive error;
-// zero values select the documented defaults. Messages follow the same
-// "minnow: <Field>: <reason>" form as Config.Validate.
-func (f FigureOptions) Validate() error {
-	switch {
-	case f.Threads < 0:
-		return fmt.Errorf("minnow: Threads: figure thread count %d is negative (0 selects the default of 64)", f.Threads)
-	case f.Threads > 64:
-		return fmt.Errorf("minnow: Threads: figure thread count %d exceeds 64, the coherence directory's sharer-mask width", f.Threads)
-	case f.Scale < 0:
-		return fmt.Errorf("minnow: Scale: figure scale %d is negative (0 selects the default of 1)", f.Scale)
-	case f.Jobs < 0:
-		return fmt.Errorf("minnow: Jobs: figure worker count %d is negative (0 means all CPUs)", f.Jobs)
-	}
-	return nil
-}
-
-func (f FigureOptions) toFig() harness.FigOptions {
-	o := harness.DefaultFigOptions()
-	if f.Threads > 0 {
-		o.Threads = f.Threads
-	}
-	if f.Scale > 0 {
-		o.Scale = f.Scale
-	}
-	if f.Seed != 0 {
-		o.Seed = f.Seed
-	}
-	o.Quick = f.Quick
-	o.Jobs = f.Jobs
-	return o
-}
-
-// figureTables maps figure names to table-producing functions; each
-// renders as text through Table.String and as CSV.
-var figureTables = map[string]func(harness.FigOptions) (*stats.Table, error){
-	"table1": func(f harness.FigOptions) (*stats.Table, error) { return harness.Table1(f), nil },
-	"table2": harness.Table2,
-	"table3": func(f harness.FigOptions) (*stats.Table, error) { return harness.Table3(f), nil },
-	"fig2":   harness.Fig2,
-	"fig3":   harness.Fig3,
-	"fig4":   harness.Fig4,
-	"fig5":   harness.Fig5,
-	"fig6":   harness.Fig6,
-	"fig11":  harness.Fig11,
-	"fig15":  harness.Fig15,
-	"fig16":  harness.Fig16,
-	"fig17":  harness.Fig17,
-	"fig18":  harness.Fig18,
-	"fig19":  harness.Fig19,
-	"fig20":  harness.Fig20,
-	"fig21":  harness.Fig21,
-	"area":   func(harness.FigOptions) (*stats.Table, error) { return harness.AreaTable(), nil },
-
-	// Time-resolved views built on the interval-sampling registry.
-	"occupancy":     harness.FigOccupancy,
-	"mpki-interval": harness.FigIntervalMPKI,
-
-	// Open-loop latency: sojourn percentiles vs offered load.
-	"sojourn": harness.FigSojourn,
-
-	// Refined Fig. 5 through the top-down profiler.
-	"cpistack": harness.FigCPIStack,
-}
-
-// RenderFigureCSV regenerates a figure as comma-separated values.
-func RenderFigureCSV(name string, opts FigureOptions) (string, error) {
-	if err := opts.Validate(); err != nil {
-		return "", err
-	}
-	fn, ok := figureTables[name]
-	if !ok {
-		return "", fmt.Errorf("minnow: figure %q has no CSV form (have %v)", name, Figures())
-	}
-	tb, err := fn(opts.toFig())
+// RenderFigures regenerates the named tables and figures (see Figures)
+// as plain-text tables and as comma-separated values, one of each per
+// name. It checks every name before simulating anything, and simulates
+// each distinct configuration the figures share once.
+func RenderFigures(names []string, opts FigureOptions) (text, csv []string, err error) {
+	tables, _, err := harness.RenderFigures(names, opts)
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
-	return tb.CSV(), nil
-}
-
-// textFigures holds the multi-table outputs that have a text form only.
-var textFigures = map[string]func(harness.FigOptions) (string, error){
-	"ablations": harness.Ablations,
+	for _, tb := range tables {
+		text = append(text, tb.String())
+		csv = append(csv, tb.CSV())
+	}
+	return text, csv, nil
 }
 
 // RenderFigure regenerates one of the paper's tables or figures (see
-// Figures for the names) as a plain-text table.
-func RenderFigure(name string, opts FigureOptions) (string, error) {
-	if err := opts.Validate(); err != nil {
-		return "", err
-	}
-	if fn, ok := textFigures[name]; ok {
-		return fn(opts.toFig())
-	}
-	fn, ok := figureTables[name]
-	if !ok {
-		return "", fmt.Errorf("minnow: unknown figure %q (have %v)", name, Figures())
-	}
-	tb, err := fn(opts.toFig())
+// Figures for the names) as a plain-text table and as comma-separated
+// values, from a single simulation of its runs.
+func RenderFigure(name string, opts FigureOptions) (text, csv string, err error) {
+	texts, csvs, err := RenderFigures([]string{name}, opts)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
-	return tb.String(), nil
+	return texts[0], csvs[0], nil
 }

@@ -150,17 +150,22 @@ func TestLgIntervalOverride(t *testing.T) {
 
 func TestFiguresRegistry(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 22 {
+	if len(figs) != 27 {
 		t.Fatalf("figure registry has %d entries: %v", len(figs), figs)
 	}
-	if _, err := RenderFigure("nope", FigureOptions{}); err == nil {
+	if _, _, err := RenderFigure("nope", FigureOptions{}); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	// Every name is checked before anything runs: were it not, Fig. 3 at
+	// the 64-thread default would simulate for minutes first.
+	if _, _, err := RenderFigures([]string{"table1", "fig3", "nope"}, FigureOptions{}); err == nil {
+		t.Fatal("unknown figure accepted after valid ones")
 	}
 }
 
 func TestRenderStaticFigures(t *testing.T) {
 	for _, name := range []string{"table1", "table3", "area"} {
-		text, err := RenderFigure(name, FigureOptions{Quick: true, Threads: 4})
+		text, _, err := RenderFigure(name, FigureOptions{Quick: true, Threads: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -185,15 +190,12 @@ func TestIdealCoreModes(t *testing.T) {
 }
 
 func TestRenderFigureCSV(t *testing.T) {
-	csv, err := RenderFigureCSV("table1", FigureOptions{Threads: 4, Quick: true})
+	_, csv, err := RenderFigure("table1", FigureOptions{Threads: 4, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv, ",") || !strings.Contains(csv, "\n") {
 		t.Fatalf("csv malformed: %q", csv[:min(80, len(csv))])
-	}
-	if _, err := RenderFigureCSV("ablations", FigureOptions{}); err == nil {
-		t.Fatal("multi-table figure should have no CSV form")
 	}
 }
 
