@@ -40,8 +40,11 @@
 // never-completed jobs (determinism guarantees the re-run reproduces
 // the exact SummaryHash the lost run would have), serves completed ones
 // from the cache, and reports how far crashed runs got via their last
-// epoch checkpoint. Replay appends nothing, so a double restart is a
-// no-op. See the journal subpackage for the record format.
+// epoch checkpoint. Replay appends nothing and compacts the journal to
+// records that replay to the same state, so a double restart is a
+// no-op — the second one does not even rewrite the file. Replay reads
+// no cached result: a done job attaches its cache entry on first read.
+// See the journal subpackage for the record format.
 //
 // Cancellation contract: DELETE /jobs/{id} cancels a queued job before
 // the response returns; a running job's simulation observes its cancel

@@ -20,6 +20,12 @@
 // appended after a restart lands on a fresh line instead of fusing
 // with the fragment.
 //
+// Compacted form: the service rewrites the journal at startup down to
+// the jobs it keeps. A finished job becomes one folded terminal record
+// (Record.Folded) carrying its submit fields; an unfinished one keeps
+// its submit record and latest checkpoint. Live appends always use the
+// submit-then-terminal form.
+//
 // Concurrency contract: a Journal is safe for concurrent use; every
 // Append serializes on an internal mutex. Records for different jobs
 // interleave freely — replay groups them by ID.
@@ -27,6 +33,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,9 +102,14 @@ type Record struct {
 	// StartAt is the wall-clock time (Unix nanoseconds) the job's
 	// simulation was dispatched to a worker shard, carried on terminal
 	// records (0 when the job never ran) so the queue-wait/exec split
-	// survives journal compaction, which keeps only the submit and
-	// terminal records of completed jobs.
+	// survives journal compaction, which drops start records.
 	StartAt int64 `json:"start_at,omitempty"`
+	// SubmitAt is the submission time (Unix nanoseconds) on a compacted
+	// terminal record: compaction folds a finished job's submit record
+	// into its terminal one, which then also carries Bench, Key, Corr and
+	// Priority (but no Spec — a finished job never re-runs). Live
+	// terminal records leave it 0 and follow their submit record.
+	SubmitAt int64 `json:"submit_at,omitempty"`
 	// Spec is the resolved ConfigSpec JSON (submit records), everything
 	// replay needs to re-run the job without the original request.
 	Spec json.RawMessage `json:"spec,omitempty"`
@@ -113,11 +125,29 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 }
 
+// Folded reports whether r is a compacted terminal record: one that
+// carries its job's submit fields (Bench, Key, Corr, Priority,
+// SubmitAt) and so stands for the whole finished job, with no submit
+// record before it. Live terminal records carry no Key.
+func (r Record) Folded() bool { return r.Op.Terminal() && r.Key != "" }
+
+// Equal reports whether two records are equal field for field (Spec
+// byte for byte).
+func (r Record) Equal(o Record) bool {
+	return r.Op == o.Op && r.ID == o.ID && r.Bench == o.Bench && r.Key == o.Key &&
+		r.Priority == o.Priority && r.At == o.At && r.Corr == o.Corr &&
+		r.StartAt == o.StartAt && r.SubmitAt == o.SubmitAt && bytes.Equal(r.Spec, o.Spec) &&
+		r.Cycles == o.Cycles && r.Samples == o.Samples && r.Hash == o.Hash && r.Error == o.Error
+}
+
 // Journal is an open append-only job log.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+	// skipped counts the lines Open could not turn into a record: blank,
+	// torn, or corrupt.
+	skipped int
 }
 
 // Open opens (creating if missing) the journal at path and replays its
@@ -135,16 +165,14 @@ func Open(path string) (*Journal, []Record, error) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	var recs []Record
+	skipped := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.ID == "" || r.Op == "" {
-			continue // torn or corrupt line: skip, never fail recovery
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.ID == "" || r.Op == "" {
+			skipped++ // blank, torn or corrupt line: skip, never fail recovery
+			continue
 		}
 		recs = append(recs, r)
 	}
@@ -175,8 +203,14 @@ func Open(path string) (*Journal, []Record, error) {
 			}
 		}
 	}
-	return &Journal{f: f, path: path}, recs, nil
+	return &Journal{f: f, path: path, skipped: skipped}, recs, nil
 }
+
+// Intact reports whether every line Open read decoded into one of the
+// records it returned — no blank, torn, or corrupt line. A journal that
+// is intact and already holds exactly the records a compaction would
+// write needs no Rewrite.
+func (j *Journal) Intact() bool { return j.skipped == 0 }
 
 // Append writes one record as a single JSON line. With sync=true the
 // file is fsync'd before returning — used for submit and terminal
@@ -206,13 +240,16 @@ func (j *Journal) Append(r Record, sync bool) error {
 }
 
 // Rewrite atomically replaces the journal's contents with recs —
-// written to a temp file, fsync'd, and renamed over the live path —
-// then reopens the append handle on the new file. The service calls it
-// once per startup, right after replay, with the compacted record set
-// (live jobs plus a bounded tail of terminal ones), so the journal and
-// its replay cost stay proportional to retained state instead of
-// growing with lifetime job count. A crash anywhere inside Rewrite
-// leaves either the old or the new journal intact, never a mix.
+// written to a temp file, fsync'd, renamed over the live path, and the
+// rename made durable by an fsync of the directory — then reopens the
+// append handle on the new file. The service calls it at startup, right
+// after replay, with the compacted record set (live jobs plus a bounded
+// tail of terminal ones) whenever that differs from what the file
+// holds, so the journal and its replay cost stay proportional to
+// retained state instead of growing with lifetime job count. A crash
+// anywhere inside Rewrite leaves either the old or the new journal
+// intact, never a mix; once it returns, records appended afterwards
+// cannot be lost to a power cut reverting the rename.
 func (j *Journal) Rewrite(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -259,7 +296,19 @@ func (j *Journal) Rewrite(recs []Record) error {
 	}
 	j.f.Close()
 	j.f = f
+	if err := syncDir(filepath.Dir(j.path)); err != nil {
+		return fmt.Errorf("journal: rewrite: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // Close syncs and closes the journal file. Further Appends fail.

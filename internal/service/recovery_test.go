@@ -436,14 +436,14 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The on-disk journal was rewritten down to two records per
-	// surviving job (submit + canceled) plus the new job's lifecycle
-	// (submit + start + done).
+	// The on-disk journal was rewritten down to one folded canceled
+	// record per surviving job plus the new job's lifecycle (submit +
+	// start + done).
 	_, recs, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*replayTerminalCap + 3; len(recs) != want {
+	if want := replayTerminalCap + 3; len(recs) != want {
 		t.Fatalf("compacted journal holds %d records, want %d", len(recs), want)
 	}
 }

@@ -130,9 +130,13 @@ type job struct {
 	journaled bool
 	errMsg    string
 	entry     *cache.Entry
-	// hash is the SummaryHash recovered from the journal for jobs whose
-	// cache entry has since been evicted; viewLocked falls back to it.
+	// hash is the SummaryHash a recovered done job's journal record
+	// carries; viewLocked falls back to it when the cache entry is gone.
 	hash string
+	// unattached marks a recovered done job whose cache entry nobody has
+	// looked up yet: replay leaves the lookup, a disk read, to the first
+	// view or trace of the job (attachEntries).
+	unattached bool
 
 	// Lifecycle stamps backing the job's trace spans and latency
 	// histograms: queuedAt→startedAt is queue wait, startedAt→execStartAt
@@ -328,21 +332,29 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.JournalPath != "" {
+		t0 := time.Now()
 		jl, recs, err := journal.Open(cfg.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.jl = jl
 		// Startup compaction: rewrite the journal down to the replayed
-		// survivors, so it never grows across restarts. A failed rewrite
-		// leaves the old (complete) journal in place — durability
-		// bookkeeping degrades, startup never fails.
-		if err := jl.Rewrite(s.replay(recs)); err != nil {
-			s.m.journalErrs++
-			s.flight.Record(tracing.Event{Kind: "journal-error", Detail: "startup compaction rewrite failed"})
+		// survivors, so it never grows across restarts — unless it already
+		// holds exactly those records, as after a restart with nothing new.
+		// A failed rewrite leaves the old (complete) journal in place —
+		// durability bookkeeping degrades, startup never fails.
+		compact, unchanged := s.replay(recs)
+		rewrite := !unchanged || !jl.Intact()
+		if rewrite {
+			if err := jl.Rewrite(compact); err != nil {
+				s.m.journalErrs++
+				s.flight.Record(tracing.Event{Kind: "journal-error", Detail: "startup compaction rewrite failed"})
+			}
 		}
 		s.flight.Record(tracing.Event{Kind: "replay", Detail: fmt.Sprintf(
-			"requeued=%d completed=%d terminal=%d", s.rec.Requeued, s.rec.Completed, s.rec.Terminal)})
+			"requeued=%d completed=%d terminal=%d read=%d kept=%d rewritten=%v ms=%.3f",
+			s.rec.Requeued, s.rec.Completed, s.rec.Terminal, len(recs), len(compact), rewrite,
+			float64(time.Since(t0).Microseconds())/1e3)})
 	}
 	for i := 0; i < shards; i++ {
 		s.wg.Add(1)
@@ -353,16 +365,19 @@ func New(cfg Config) (*Server, error) {
 
 // replay reconstructs jobs from journal records: terminal jobs (up to
 // replayTerminalCap, newest first) are re-registered so GET /jobs/{id}
-// keeps answering, done jobs reattach their cache entry, and
-// never-completed jobs go back on the queue (coalescing duplicates
-// exactly like live submissions). It returns the compacted record set
-// — one submit record per surviving job, plus its latest checkpoint or
-// terminal record — which New rewrites the journal with, so journal
-// size and replay cost stay bounded. Replaying the compacted journal
+// keeps answering, done jobs keep their journaled hash and attach their
+// cache entry when first read (attachEntries), and never-completed jobs
+// go back on the queue (coalescing duplicates exactly like live
+// submissions). It returns the compacted record set — one folded
+// terminal record per finished job (journal.Record.Folded), and a
+// submit record plus its latest checkpoint per unfinished one — and
+// whether that set equals recs, record for record, in which case New
+// leaves the journal file as it is. Replaying the compacted journal
 // reconstructs the identical state, which keeps a double restart a
-// no-op — the idempotency the recovery test pins. Runs before the
-// worker shards start, so no lock is needed.
-func (s *Server) replay(recs []journal.Record) []journal.Record {
+// no-op — the idempotency the recovery test pins. Both the live form (a
+// submit record, then the terminal one) and the folded form replay.
+// Runs before the worker shards start, so no lock is needed.
+func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchanged bool) {
 	type state struct {
 		submit  journal.Record
 		last    journal.Op
@@ -381,10 +396,15 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 	for _, r := range recs {
 		st, ok := states[r.ID]
 		if !ok {
-			if r.Op != journal.OpSubmit {
+			switch {
+			case r.Op == journal.OpSubmit:
+				st = &state{submit: r}
+			case r.Folded():
+				st = &state{submit: journal.Record{Op: journal.OpSubmit, ID: r.ID, Bench: r.Bench,
+					Key: r.Key, Priority: r.Priority, At: r.SubmitAt, Corr: r.Corr}}
+			default:
 				continue // start/terminal for a submit lost to a torn line
 			}
-			st = &state{submit: r}
 			states[r.ID] = st
 			order = append(order, r.ID)
 		}
@@ -400,8 +420,8 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 			st.errMsg, st.termAt = r.Error, r.At
 		}
 		if r.Op.Terminal() && r.StartAt != 0 {
-			// Compacted terminal records carry the dispatch stamp of the
-			// start record compaction dropped.
+			// Terminal records carry the dispatch stamp of the start
+			// record compaction drops.
 			st.startAt = r.StartAt
 		}
 	}
@@ -414,7 +434,15 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 			dropTerminal++
 		}
 	}
-	var compact []journal.Record
+	// keep appends one record to the compacted set, noting whether the
+	// set still matches recs so far.
+	unchanged = true
+	keep := func(r journal.Record) {
+		if unchanged && (len(compact) == len(recs) || !recs[len(compact)].Equal(r)) {
+			unchanged = false
+		}
+		compact = append(compact, r)
+	}
 	for _, id := range order {
 		st := states[id]
 		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "j-"), 10, 64); err == nil && n > s.seq {
@@ -424,19 +452,24 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 			dropTerminal--
 			continue
 		}
-		compact = append(compact, st.submit)
-		switch st.last {
-		case journal.OpDone:
-			compact = append(compact, journal.Record{Op: journal.OpDone, ID: id, Hash: st.hash, At: st.termAt, StartAt: st.startAt})
-		case journal.OpFailed:
-			compact = append(compact, journal.Record{Op: journal.OpFailed, ID: id, Error: st.errMsg, At: st.termAt, StartAt: st.startAt})
-		case journal.OpCanceled:
-			compact = append(compact, journal.Record{Op: journal.OpCanceled, ID: id, Error: st.errMsg, At: st.termAt, StartAt: st.startAt})
-		default:
+		if st.last.Terminal() {
+			// Finished: one folded record, submit fields and outcome
+			// together. The spec is dropped; a finished job never re-runs.
+			r := journal.Record{Op: st.last, ID: id, Bench: st.submit.Bench, Key: st.submit.Key,
+				Priority: st.submit.Priority, At: st.termAt, Corr: st.submit.Corr,
+				StartAt: st.startAt, SubmitAt: st.submit.At}
+			if st.last == journal.OpDone {
+				r.Hash = st.hash
+			} else {
+				r.Error = st.errMsg
+			}
+			keep(r)
+		} else {
+			keep(st.submit)
 			// Never finished: keep the latest progress stamp so the
 			// compacted journal still says how far the lost run got.
 			if st.cycles > 0 || st.samples > 0 {
-				compact = append(compact, journal.Record{Op: journal.OpCheckpoint, ID: id, Cycles: st.cycles, Samples: st.samples, At: st.ckptAt})
+				keep(journal.Record{Op: journal.OpCheckpoint, ID: id, Cycles: st.cycles, Samples: st.samples, At: st.ckptAt})
 			}
 		}
 		queuedAt := time.Now()
@@ -475,10 +508,7 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 		switch st.last {
 		case journal.OpDone:
 			j.status, j.flightStatus = StatusDone, StatusDone
-			j.cached, j.hash = true, st.hash
-			if e, ok := s.cache.Get(st.submit.Key); ok {
-				j.entry = e
-			}
+			j.cached, j.hash, j.unattached = true, st.hash, true
 			s.rec.Completed++
 			close(j.done)
 		case journal.OpFailed:
@@ -529,7 +559,7 @@ func (s *Server) replay(recs []journal.Record) []journal.Record {
 			s.rec.Requeued++
 		}
 	}
-	return compact
+	return compact, unchanged && len(compact) == len(recs)
 }
 
 // Recovery returns what the startup journal replay reconstructed
@@ -585,7 +615,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	if s.jl != nil {
-		s.jl.Close()
+		// The final fsync is the last durability promise: a failure is
+		// counted like any other journal error and returned.
+		if cerr := s.jl.Close(); cerr != nil {
+			s.mu.Lock()
+			s.m.journalErrs++
+			s.mu.Unlock()
+			err = errors.Join(err, fmt.Errorf("service: close journal: %w", cerr))
+		}
 	}
 	return err
 }
@@ -777,9 +814,8 @@ func unixOrZero(t time.Time) int64 {
 // carrier hands its flight to the oldest follower). Terminal jobs are
 // returned unchanged (idempotent); unknown IDs return 404.
 func (s *Server) Cancel(id string) (JobView, error) {
-	s.mu.Lock()
+	j, ok := s.lockJob(id)
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
 	if !ok {
 		return JobView{}, &RequestError{Code: 404, Msg: "service: unknown job " + id}
 	}
@@ -915,18 +951,61 @@ func (s *Server) observeTerminalLocked(j *job, status string) {
 // Job returns the API view of one job; full includes the complete
 // minnow.Result JSON (artifacts and all).
 func (s *Server) Job(id string, full bool) (JobView, bool) {
-	s.mu.Lock()
+	j, ok := s.lockJob(id)
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
 	if !ok {
 		return JobView{}, false
 	}
 	return s.viewLocked(j, full), true
 }
 
+// lockJob looks a job up by ID and returns with s.mu held, whether or
+// not it was found. A recovered done job gets its cache entry attached
+// first (attachEntries), so the caller can render it.
+func (s *Server) lockJob(id string) (*job, bool) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	if ok && j.unattached {
+		s.mu.Unlock()
+		s.attachEntries([]*job{j})
+		s.mu.Lock()
+	}
+	return j, ok
+}
+
+// attachEntries looks up the cache entries of recovered done jobs that
+// nothing has read since replay registered them, and attaches them. A
+// lookup may read the disk cache, so it runs without s.mu, which
+// callers must not hold. A miss attaches nothing: the view then carries
+// the journaled hash alone, as for an entry evicted before the restart.
+func (s *Server) attachEntries(js []*job) {
+	es := make([]*cache.Entry, len(js))
+	for i, j := range js {
+		es[i], _ = s.cache.Get(j.key) // key is fixed once replay returns
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, j := range js {
+		if j.unattached {
+			j.entry, j.unattached = es[i], false
+		}
+	}
+}
+
 // Jobs lists every job's view (no results), newest first.
 func (s *Server) Jobs() []JobView {
 	s.mu.Lock()
+	var unattached []*job
+	for _, j := range s.jobs {
+		if j.unattached {
+			unattached = append(unattached, j)
+		}
+	}
+	if len(unattached) > 0 {
+		s.mu.Unlock()
+		s.attachEntries(unattached)
+		s.mu.Lock()
+	}
 	defer s.mu.Unlock()
 	out := make([]JobView, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -1153,8 +1232,7 @@ func (s *Server) persistTrace(j *job) {
 // ui.perfetto.dev. Works on live jobs too (open spans close at "now").
 // ok is false for unknown IDs.
 func (s *Server) Trace(id string) ([]byte, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.lockJob(id)
 	if !ok {
 		s.mu.Unlock()
 		return nil, false
