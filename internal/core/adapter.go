@@ -4,7 +4,6 @@ import (
 	"minnow/internal/fault"
 	"minnow/internal/galois"
 	"minnow/internal/prof"
-	"minnow/internal/stats"
 	"minnow/internal/worklist"
 )
 
@@ -90,18 +89,15 @@ func (m *MinnowScheduler) Push(w *galois.Worker, t worklist.Task) {
 	done := e.EnqueueFrom(w.Core.ID, t, now)
 	// Split the wait at the nominal local-queue latency: anything beyond
 	// it is the engine's spill path holding the core (§5.1 backpressure),
-	// which the profiler attributes separately. Advancing in two steps
-	// charges the flat worklist counter the identical total, so the
-	// split is invisible unless profiling is on.
+	// which has its own cause. Both are worklist causes, so the flat
+	// worklist counter gets the identical total either way.
 	nominal := now + e.Config().LocalQLatency
 	if nominal > done {
 		nominal = done
 	}
-	w.Core.Advance(nominal, stats.CatWorklist)
+	w.Core.Advance(nominal)
 	if done > nominal {
-		r, cur := w.Core.ProfRegion(prof.RegionBackpressure)
-		w.Core.Advance(done, stats.CatWorklist)
-		w.Core.ProfRestore(r, cur)
+		w.Core.AdvanceIn(prof.RegionBackpressure, done)
 	}
 }
 
@@ -112,7 +108,7 @@ func (m *MinnowScheduler) Pop(w *galois.Worker) (worklist.Task, bool) {
 		return m.fallback.Pop(&w.Ctx)
 	}
 	t, ready, ok := e.DequeueFrom(w.Core.ID, w.Core.Now())
-	w.Core.Advance(ready, stats.CatWorklist)
+	w.Core.Advance(ready)
 	return t, ok
 }
 

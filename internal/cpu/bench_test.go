@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"minnow/internal/rng"
-	"minnow/internal/stats"
 	"minnow/internal/uops"
 )
 
@@ -29,12 +28,12 @@ func BenchmarkCoreRun(b *testing.B) {
 	}
 	ops, instrs := tr.Ops, tr.Instrs()
 	c := testCore(DefaultConfig())
-	c.Run(ops, stats.CatUseful) // warm the lines into the L1
+	c.Run(ops) // warm the lines into the L1
 	start, startStat := c.Now(), c.Stat
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Run(ops, stats.CatUseful)
+		c.Run(ops)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(ops))), "ns/uop")

@@ -6,8 +6,10 @@
 //
 // The model is interval-style: micro-ops issue in order at IssueWidth per
 // cycle, complete out of order (loads through the simulated memory
-// hierarchy), and retire in order through a ROB-sized ring. Retire-time
-// gaps are attributed to cycle categories for the Fig. 5 breakdown.
+// hierarchy), and retire in order through a ROB-sized ring. Each
+// retire-time gap and idle wait gets one cause (prof.Cause), from which
+// the Fig. 5 cycle category, the profiler leaf and the timeline stall
+// instant are all read.
 //
 // Determinism contract: a core's timing depends only on the micro-op
 // stream it is fed and the memory system's (deterministic) responses;
@@ -100,14 +102,16 @@ type Core struct {
 	TL    *obs.Timeline
 	Track obs.TrackID
 
-	// Prof, when non-nil, receives the refined cycle attribution (the
-	// top-down profiler; set by the harness under -profile). Every cycle
-	// charged to Stat.Cycles is mirrored into exactly one Prof leaf.
+	// Prof, when non-nil, receives each charged gap as one leaf (the
+	// top-down profiler; set by the harness under -profile). The leaf
+	// carries the same cause the gap's Stat.Cycles bucket is folded from.
 	Prof *prof.CoreProf
 
-	// region and cursor scope profiler attribution sites: the framework
-	// brackets worklist operations with ProfRegion/ProfRestore, and
-	// cursor counts micro-ops within the current region.
+	// region is what the core is doing on behalf of the framework, which
+	// brackets worklist operations with EnterRegion/RestoreRegion. In a
+	// worklist region every cycle has the region's cause; in RegionOp the
+	// micro-op decides. cursor counts micro-ops within the region for the
+	// profiler's index sites.
 	region prof.Region
 	cursor int
 
@@ -153,19 +157,18 @@ func (c *Core) Now() sim.Time { return c.now }
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
 
-// ProfRegion enters profiler region r, returning the previous region and
-// micro-op cursor for ProfRestore. The fields it touches feed only the
-// (observe-only) profiler, so bracketing is timing-neutral whether or not
-// profiling is enabled.
-func (c *Core) ProfRegion(r prof.Region) (prof.Region, int) {
+// EnterRegion enters region r, returning the previous region and
+// micro-op cursor for RestoreRegion. The region decides the cause, and so
+// the cycle category, of every cycle Run and Advance charge inside it.
+func (c *Core) EnterRegion(r prof.Region) (prof.Region, int) {
 	prev, cur := c.region, c.cursor
 	c.region = r
 	c.cursor = 0
 	return prev, cur
 }
 
-// ProfRestore re-enters the region saved by a ProfRegion call.
-func (c *Core) ProfRestore(r prof.Region, cursor int) {
+// RestoreRegion re-enters the region saved by an EnterRegion call.
+func (c *Core) RestoreRegion(r prof.Region, cursor int) {
 	c.region = r
 	c.cursor = cursor
 }
@@ -194,11 +197,12 @@ func push(ring []sim.Time, pos *int, v sim.Time) {
 }
 
 // Run executes a micro-op batch starting at the core's local clock,
-// advancing it past the batch's retirement. All cycles consumed are
-// attributed to category cat (worklist operations pass CatWorklist;
-// operator bodies pass CatUseful, within which memory-stall cycles are
-// re-attributed to the load/store-miss categories).
-func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
+// advancing it past the batch's retirement. Each retire gap is charged
+// to one cause: the region's in a worklist region, otherwise the
+// micro-op's own (a miss past the L2, a fence, a mispredict, or useful
+// progress).
+func (c *Core) Run(ops []uops.UOp) {
+	regionCause, inWorklist := prof.RegionCause(c.region)
 	// The front-end resumes no earlier than the batch's start time; it
 	// does NOT wait for prior retirement (only the ROB window does).
 	if c.issueFree < c.now {
@@ -215,15 +219,11 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 		issue = windowSlot(c.rsDone, c.rsPos, issue)
 
 		var complete sim.Time
-		var stallCat stats.CycleCat = cat
 
-		// Refined-attribution inputs for the profiler: the micro-op's
-		// stall cause, the level that served its memory access, the
-		// prefetch outcome of that access, and whether a branch actually
-		// mispredicted. Pure bookkeeping — never feeds back into timing.
+		// The micro-op's stall cause, the level that served its memory
+		// access, and the prefetch outcome of that access.
 		cause := prof.CauseUseful
 		lvl, out := prof.LvlNone, prof.OutNone
-		mispredicted := false
 
 		switch op.Kind {
 		case uops.Compute:
@@ -253,9 +253,6 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			if c.Prefetcher != nil {
 				c.Prefetcher.OnLoad(op.PC, op.Addr, issue)
 			}
-			if cat == stats.CatUseful && res.Level >= 3 {
-				stallCat = stats.CatLoadMiss
-			}
 			cause = prof.CauseLoad
 			lvl, out = prof.ClassifyMem(res.Level, res.Remote, res.UsedPrefetch, res.PFLate)
 			c.issueFree = issue + 1
@@ -269,9 +266,6 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			res := c.mem.Access(c.ID, op.Addr, mem.Store, issue)
 			complete = res.Done
 			push(c.storeDone, &c.storePos, complete)
-			if cat == stats.CatUseful && res.Level >= 3 {
-				stallCat = stats.CatStoreMiss
-			}
 			cause = prof.CauseStore
 			lvl, out = prof.ClassifyMem(res.Level, res.Remote, res.UsedPrefetch, res.PFLate)
 			c.issueFree = issue + 1
@@ -297,9 +291,6 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 				c.fenceUntil = complete
 			}
 			push(c.storeDone, &c.storePos, complete)
-			if cat == stats.CatUseful {
-				stallCat = stats.CatStoreMiss
-			}
 			cause = prof.CauseFence
 			lvl, out = prof.ClassifyMem(res.Level, res.Remote, res.UsedPrefetch, res.PFLate)
 			c.issueFree = issue + 1
@@ -317,7 +308,6 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			complete = resolve
 			if misp && !c.cfg.PerfectBP {
 				c.Stat.Mispreds++
-				mispredicted = true
 				cause = prof.CauseBranch
 				// No further issue until resolve + refill.
 				c.issueFree = resolve + c.cfg.MispredPen
@@ -350,30 +340,20 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 			base = c.now
 		}
 		if retire > base {
+			if inWorklist {
+				cause = regionCause
+			}
 			gap := int64(retire - base)
-			// One issue-slot's worth of time is "useful" front-end
-			// progress; the remainder is stall attributed to the op.
-			c.Stat.Cycles[stallCat] += gap
+			c.Stat.Cycles[prof.Coarse(cause, lvl)] += gap
 			if c.Prof != nil {
-				pcause := cause
-				if rc, ok := prof.RegionCause(c.region); ok {
-					// Worklist-operation regions own their cycles
-					// whatever micro-op consumed them, matching the flat
-					// CatWorklist attribution.
-					pcause = rc
-				} else if cat == stats.CatWorklist {
-					// Unbracketed worklist batch (the BSP-style kernels'
-					// queue maintenance): keep the coarse mapping exact.
-					pcause = prof.CauseEnqueue
-				}
 				site := prof.IndexSite(c.region, c.cursor)
 				if op.PC != 0 {
 					site = prof.PCSite(c.region, op.PC)
 				}
-				c.Prof.Add(site, pcause, lvl, out, gap)
+				c.Prof.Add(site, cause, lvl, out, gap)
 			}
 			if c.TL != nil && gap >= stallInstantMin {
-				c.TL.Instant(c.Track, stallKind(stallCat, op.Kind, mispredicted), base, gap)
+				c.TL.Instant(c.Track, stallKind(cause, lvl), base, gap)
 			}
 		}
 		push(c.retireAt, &c.robPos, retire)
@@ -385,55 +365,42 @@ func (c *Core) Run(ops []uops.UOp, cat stats.CycleCat) {
 	}
 }
 
-// stallKind maps a retire-gap's coarse category onto the timeline stall
-// vocabulary so every attributed stall — not just memory misses — gets
-// an instant on the core track: load misses, store misses, atomics'
-// fence serialization, worklist operations, branch-mispredict refills,
-// and plain dependence/issue-width gaps.
-func stallKind(cat stats.CycleCat, kind uops.Kind, mispredicted bool) obs.Kind {
-	switch cat {
+// stallKind maps a charged gap's cause onto the timeline stall
+// vocabulary so every stall — not just memory misses — gets an instant
+// on the core track: load misses, store misses, atomics' fence
+// serialization, worklist operations, branch-mispredict refills, and
+// plain dependence/issue-width gaps.
+func stallKind(cause prof.Cause, lvl prof.Level) obs.Kind {
+	switch stats.CycleCat(prof.Coarse(cause, lvl)) {
+	case stats.CatWorklist:
+		return obs.EvStallWorklist
 	case stats.CatLoadMiss:
 		return obs.EvStallLoad
 	case stats.CatStoreMiss:
-		if kind == uops.Atomic {
+		if cause == prof.CauseFence {
 			return obs.EvStallFence
 		}
 		return obs.EvStallStore
-	case stats.CatWorklist:
-		return obs.EvStallWorklist
 	}
-	if mispredicted {
+	if cause == prof.CauseBranch {
 		return obs.EvStallBranch
 	}
 	return obs.EvStallDep
 }
 
-// RunTagged is Run plus per-op-kind counter deltas for worklist-operation
-// cost accounting (Fig. 11): it measures the cycles the batch consumed.
-func (c *Core) RunTagged(ops []uops.UOp, cat stats.CycleCat) sim.Time {
-	start := c.now
-	c.Run(ops, cat)
-	return c.now - start
-}
-
-// Advance idles the core until t, attributing the wait to cat (used for
-// blocking worklist dequeues and barriers).
-func (c *Core) Advance(t sim.Time, cat stats.CycleCat) {
+// Advance idles the core until t, charging the wait to the region's
+// cause (blocking worklist operations, idle backoff, barriers). A wait
+// in the operator region is useful time and leaves no stall instant:
+// no micro-op stands behind it.
+func (c *Core) Advance(t sim.Time) {
 	if t > c.now {
 		gap := int64(t - c.now)
-		c.Stat.Cycles[cat] += gap
+		cause, inWorklist := prof.RegionCause(c.region)
+		c.Stat.Cycles[prof.Coarse(cause, prof.LvlNone)] += gap
 		if c.Prof != nil {
-			cause := prof.CauseUseful
-			if rc, ok := prof.RegionCause(c.region); ok {
-				cause = rc
-			} else if cat == stats.CatWorklist {
-				// Unbracketed worklist wait (BSP barriers): a wait for
-				// work to appear, kept coarse-consistent.
-				cause = prof.CauseDequeue
-			}
 			c.Prof.Add(prof.WaitSite(c.region), cause, prof.LvlNone, prof.OutNone, gap)
 		}
-		if c.TL != nil && cat == stats.CatWorklist && gap >= stallInstantMin {
+		if c.TL != nil && inWorklist && gap >= stallInstantMin {
 			c.TL.Instant(c.Track, obs.EvStallWorklist, c.now, gap)
 		}
 		c.now = t
@@ -441,4 +408,13 @@ func (c *Core) Advance(t sim.Time, cat stats.CycleCat) {
 			c.issueFree = t
 		}
 	}
+}
+
+// AdvanceIn is Advance inside region r: the wait is charged to r's
+// cause, and the core stays in its current region.
+func (c *Core) AdvanceIn(r prof.Region, t sim.Time) {
+	prev := c.region
+	c.region = r
+	c.Advance(t)
+	c.region = prev
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"minnow/internal/mem"
+	"minnow/internal/prof"
 	"minnow/internal/sim"
 	"minnow/internal/stats"
 	"minnow/internal/uops"
@@ -19,7 +20,7 @@ func TestComputeThroughput(t *testing.T) {
 	c := testCore(DefaultConfig())
 	var tr uops.Trace
 	tr.Compute(400)
-	c.Run(tr.Ops, stats.CatUseful)
+	c.Run(tr.Ops)
 	// 400 ops at 4-wide issue = 100 cycles (+1 completion slack).
 	if c.Now() < 100 || c.Now() > 105 {
 		t.Fatalf("400 compute ops took %d cycles", c.Now())
@@ -35,14 +36,14 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 	one := testCore(DefaultConfig())
 	var tr uops.Trace
 	tr.Load(0x100000, true, false)
-	one.Run(tr.Ops, stats.CatUseful)
+	one.Run(tr.Ops)
 	single := one.Now()
 
 	two := testCore(DefaultConfig())
 	tr.Reset()
 	tr.Load(0x100000, true, false)
 	tr.Load(0x200000, true, false)
-	two.Run(tr.Ops, stats.CatUseful)
+	two.Run(tr.Ops)
 	double := two.Now()
 
 	if double > single+single/2 {
@@ -55,13 +56,13 @@ func TestDependentLoadSerializes(t *testing.T) {
 	var tr uops.Trace
 	tr.Load(0x100000, true, false)
 	tr.Load(0x200000, true, false)
-	indep.Run(tr.Ops, stats.CatUseful)
+	indep.Run(tr.Ops)
 
 	dep := testCore(DefaultConfig())
 	tr.Reset()
 	tr.Load(0x100000, true, false)
 	tr.Load(0x200000, true, true) // address depends on the first load
-	dep.Run(tr.Ops, stats.CatUseful)
+	dep.Run(tr.Ops)
 
 	if dep.Now() <= indep.Now() {
 		t.Fatalf("dependent chain (%d) not slower than independent (%d)", dep.Now(), indep.Now())
@@ -78,7 +79,7 @@ func TestAtomicFenceSerializes(t *testing.T) {
 			tr.Load(uint64(0x100000+i*0x10000), true, false)
 			tr.Atomic(uint64(0x800000 + i*0x10000))
 		}
-		c.Run(tr.Ops, stats.CatUseful)
+		c.Run(tr.Ops)
 		return c.Now()
 	}
 	fenced, free := run(false), run(true)
@@ -105,7 +106,7 @@ func TestMispredictStalls(t *testing.T) {
 			tr.Compute(4)
 			tr.Branch(0x40, x&1 == 0, false)
 		}
-		c.Run(tr.Ops, stats.CatUseful)
+		c.Run(tr.Ops)
 		return c.Now()
 	}
 	real, ideal := run(false), run(true)
@@ -127,7 +128,7 @@ func TestBranchDependsOnLoad(t *testing.T) {
 			tr.Load(uint64(0x100000+i*0x4000), true, false)
 			tr.Branch(0x44, x&1 == 0, dep)
 		}
-		c.Run(tr.Ops, stats.CatUseful)
+		c.Run(tr.Ops)
 		return c.Now()
 	}
 	if run(true) <= run(false) {
@@ -146,7 +147,7 @@ func TestLoadQueueBoundsMLP(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			tr.Load(uint64(0x100000+i*0x10000), true, false)
 		}
-		c.Run(tr.Ops, stats.CatUseful)
+		c.Run(tr.Ops)
 		return c.Now()
 	}
 	small, big := run(2), run(64)
@@ -165,7 +166,7 @@ func TestROBWindowBounds(t *testing.T) {
 			tr.Compute(8)
 			tr.Load(uint64(0x100000+i*0x10000), true, false)
 		}
-		c.Run(tr.Ops, stats.CatUseful)
+		c.Run(tr.Ops)
 		return c.Now()
 	}
 	if run(256) >= run(16) {
@@ -181,7 +182,7 @@ func TestCycleAccountingCoversWallTime(t *testing.T) {
 		tr.Load(uint64(0x100000+i*0x8000), true, false)
 		tr.Store(uint64(0x900000 + i*0x8000))
 	}
-	c.Run(tr.Ops, stats.CatUseful)
+	c.Run(tr.Ops)
 	var acc int64
 	for _, v := range c.Stat.Cycles {
 		acc += v
@@ -194,26 +195,13 @@ func TestCycleAccountingCoversWallTime(t *testing.T) {
 
 func TestAdvanceChargesCategory(t *testing.T) {
 	c := testCore(DefaultConfig())
-	c.Advance(500, stats.CatWorklist)
+	c.AdvanceIn(prof.RegionIdle, 500)
 	if c.Stat.Cycles[stats.CatWorklist] != 500 {
 		t.Fatalf("advance charged %d", c.Stat.Cycles[stats.CatWorklist])
 	}
-	c.Advance(100, stats.CatWorklist) // backwards: no-op
+	c.AdvanceIn(prof.RegionIdle, 100) // backwards: no-op
 	if c.Now() != 500 {
 		t.Fatalf("clock moved backwards to %d", c.Now())
-	}
-}
-
-func TestRunTagged(t *testing.T) {
-	c := testCore(DefaultConfig())
-	var tr uops.Trace
-	tr.Compute(40)
-	d := c.RunTagged(tr.Ops, stats.CatWorklist)
-	if d <= 0 {
-		t.Fatalf("tagged run took %d", d)
-	}
-	if c.Stat.Cycles[stats.CatWorklist] == 0 {
-		t.Fatal("worklist category not charged")
 	}
 }
 
@@ -223,7 +211,7 @@ func TestDelinquentCounting(t *testing.T) {
 	tr.Load(0x100000, true, false)
 	tr.Load(0x100040, false, false)
 	tr.Load(0x100080, false, false)
-	c.Run(tr.Ops, stats.CatUseful)
+	c.Run(tr.Ops)
 	if c.Stat.Loads != 3 || c.Stat.Delinquent != 1 {
 		t.Fatalf("loads %d delinquent %d", c.Stat.Loads, c.Stat.Delinquent)
 	}

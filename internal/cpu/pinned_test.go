@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"minnow/internal/prof"
 	"minnow/internal/rng"
 	"minnow/internal/sim"
 	"minnow/internal/stats"
@@ -109,13 +110,13 @@ func TestRunPinned(t *testing.T) {
 			c := testCore(tc.cfg)
 			h := fnv.New64a()
 			for i, ops := range prog {
-				cat := stats.CatUseful
 				if i%3 == 2 {
-					cat = stats.CatWorklist
+					runIn(c, prof.RegionEnq, ops)
+				} else {
+					c.Run(ops)
 				}
-				c.Run(ops, cat)
 				if i%7 == 6 {
-					c.Advance(c.Now()+sim.Time(i%50), stats.CatWorklist)
+					c.AdvanceIn(prof.RegionIdle, c.Now()+sim.Time(i%50))
 				}
 				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(c.Now())))
 			}

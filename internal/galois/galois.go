@@ -25,7 +25,6 @@ import (
 	"minnow/internal/obs"
 	"minnow/internal/prof"
 	"minnow/internal/sim"
-	"minnow/internal/stats"
 	"minnow/internal/uops"
 	"minnow/internal/worklist"
 )
@@ -188,24 +187,27 @@ func (r *Runner) Deposit(wi int, t worklist.Task) {
 // arrival cannot be enqueued before it occurs — which also anchors the
 // task's queue-wait measurement.
 func (w *Worker) drainPending() {
-	r := w.runner
 	for _, t := range w.pending {
 		if bt := sim.Time(t.Birth); w.Core.Now() < bt {
-			ir, ic := w.Core.ProfRegion(prof.RegionIdle)
-			w.Core.Advance(bt, stats.CatWorklist)
-			w.Core.ProfRestore(ir, ic)
+			w.Core.AdvanceIn(prof.RegionIdle, bt)
 		}
-		// Deposit already credited the task to r.outstanding; the direct
-		// sched.Push (unlike Worker.Push) leaves the count alone.
-		st := &w.Core.Stat
-		st.EnqOps++
-		start := w.Core.Now()
-		pr, pc := w.Core.ProfRegion(prof.RegionEnq)
-		r.sched.Push(w, t)
-		w.Core.ProfRestore(pr, pc)
-		st.EnqCycles += int64(w.Core.Now() - start)
+		// Deposit already credited the task to the outstanding count;
+		// enqueue (unlike Worker.Push) leaves the count alone.
+		w.enqueue(t)
 	}
 	w.pending = w.pending[:0]
+}
+
+// enqueue pushes t through the scheduler inside an enqueue region,
+// counting the operation and its cycles for the Fig. 11 per-op cost.
+func (w *Worker) enqueue(t worklist.Task) {
+	st := &w.Core.Stat
+	st.EnqOps++
+	start := w.Core.Now()
+	pr, pc := w.Core.EnterRegion(prof.RegionEnq)
+	w.runner.sched.Push(w, t)
+	w.Core.RestoreRegion(pr, pc)
+	st.EnqCycles += int64(w.Core.Now() - start)
 }
 
 // Seed distributes the initial tasks round-robin over the workers (Galois
@@ -224,11 +226,11 @@ func (r *Runner) Seed(tasks []worklist.Task) {
 // TR returns the worker's trace for operator emission.
 func (w *Worker) TR() *uops.Trace { return &w.Ctx.TR }
 
-// FlushUseful runs accumulated operator micro-ops under the useful-work
-// category.
+// FlushUseful runs accumulated operator micro-ops in the operator
+// region.
 func (w *Worker) FlushUseful() {
 	if len(w.Ctx.TR.Ops) > 0 {
-		w.Core.Run(w.Ctx.TR.Ops, stats.CatUseful)
+		w.Core.Run(w.Ctx.TR.Ops)
 		w.Ctx.TR.Reset()
 	}
 }
@@ -248,27 +250,14 @@ func (w *Worker) Push(priority int64, node int32) {
 				if hi > d {
 					hi = d
 				}
-				sub := worklist.Task{Priority: priority, Node: node, EdgeLo: lo, EdgeHi: hi}
 				r.outstanding++
-				st := &w.Core.Stat
-				st.EnqOps++
-				start := w.Core.Now()
-				pr, pc := w.Core.ProfRegion(prof.RegionEnq)
-				r.sched.Push(w, sub)
-				w.Core.ProfRestore(pr, pc)
-				st.EnqCycles += int64(w.Core.Now() - start)
+				w.enqueue(worklist.Task{Priority: priority, Node: node, EdgeLo: lo, EdgeHi: hi})
 			}
 			return
 		}
 	}
 	r.outstanding++
-	st := &w.Core.Stat
-	st.EnqOps++
-	start := w.Core.Now()
-	pr, pc := w.Core.ProfRegion(prof.RegionEnq)
-	r.sched.Push(w, t)
-	w.Core.ProfRestore(pr, pc)
-	st.EnqCycles += int64(w.Core.Now() - start)
+	w.enqueue(t)
 }
 
 // Step implements sim.Actor for the worker: pop one task, run it, push
@@ -284,9 +273,7 @@ func (w *Worker) Step() (sim.Time, bool) {
 		// observes those under full weave semantics. Note this branch is
 		// checked before the timedOut fast path for exactly that reason.
 		w.idlePending = false
-		ir, ic := w.Core.ProfRegion(prof.RegionIdle)
-		w.Core.Advance(w.idleUntil, stats.CatWorklist)
-		w.Core.ProfRestore(ir, ic)
+		w.Core.AdvanceIn(prof.RegionIdle, w.idleUntil)
 		return w.Core.Now(), false
 	}
 	if r.timedOut {
@@ -297,9 +284,9 @@ func (w *Worker) Step() (sim.Time, bool) {
 	}
 	st := &w.Core.Stat
 	start := w.Core.Now()
-	pr, pc := w.Core.ProfRegion(prof.RegionDeq)
+	pr, pc := w.Core.EnterRegion(prof.RegionDeq)
 	t, ok := r.sched.Pop(w)
-	w.Core.ProfRestore(pr, pc)
+	w.Core.RestoreRegion(pr, pc)
 	if ok {
 		// Only successful dequeues count toward the Fig. 11 per-op cost;
 		// idle polling is charged to worklist cycles either way.
@@ -329,9 +316,7 @@ func (w *Worker) Step() (sim.Time, bool) {
 			return w.Core.Now(), false
 		}
 		// Back off and re-poll: someone else still holds work.
-		ir, ic := w.Core.ProfRegion(prof.RegionIdle)
-		w.Core.Advance(w.Core.Now()+r.cfg.IdleBackoff, stats.CatWorklist)
-		w.Core.ProfRestore(ir, ic)
+		w.Core.AdvanceIn(prof.RegionIdle, w.Core.Now()+r.cfg.IdleBackoff)
 		return w.Core.Now(), false
 	}
 	r.applied++
@@ -339,7 +324,7 @@ func (w *Worker) Step() (sim.Time, bool) {
 	taskStart := w.Core.Now()
 	// Each operator application restarts site indexing at micro-op 0, so
 	// index-flavored profiler sites aggregate across tasks.
-	w.Core.ProfRegion(prof.RegionOp)
+	w.Core.EnterRegion(prof.RegionOp)
 	r.op.Apply(w, t)
 	w.FlushUseful()
 	w.TL.Span(w.Track, obs.EvTask, taskStart, w.Core.Now(), int64(t.Node))

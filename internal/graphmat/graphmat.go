@@ -24,8 +24,8 @@ import (
 
 	"minnow/internal/cpu"
 	"minnow/internal/graph"
+	"minnow/internal/prof"
 	"minnow/internal/sim"
-	"minnow/internal/stats"
 	"minnow/internal/uops"
 )
 
@@ -80,6 +80,9 @@ func bookkeeping(tr *uops.Trace, scratch uint64, loads, compute int) {
 // iteration passes: the frontier-bitvector scan plus the apply() pass
 // that reads and conditionally writes the full property vector (8B per
 // vertex, sequential — the streaming pattern GraphMat is built around).
+// The frontier is GraphMat's worklist, so the passes run in the enqueue
+// region and count as worklist time; barrier and launch waits likewise
+// run in the idle region.
 func densePhase(cores []*cpu.Core, n int, tr *uops.Trace) {
 	per := n / len(cores)
 	lines := per*8/64 + 1
@@ -93,7 +96,9 @@ func densePhase(cores []*cpu.Core, n int, tr *uops.Trace) {
 			tr.Load(0x40000+uint64(c*lines+l)*64, false, false)
 		}
 		tr.Compute(per / 2)
-		cores[c].Run(tr.Ops, stats.CatWorklist)
+		prev, cur := cores[c].EnterRegion(prof.RegionEnq)
+		cores[c].Run(tr.Ops)
+		cores[c].RestoreRegion(prev, cur)
 	}
 }
 
@@ -144,7 +149,7 @@ func (r *Runner) Run() Result {
 					}
 				}
 				next = kept
-				core.Run(tr.Ops, stats.CatUseful)
+				core.Run(tr.Ops)
 				res.WorkItems++
 			}
 		}
@@ -156,7 +161,7 @@ func (r *Runner) Run() Result {
 			}
 		}
 		for _, c := range r.Cores {
-			c.Advance(maxT+20, stats.CatWorklist) // +20: barrier sync cost
+			c.AdvanceIn(prof.RegionIdle, maxT+20) // +20: barrier sync cost
 		}
 		for _, v := range next {
 			inNext[v] = false
@@ -316,7 +321,7 @@ func (k *GMatStarSSSP) Run(cores []*cpu.Core, budget int64) Result {
 			// bucket intervals than OBIM).
 			densePhase(cores, g.N, &tr)
 			for _, c := range cores {
-				c.Advance(c.Now()+k.LaunchOverhead, stats.CatWorklist)
+				c.AdvanceIn(prof.RegionIdle, c.Now()+k.LaunchOverhead)
 			}
 			n := len(cores)
 			chunk := (len(active) + n - 1) / n
@@ -350,7 +355,7 @@ func (k *GMatStarSSSP) Run(cores []*cpu.Core, budget int64) Result {
 							pending[v] = true
 						}
 					}
-					core.Run(tr.Ops, stats.CatUseful)
+					core.Run(tr.Ops)
 					res.WorkItems++
 				}
 			}
@@ -361,7 +366,7 @@ func (k *GMatStarSSSP) Run(cores []*cpu.Core, budget int64) Result {
 				}
 			}
 			for _, c := range cores {
-				c.Advance(maxT+20, stats.CatWorklist)
+				c.AdvanceIn(prof.RegionIdle, maxT+20)
 			}
 			if budget > 0 && res.WorkItems > budget {
 				res.TimedOut = true

@@ -7,11 +7,12 @@
 // flamegraph tooling (folded.go) and as a gzipped pprof protobuf of
 // simulated cycles for `go tool pprof` (pprof.go).
 //
-// The refinement is a strict superset of the flat stats.CycleCat
-// breakdown: Leaf.Coarse maps every leaf back onto the four classic
-// buckets (useful / worklist / load-miss / store-miss), so the old
-// Fig. 5 numbers are derivable from the tree and the harness tests can
-// pin the two views against each other.
+// There is one classification, made by the core model: each retire gap
+// or idle wait gets one Cause (with the level and prefetch outcome of
+// the access behind it), and the flat stats.CycleCat breakdown is folded
+// from that cause by Coarse, the only cause-to-bucket map. The four
+// classic Fig. 5 buckets (useful / worklist / load-miss / store-miss)
+// are therefore the tree folded by Leaf.Coarse, exactly.
 //
 // Conservation contract: the core model only advances its local clock
 // through Run retire gaps and Advance idle waits, and both paths feed
@@ -168,8 +169,8 @@ func (o Outcome) String() string {
 }
 
 // Region names the code region a core is executing on behalf of the
-// framework; it scopes attribution sites and decides the cause of
-// worklist-region cycles.
+// framework; it scopes attribution sites and decides the cause, and so
+// the flat cycle category, of worklist-region cycles.
 type Region uint8
 
 const (
@@ -207,9 +208,9 @@ func (r Region) String() string {
 
 // RegionCause returns the worklist cause a region implies, when it
 // implies one: cycles spent inside enqueue/dequeue/idle/backpressure
-// regions are worklist cycles regardless of the micro-op kind that
-// consumed them (matching the flat CatWorklist attribution). ok is false
-// for RegionOp, where the cause follows the micro-op instead.
+// regions have the region's cause whatever micro-op consumed them. ok
+// is false for RegionOp, where the cause follows the micro-op instead
+// (and a wait is CauseUseful).
 func RegionCause(r Region) (Cause, bool) {
 	switch r {
 	case RegionEnq:
@@ -384,20 +385,22 @@ func decodeLeaf(key uint64, cycles int64) Leaf {
 	return l
 }
 
-// Coarse maps the leaf back onto the flat stats.CycleCat bucket its
-// cycles were counted under: 0 useful, 1 worklist, 2 load-miss,
-// 3 store-miss (the constants mirror the stats package's CycleCat
-// order, pinned by the harness conservation test).
-func (l Leaf) Coarse() int {
-	switch l.Cause {
+// Coarse folds a cause, and the level that served the access behind
+// it, onto its flat stats.CycleCat bucket: 0 useful, 1 worklist,
+// 2 load-miss, 3 store-miss (the stats package's CycleCat order, which
+// this package cannot import). It is the only cause-to-bucket map: the
+// cpu model charges its flat counters through it, and Leaf.Coarse
+// calls it.
+func Coarse(cause Cause, lvl Level) int {
+	switch cause {
 	case CauseEnqueue, CauseDequeue, CauseBackpressure:
 		return 1
 	case CauseLoad:
-		if l.Level >= LvlL3 {
+		if lvl >= LvlL3 {
 			return 2
 		}
 	case CauseStore:
-		if l.Level >= LvlL3 {
+		if lvl >= LvlL3 {
 			return 3
 		}
 	case CauseFence:
@@ -405,6 +408,9 @@ func (l Leaf) Coarse() int {
 	}
 	return 0
 }
+
+// Coarse returns the flat bucket the leaf's cycles were counted under.
+func (l Leaf) Coarse() int { return Coarse(l.Cause, l.Level) }
 
 // SiteLabel renders the leaf's site frame. pcLabel, when non-nil, names
 // PC-flavored sites (the kernels' static-site vocabulary); nil falls

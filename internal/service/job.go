@@ -152,8 +152,9 @@ type JobView struct {
 	// a restart rather than submitted to this process.
 	Recovered bool `json:"recovered,omitempty"`
 	// CheckpointCycles is the simulated cycle stamp of the job's most
-	// recent progress checkpoint (0 until the first interval sample);
-	// for recovered jobs it reports how far the crashed run got.
+	// recent progress sample (0 until the first interval sample); for
+	// recovered jobs it reports how far the crashed run got, and a
+	// finished job reports the same stamp after any number of restarts.
 	CheckpointCycles int64 `json:"checkpoint_cycles,omitempty"`
 	// Error carries the failure message when Status is "failed".
 	Error string `json:"error,omitempty"`

@@ -113,7 +113,9 @@ type Record struct {
 	// Spec is the resolved ConfigSpec JSON (submit records), everything
 	// replay needs to re-run the job without the original request.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Cycles is the simulated cycle stamp (checkpoint records).
+	// Cycles is the simulated cycle stamp: of the sample a checkpoint
+	// record journals, or, on a terminal record, of the job's last
+	// progress sample (later than its last checkpoint).
 	Cycles int64 `json:"cycles,omitempty"`
 	// Samples is the count of interval samples emitted so far
 	// (checkpoint records).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,15 +16,17 @@ import (
 )
 
 // liveJournal leaves behind what a server that never restarted writes:
-// one job run to completion through the API (corr and priority set),
+// one job run to completion through the API (corr and priority set, and
+// progress sampled every progressEvery cycles when that is nonzero),
 // then a canceled job that had started and a failed one that had not,
 // all in the live record form (submit, start, terminal). It returns the
 // config over that state, the done job's ID, and its ?full=1 response
 // body from the live server.
-func liveJournal(t *testing.T) (cfg Config, doneID string, live []byte) {
+func liveJournal(t *testing.T, progressEvery int64) (cfg Config, doneID string, live []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	cfg = Config{Shards: 1, CacheDir: filepath.Join(dir, "cache"), JournalPath: filepath.Join(dir, "journal.jsonl")}
+	cfg = Config{Shards: 1, CacheDir: filepath.Join(dir, "cache"), JournalPath: filepath.Join(dir, "journal.jsonl"),
+		ProgressEvery: progressEvery}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +117,7 @@ func readJournal(t *testing.T, path string) []journal.Record {
 // and compacts to one folded record per job (no spec), which in turn
 // replays to the same views.
 func TestLegacyJournalFolds(t *testing.T) {
-	cfg, doneID, _ := liveJournal(t)
+	cfg, doneID, _ := liveJournal(t, 0)
 	liveBytes, err := os.ReadFile(cfg.JournalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +164,7 @@ func TestLegacyJournalFolds(t *testing.T) {
 // a restart with nothing new neither rewrites nor replaces the journal
 // file, and says so in the flight recorder's replay event.
 func TestCleanRestartLeavesJournal(t *testing.T) {
-	cfg, doneID, _ := liveJournal(t)
+	cfg, doneID, _ := liveJournal(t, 0)
 	firstList, firstFull := restart(t, cfg, doneID)
 	before, err := os.ReadFile(cfg.JournalPath)
 	if err != nil {
@@ -210,7 +213,7 @@ func TestDamagedJournalRewritten(t *testing.T) {
 		"torn tail": func(b []byte) []byte { return append(append([]byte{}, b...), `{"op":"submit","id":"j-9`...) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg, doneID, _ := liveJournal(t)
+			cfg, doneID, _ := liveJournal(t, 0)
 			restart(t, cfg, doneID)
 			clean, err := os.ReadFile(cfg.JournalPath)
 			if err != nil {
@@ -244,7 +247,7 @@ func TestDamagedJournalRewritten(t *testing.T) {
 // returns, the first GET serves the journaled summary hash and no
 // summary — what an entry evicted before the restart gives.
 func TestResultAttachesOnFirstRead(t *testing.T) {
-	cfg, doneID, live := liveJournal(t)
+	cfg, doneID, live := liveJournal(t, 0)
 	var v JobView
 	if err := json.Unmarshal(live, &v); err != nil {
 		t.Fatal(err)
@@ -270,27 +273,34 @@ func TestResultAttachesOnFirstRead(t *testing.T) {
 // across restarts: the first restart serves the live server's bytes
 // with only "recovered" and "cached" set (a recovered result is served
 // from the cache), and a second restart serves the first one's bytes.
+// With progress samples on, the job's last sample falls after its last
+// journaled checkpoint, and checkpoint_cycles must still read the last
+// sample's stamp after each restart.
 func TestFullResultSurvivesRestart(t *testing.T) {
-	cfg, doneID, live := liveJournal(t)
-	var v JobView
-	if err := json.Unmarshal(live, &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Result == nil || v.Recovered {
-		t.Fatalf("live view: %s", live)
-	}
-	v.Recovered, v.Cached = true, true
-	want, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, '\n')
-	_, first := restart(t, cfg, doneID)
-	_, second := restart(t, cfg, doneID)
-	if !bytes.Equal(first, want) {
-		t.Fatalf("full view after a restart:\ngot  %s\nwant %s", first, want)
-	}
-	if !bytes.Equal(second, first) {
-		t.Fatalf("full view changed across a second restart:\ngot  %s\nwant %s", second, first)
+	for _, every := range []int64{0, 10_000} {
+		t.Run(fmt.Sprintf("progress-every-%d", every), func(t *testing.T) {
+			cfg, doneID, live := liveJournal(t, every)
+			var v JobView
+			if err := json.Unmarshal(live, &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.Result == nil || v.Recovered || (every > 0) != (v.CheckpointCycles > 0) {
+				t.Fatalf("live view: %s", live)
+			}
+			v.Recovered, v.Cached = true, true
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			_, first := restart(t, cfg, doneID)
+			_, second := restart(t, cfg, doneID)
+			if !bytes.Equal(first, want) {
+				t.Fatalf("full view after a restart:\ngot  %s\nwant %s", first, want)
+			}
+			if !bytes.Equal(second, first) {
+				t.Fatalf("full view changed across a second restart:\ngot  %s\nwant %s", second, first)
+			}
+		})
 	}
 }

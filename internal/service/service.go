@@ -385,6 +385,9 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 		samples int64
 		hash    string
 		errMsg  string
+		// final is the cycle stamp a terminal record carries: the
+		// job's last progress sample, later than the last checkpoint.
+		final int64
 		// Wall-clock stamps restored into the job's lifecycle trace:
 		// dispatch, latest checkpoint, and terminal time (Unix nanos).
 		startAt int64
@@ -419,10 +422,13 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 		case journal.OpFailed, journal.OpCanceled:
 			st.errMsg, st.termAt = r.Error, r.At
 		}
-		if r.Op.Terminal() && r.StartAt != 0 {
+		if r.Op.Terminal() {
 			// Terminal records carry the dispatch stamp of the start
 			// record compaction drops.
-			st.startAt = r.StartAt
+			if r.StartAt != 0 {
+				st.startAt = r.StartAt
+			}
+			st.final = r.Cycles
 		}
 	}
 	// Cap terminal re-registration: count the terminal jobs, then skip
@@ -452,12 +458,13 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 			dropTerminal--
 			continue
 		}
+		cycles := max(st.cycles, st.final)
 		if st.last.Terminal() {
 			// Finished: one folded record, submit fields and outcome
 			// together. The spec is dropped; a finished job never re-runs.
 			r := journal.Record{Op: st.last, ID: id, Bench: st.submit.Bench, Key: st.submit.Key,
 				Priority: st.submit.Priority, At: st.termAt, Corr: st.submit.Corr,
-				StartAt: st.startAt, SubmitAt: st.submit.At}
+				StartAt: st.startAt, SubmitAt: st.submit.At, Cycles: cycles}
 			if st.last == journal.OpDone {
 				r.Hash = st.hash
 			} else {
@@ -487,7 +494,7 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 			priority:         st.submit.Priority,
 			recovered:        true,
 			journaled:        true,
-			checkpointCycles: st.cycles,
+			checkpointCycles: cycles,
 			samples:          st.samples,
 			queuedAt:         queuedAt,
 			done:             make(chan struct{}),
@@ -758,23 +765,33 @@ func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
 	}
 	j.journaled = true
 	switch {
-	case !terminal(j.status):
-		if enqueue {
-			heap.Push(&s.queue, j)
-			s.cond.Signal()
-		}
-	case j.status == StatusDone:
-		hash := ""
-		if j.entry != nil {
-			hash = j.entry.SummaryHash
-		}
-		s.journalLocked(journal.Record{Op: journal.OpDone, ID: j.id, Hash: hash, At: j.doneAt.UnixNano(), StartAt: unixOrZero(j.startedAt)}, true)
-	case j.status == StatusFailed:
-		s.journalLocked(journal.Record{Op: journal.OpFailed, ID: j.id, Error: j.errMsg, At: j.doneAt.UnixNano(), StartAt: unixOrZero(j.startedAt)}, true)
-	default: // StatusCanceled
-		s.journalLocked(journal.Record{Op: journal.OpCanceled, ID: j.id, Error: j.errMsg, At: j.doneAt.UnixNano(), StartAt: unixOrZero(j.startedAt)}, true)
+	case terminal(j.status):
+		s.journalLocked(terminalRecord(j), true)
+	case enqueue:
+		heap.Push(&s.queue, j)
+		s.cond.Signal()
 	}
 	return s.viewLocked(j, false), nil
+}
+
+// terminalRecord builds a finished submission's journal record: its
+// outcome, its terminal and dispatch stamps, and the cycle stamp of its
+// flight's last progress sample (what the view reports as
+// checkpoint_cycles), so a restart serves the same view. The terminal
+// statuses are spelled as their journal ops. Callers hold s.mu.
+func terminalRecord(j *job) journal.Record {
+	r := journal.Record{Op: journal.Op(j.status), ID: j.id, At: j.doneAt.UnixNano(),
+		StartAt: unixOrZero(j.startedAt), Cycles: j.checkpointCycles}
+	if j.primary != nil {
+		r.Cycles = j.primary.checkpointCycles
+	}
+	switch {
+	case j.status != StatusDone:
+		r.Error = j.errMsg
+	case j.entry != nil:
+		r.Hash = j.entry.SummaryHash
+	}
+	return r
 }
 
 // submitRecord builds a job's journal submit record: everything replay
@@ -914,7 +931,7 @@ func (s *Server) cancelJobLocked(j *job, reason string) {
 	j.doneAt = time.Now()
 	s.observeTerminalLocked(j, StatusCanceled)
 	if j.journaled {
-		s.journalLocked(journal.Record{Op: journal.OpCanceled, ID: j.id, Error: reason, At: j.doneAt.UnixNano(), StartAt: unixOrZero(j.startedAt)}, true)
+		s.journalLocked(terminalRecord(j), true)
 	}
 	close(j.done)
 }
@@ -1379,14 +1396,7 @@ func (s *Server) finalizeLocked(j *job, status string, e *cache.Entry, errMsg st
 		x.doneAt = now
 		s.observeTerminalLocked(x, status)
 		if x.journaled {
-			switch status {
-			case StatusDone:
-				s.journalLocked(journal.Record{Op: journal.OpDone, ID: x.id, Hash: e.SummaryHash, At: now.UnixNano(), StartAt: unixOrZero(x.startedAt)}, true)
-			case StatusFailed:
-				s.journalLocked(journal.Record{Op: journal.OpFailed, ID: x.id, Error: errMsg, At: now.UnixNano(), StartAt: unixOrZero(x.startedAt)}, true)
-			case StatusCanceled:
-				s.journalLocked(journal.Record{Op: journal.OpCanceled, ID: x.id, Error: errMsg, At: now.UnixNano(), StartAt: unixOrZero(x.startedAt)}, true)
-			}
+			s.journalLocked(terminalRecord(x), true)
 		}
 		close(x.done)
 	}

@@ -21,7 +21,8 @@ import (
 )
 
 // CycleCat classifies where a core cycle was spent, for the Fig. 5
-// breakdown.
+// breakdown. The cpu model charges each cycle under one prof.Cause and
+// folds it onto its category with prof.Coarse.
 type CycleCat int
 
 const (

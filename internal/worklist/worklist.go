@@ -28,7 +28,6 @@ import (
 	"minnow/internal/cpu"
 	"minnow/internal/graph"
 	"minnow/internal/sim"
-	"minnow/internal/stats"
 	"minnow/internal/uops"
 )
 
@@ -80,11 +79,11 @@ func (c *Ctx) atomic(addr uint64) {
 	}
 }
 
-// flush runs the accumulated trace on the core under the worklist
-// category.
+// flush runs the accumulated trace on the core, in the enqueue or
+// dequeue region the caller bracketed the operation in.
 func (c *Ctx) flush() {
 	if len(c.TR.Ops) > 0 {
-		c.Core.Run(c.TR.Ops, stats.CatWorklist)
+		c.Core.Run(c.TR.Ops)
 		c.TR.Reset()
 	}
 }
@@ -137,7 +136,7 @@ func (l *lock) acquire(ctx *Ctx) {
 	ctx.flush()
 	if l.freeAt > ctx.Core.Now() {
 		l.Contentions++
-		ctx.Core.Advance(l.freeAt, stats.CatWorklist)
+		ctx.Core.Advance(l.freeAt)
 		// Retry CAS once the holder released.
 		ctx.atomic(l.addr)
 		ctx.flush()

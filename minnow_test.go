@@ -1,6 +1,9 @@
 package minnow
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,7 +85,10 @@ func TestCustomPrefetchRuns(t *testing.T) {
 // TestCustomPrefetchHashPinned pins the summary hash of a custom-prefetch
 // run through each public entry point — Run, RunMany, and RunGraph — so a
 // change to how the user's PrefetchFunc is bridged onto the engine cannot
-// silently change which addresses it sees.
+// silently change which addresses it sees. The hashes live in
+// testdata/custom_prefetch.golden; regenerate it with
+// `UPDATE_GOLDEN=1 go test -run TestCustomPrefetchHashPinned .` and
+// review the diff.
 func TestCustomPrefetchHashPinned(t *testing.T) {
 	f := func(tk Task, g GraphView, emit func(addrs ...uint64)) {
 		emit(g.NodeAddr(tk.Node))
@@ -92,29 +98,36 @@ func TestCustomPrefetchHashPinned(t *testing.T) {
 		}
 	}
 	cfg := Config{Threads: 2, Minnow: true, Prefetch: true, CustomPrefetch: f}
-	const wantRun = "04e101c1cf7d4ad2314ea98fa074e9392916209008876acc6d2afcff98eeb549"
-	const wantGraph = "e21fd1fbed002a1b2bec349c679fe9ca3812e7b48d91fa10740a3309847ee701"
 
 	res, err := Run("SSSP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SummaryHash != wantRun {
-		t.Errorf("Run hash %s, want %s", res.SummaryHash, wantRun)
-	}
 	many := RunMany([]RunRequest{{Benchmark: "SSSP", Config: cfg}}, 1)
 	if many[0].Err != nil {
 		t.Fatal(many[0].Err)
 	}
-	if got := many[0].Result.SummaryHash; got != wantRun {
-		t.Errorf("RunMany hash %s, want %s", got, wantRun)
+	if got := many[0].Result.SummaryHash; got != res.SummaryHash {
+		t.Errorf("RunMany hash %s, Run hash %s", got, res.SummaryHash)
 	}
 	gres, err := RunGraph("SSSP", NewRoadMesh(600, 7), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres.SummaryHash != wantGraph {
-		t.Errorf("RunGraph hash %s, want %s", gres.SummaryHash, wantGraph)
+	got := fmt.Sprintf("Run %s\nRunGraph %s\n", res.SummaryHash, gres.SummaryHash)
+
+	path := filepath.Join("testdata", "custom_prefetch.golden")
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (rerun with UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("hashes drifted from golden file; rerun with UPDATE_GOLDEN=1 and review:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
 
