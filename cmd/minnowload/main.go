@@ -24,6 +24,10 @@
 // after a short random delay to exercise the cancellation path under
 // load; those submissions are expected to end canceled.
 //
+// Requests go through service.Client: the clock starts once /healthz
+// answers, and each job is followed on its event stream to the terminal
+// view. Flag values that would crash the run or make it vacuous exit 2.
+//
 // Usage:
 //
 //	minnowload -addr http://127.0.0.1:8080 -duration 30s
@@ -32,17 +36,16 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,46 +55,82 @@ import (
 	"minnow/internal/stats"
 )
 
+// options are the run's flag values.
+type options struct {
+	clients, seeds   int
+	rate, cancelFrac float64
+	dur, wait        time.Duration
+}
+
+// check rejects flag values that would crash the run or make it
+// vacuous: an empty grid divides by zero, a rate above 1e9/s rounds
+// the submission interval to zero, and no clients or no time submit
+// nothing and pass.
+func (o options) check() error {
+	switch {
+	case o.seeds < 1:
+		return fmt.Errorf("-seeds must be at least 1, got %d", o.seeds)
+	case o.clients < 1:
+		return fmt.Errorf("-clients must be at least 1, got %d", o.clients)
+	case !(o.rate >= 0):
+		return fmt.Errorf("-rate must be non-negative (0 = closed loop), got %g", o.rate)
+	case o.rate > 0 && time.Duration(float64(time.Second)/o.rate) <= 0:
+		return fmt.Errorf("-rate must be at most 1e9 submissions/s, got %g", o.rate)
+	case !(o.cancelFrac >= 0 && o.cancelFrac <= 1):
+		return fmt.Errorf("-cancel-frac must be in [0, 1], got %g", o.cancelFrac)
+	case o.dur <= 0 || o.wait <= 0:
+		return fmt.Errorf("-duration and -wait must be positive, got %v and %v", o.dur, o.wait)
+	}
+	return nil
+}
+
 func main() {
+	var o options
+	flag.DurationVar(&o.dur, "duration", 30*time.Second, "how long to keep submitting")
+	flag.IntVar(&o.clients, "clients", 4, "closed-loop worker count (ignored with -rate)")
+	flag.Float64Var(&o.rate, "rate", 0, "open-loop submissions per second (0 = closed loop)")
+	flag.IntVar(&o.seeds, "seeds", 2, "distinct seeds per benchmark (grid size = benches × seeds; smaller grids repeat sooner and hit the cache harder)")
+	flag.DurationVar(&o.wait, "wait", 5*time.Minute, "readiness wait, and per-job completion wait before counting it lost")
+	flag.Float64Var(&o.cancelFrac, "cancel-frac", 0, "DELETE this fraction of accepted jobs after a short random delay (exercises the cancellation path; canceled terminals count as expected, not failures)")
 	var (
 		addr    = flag.String("addr", "http://127.0.0.1:8080", "minnowd base URL")
-		dur     = flag.Duration("duration", 30*time.Second, "how long to keep submitting")
-		clients = flag.Int("clients", 4, "closed-loop worker count (ignored with -rate)")
-		rate    = flag.Float64("rate", 0, "open-loop submissions per second (0 = closed loop)")
 		benches = flag.String("benches", "SSSP,BFS", "comma-separated benchmark grid")
-		seeds   = flag.Int("seeds", 2, "distinct seeds per benchmark (grid size = benches × seeds; smaller grids repeat sooner and hit the cache harder)")
 		threads = flag.Int("threads", 1, "simulated core count per job (keep small; every miss is a full simulation)")
-		wait    = flag.Duration("wait", 5*time.Minute, "per-job completion wait before counting it lost")
 		require = flag.Bool("require-hits", false, "exit nonzero unless at least one submission was served by cache hit or coalescing")
-		cancelF = flag.Float64("cancel-frac", 0, "DELETE this fraction of accepted jobs after a short random delay (exercises the cancellation path; canceled terminals count as expected, not failures)")
 		arrival = flag.String("arrivals", "", "server-side open-loop arrival plan on every job: preset (steady, burst, waves, trickle) or clause expression; completions are checked for sane latency percentiles")
 	)
 	flag.Parse()
-	if *cancelF < 0 || *cancelF > 1 {
-		fmt.Fprintln(os.Stderr, "minnowload: -cancel-frac must be in [0, 1]")
+	if err := o.check(); err != nil {
+		fmt.Fprintln(os.Stderr, "minnowload:", err)
 		os.Exit(2)
 	}
 
-	grid := buildGrid(strings.Split(*benches, ","), *seeds, *threads, *arrival)
-	fmt.Printf("minnowload: %d-point grid against %s for %v\n", len(grid), *addr, *dur)
+	grid := buildGrid(strings.Split(*benches, ","), o.seeds, *threads, *arrival)
+	fmt.Printf("minnowload: %d-point grid against %s for %v\n", len(grid), *addr, o.dur)
 
-	l := &loader{addr: strings.TrimRight(*addr, "/"), grid: grid, wait: *wait, cancelFrac: *cancelF,
+	l := &loader{c: service.NewClient(*addr, nil), grid: grid, wait: o.wait, cancelFrac: o.cancelFrac,
 		checkArrivals: *arrival != "",
 		hashes:        make(map[string]string), statusSojourns: make(map[string][]time.Duration)}
-	deadline := time.Now().Add(*dur)
-	if *rate > 0 {
-		l.openLoop(*rate, deadline)
-	} else {
-		l.closedLoop(*clients, deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), o.wait)
+	err := l.c.Ready(ctx)
+	cancel()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "minnowload:", err)
+		os.Exit(1)
 	}
-	ok := l.report(*require)
-	if !ok {
+	deadline := time.Now().Add(o.dur)
+	if o.rate > 0 {
+		l.openLoop(o.rate, deadline)
+	} else {
+		l.closedLoop(o.clients, deadline)
+	}
+	if !l.report(*require) {
 		os.Exit(1)
 	}
 }
 
-// buildGrid expands the benchmark × seed sweep into submission bodies
-// with their client-side cache keys. A non-empty arrivals plan is
+// buildGrid expands the benchmark × seed sweep into job specs with
+// their client-side cache keys. A non-empty arrivals plan is
 // threaded onto every spec (and so into every client-side key — the
 // server must agree, or the key cross-check below flags it).
 func buildGrid(benches []string, seeds, threads int, arrivals string) []point {
@@ -104,23 +143,22 @@ func buildGrid(benches []string, seeds, threads int, arrivals string) []point {
 				Arrivals: arrivals,
 			}}
 			key, _ := service.CacheKey(b, spec.Config.ToConfig())
-			body, _ := json.Marshal(spec)
-			grid = append(grid, point{key: key, body: body})
+			grid = append(grid, point{key: key, spec: spec})
 		}
 	}
 	return grid
 }
 
-// point is one grid entry: the request body and the cache key the
-// client expects the server to file it under.
+// point is one grid entry: the job and the cache key the client
+// expects the server to file it under.
 type point struct {
 	key  string
-	body []byte
+	spec service.JobSpec
 }
 
 // loader runs the load shape and accumulates results.
 type loader struct {
-	addr       string
+	c          *service.Client
 	grid       []point
 	wait       time.Duration
 	cancelFrac float64
@@ -136,14 +174,12 @@ type loader struct {
 
 	mu        sync.Mutex
 	submitted int
-	completed int
 	cachedN   int // served with Cached or Coalesced set
-	canceledN int // submissions we DELETEd that ended canceled
 	retries   int // submissions retried after a 429/503 backpressure response
 	failures  []string
-	sojourns  []time.Duration
-	// statusSojourns buckets client-observed sojourns by terminal status
-	// (done and expected-canceled; failures carry no useful latency).
+	// statusSojourns buckets client-observed sojourns by terminal status:
+	// every completed (done) submission and every canceled one we
+	// DELETEd; failures carry no useful latency.
 	statusSojourns map[string][]time.Duration
 	hashes         map[string]string // key → first summary hash seen
 	mismatch       []string
@@ -152,18 +188,13 @@ type loader struct {
 // closedLoop runs n workers, each submit-wait-repeat until the deadline.
 func (l *loader) closedLoop(n int, deadline time.Time) {
 	var wg sync.WaitGroup
-	var next int64
-	var mu sync.Mutex
+	var next atomic.Int64
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				mu.Lock()
-				p := l.grid[int(next)%len(l.grid)]
-				next++
-				mu.Unlock()
-				l.one(p)
+				l.fail(l.one(l.grid[int(next.Add(1)-1)%len(l.grid)]))
 			}
 		}()
 	}
@@ -180,82 +211,69 @@ func (l *loader) openLoop(rate float64, deadline time.Time) {
 		<-tick.C
 		p := l.grid[i%len(l.grid)]
 		wg.Add(1)
-		go func() { defer wg.Done(); l.one(p) }()
+		go func() { defer wg.Done(); l.fail(l.one(p)) }()
 	}
 	wg.Wait()
 }
 
 // one submits a single job, waits for its terminal status, and records
-// the sojourn and the key→hash observation. Each submission carries an
-// X-Correlation-ID ("load-<n>") and verifies the server echoes it, and
-// every terminal view's lifecycle stamps are validated (positive,
-// ordered) — a zero or backwards stamp is a server tracing bug.
-func (l *loader) one(p point) {
+// the sojourn and the key→hash observation; an error is a lost
+// submission. Each submission carries an X-Correlation-ID ("load-<n>")
+// that the Client checks is echoed, and every terminal view's lifecycle
+// stamps are validated (positive, ordered) — a zero or backwards stamp
+// is a server tracing bug.
+func (l *loader) one(p point) error {
 	start := time.Now()
 	l.mu.Lock()
 	l.submitted++
 	l.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), l.wait)
+	defer cancel()
 
 	corr := fmt.Sprintf("load-%d", l.corrSeq.Add(1))
-	v, err := l.submit(p.body, corr)
+	v, err := l.submit(ctx, p.spec, corr)
 	if err != nil {
-		l.fail(err.Error())
-		return
-	}
-	if v.Corr != corr {
-		l.fail(fmt.Sprintf("%s: correlation ID %q not echoed (got %q)", v.ID, corr, v.Corr))
-		return
+		return err
 	}
 	// Optionally exercise the cancellation path: DELETE a fraction of
 	// accepted (not born-done) submissions after a short random delay.
-	wantCancel := l.cancelFrac > 0 && !terminalStatus(v.Status) && rand.Float64() < l.cancelFrac
+	wantCancel := l.cancelFrac > 0 && !service.Terminal(v.Status) && rand.Float64() < l.cancelFrac
 	if wantCancel {
 		time.Sleep(time.Duration(rand.Int63n(int64(100 * time.Millisecond))))
-		if err := l.cancel(v.ID); err != nil {
-			l.fail(err.Error())
-			return
+		if _, err := l.c.Cancel(ctx, v.ID); err != nil {
+			return err
 		}
 	}
-	for v.Status == service.StatusQueued || v.Status == service.StatusRunning {
-		if time.Since(start) > l.wait {
-			l.fail(fmt.Sprintf("%s: no terminal status within %v", v.ID, l.wait))
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-		v, err = l.poll(v.ID)
-		if err != nil {
-			l.fail(err.Error())
-			return
+	if !service.Terminal(v.Status) {
+		id := v.ID
+		if v, err = l.c.Wait(ctx, id, nil); err != nil && ctx.Err() != nil {
+			return fmt.Errorf("%s: no terminal status within %v", id, l.wait)
+		} else if err != nil {
+			return err
 		}
 	}
 	if err := checkStamps(v); err != nil {
-		l.fail(err.Error())
-		return
+		return err
 	}
 	if v.Status == service.StatusCanceled && wantCancel {
 		// The expected terminal for a submission we DELETEd; it carries no
 		// result, so it contributes nothing to the hash cross-check.
 		l.mu.Lock()
-		l.canceledN++
 		l.statusSojourns[v.Status] = append(l.statusSojourns[v.Status], time.Since(start))
 		l.mu.Unlock()
-		return
+		return nil
 	}
 	if v.Status != service.StatusDone {
-		l.fail(fmt.Sprintf("%s: terminal status %s: %s", v.ID, v.Status, v.Error))
-		return
+		return fmt.Errorf("%s: terminal status %s: %s", v.ID, v.Status, v.Error)
 	}
 	if l.checkArrivals {
 		if err := checkLatency(v); err != nil {
-			l.fail(err.Error())
-			return
+			return err
 		}
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.completed++
-	l.sojourns = append(l.sojourns, time.Since(start))
 	l.statusSojourns[v.Status] = append(l.statusSojourns[v.Status], time.Since(start))
 	if v.Cached || v.Coalesced {
 		l.cachedN++
@@ -268,76 +286,36 @@ func (l *loader) one(p point) {
 	} else if prev != v.SummaryHash {
 		l.mismatch = append(l.mismatch, fmt.Sprintf("%s: key %s returned hash %s, previously %s", v.ID, p.key, v.SummaryHash, prev))
 	}
+	return nil
 }
 
-// submit POSTs one job (tagged with the given correlation ID) and
-// decodes the JobView. Backpressure responses (429 queue-full, 503
-// draining) are retried with exponential backoff and jitter, honoring
-// the server's Retry-After hint when present; the retry budget is the
-// same per-job wait bound used for completion.
-func (l *loader) submit(body []byte, corr string) (service.JobView, error) {
-	deadline := time.Now().Add(l.wait)
+// submit submits one job through the Client, retrying backpressure
+// refusals (429 queue-full, 503 draining) with exponential backoff and
+// full jitter, honoring the server's Retry-After hint, until ctx ends.
+func (l *loader) submit(ctx context.Context, spec service.JobSpec, corr string) (service.JobView, error) {
 	backoff := 100 * time.Millisecond
 	for {
-		req, err := http.NewRequest(http.MethodPost, l.addr+"/jobs", bytes.NewReader(body))
-		if err != nil {
-			return service.JobView{}, err
+		v, err := l.c.Submit(ctx, spec, corr)
+		var re *service.RequestError
+		if !errors.As(err, &re) || (re.Code != http.StatusTooManyRequests && re.Code != http.StatusServiceUnavailable) {
+			return v, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Correlation-ID", corr)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return service.JobView{}, err
+		sleep := backoff
+		if re.RetryAfter > 0 {
+			sleep = time.Duration(re.RetryAfter) * time.Second
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			var v service.JobView
-			if err := json.Unmarshal(b, &v); err != nil {
-				return service.JobView{}, fmt.Errorf("POST /jobs: bad body: %w", err)
-			}
-			return v, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			sleep := backoff
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				sleep = time.Duration(ra) * time.Second
-			}
-			// Full jitter: a uniform draw in (0, sleep] decorrelates the
-			// retry herd that a fixed Retry-After would synchronize.
-			sleep = time.Duration(rand.Int63n(int64(sleep))) + time.Millisecond
-			if time.Now().Add(sleep).After(deadline) {
-				return service.JobView{}, fmt.Errorf("POST /jobs: %d after %v of backoff: %s", resp.StatusCode, l.wait, strings.TrimSpace(string(b)))
-			}
-			l.mu.Lock()
-			l.retries++
-			l.mu.Unlock()
-			time.Sleep(sleep)
-			if backoff *= 2; backoff > 5*time.Second {
-				backoff = 5 * time.Second
-			}
-		default:
-			return service.JobView{}, fmt.Errorf("POST /jobs: %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
+		// Full jitter: a uniform draw in (0, sleep] decorrelates the
+		// retry herd that a fixed Retry-After would synchronize.
+		sleep = time.Duration(rand.Int63n(int64(sleep))) + time.Millisecond
+		if dl, _ := ctx.Deadline(); time.Now().Add(sleep).After(dl) {
+			return v, fmt.Errorf("%w, still refused after %v of backoff", err, l.wait)
 		}
+		l.mu.Lock()
+		l.retries++
+		l.mu.Unlock()
+		time.Sleep(sleep)
+		backoff = min(2*backoff, 5*time.Second)
 	}
-}
-
-// cancel DELETEs one job (idempotent on the server side).
-func (l *loader) cancel(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, l.addr+"/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("DELETE /jobs/%s: %d", id, resp.StatusCode)
-	}
-	return nil
 }
 
 // checkStamps validates a terminal view's lifecycle timestamps: the
@@ -393,30 +371,13 @@ func checkLatency(v service.JobView) error {
 	return nil
 }
 
-// terminalStatus mirrors the server's terminal-status set.
-func terminalStatus(status string) bool {
-	return status == service.StatusDone || status == service.StatusFailed || status == service.StatusCanceled
-}
-
-// poll GETs one job's current view.
-func (l *loader) poll(id string) (service.JobView, error) {
-	resp, err := http.Get(l.addr + "/jobs/" + id)
+// fail records one lost submission (nil: none).
+func (l *loader) fail(err error) {
 	if err != nil {
-		return service.JobView{}, err
+		l.mu.Lock()
+		l.failures = append(l.failures, err.Error())
+		l.mu.Unlock()
 	}
-	defer resp.Body.Close()
-	var v service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return service.JobView{}, fmt.Errorf("GET /jobs/%s: %w", id, err)
-	}
-	return v, nil
-}
-
-// fail records one lost submission.
-func (l *loader) fail(msg string) {
-	l.mu.Lock()
-	l.failures = append(l.failures, msg)
-	l.mu.Unlock()
 }
 
 // percentiles returns the exact nearest-rank p-th percentiles of ds
@@ -442,20 +403,21 @@ func (l *loader) report(requireHits bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
+	done := l.statusSojourns[service.StatusDone]
 	var total time.Duration
-	for _, d := range l.sojourns {
+	for _, d := range done {
 		total += d
 	}
 	ratio := 0.0
-	if l.completed > 0 {
-		ratio = float64(l.cachedN) / float64(l.completed)
+	if len(done) > 0 {
+		ratio = float64(l.cachedN) / float64(len(done))
 	}
 
 	fmt.Printf("minnowload: submitted %d, completed %d, canceled %d, failed %d (backpressure retries %d)\n",
-		l.submitted, l.completed, l.canceledN, len(l.failures), l.retries)
-	if l.completed > 0 {
-		q := percentiles(l.sojourns, 50, 99)
-		fmt.Printf("minnowload: sojourn p50 %v  p99 %v  mean %v\n", q[0], q[1], (total / time.Duration(l.completed)).Round(time.Millisecond))
+		l.submitted, len(done), len(l.statusSojourns[service.StatusCanceled]), len(l.failures), l.retries)
+	if len(done) > 0 {
+		q := percentiles(done, 50, 99)
+		fmt.Printf("minnowload: sojourn p50 %v  p99 %v  mean %v\n", q[0], q[1], (total / time.Duration(len(done))).Round(time.Millisecond))
 	}
 	// Per-terminal-status percentiles: canceled submissions resolve much
 	// faster than completed simulations, so one merged distribution hides
@@ -470,7 +432,7 @@ func (l *loader) report(requireHits bool) bool {
 		q := percentiles(ds, 50, 95, 99)
 		fmt.Printf("minnowload: sojourn[%s] n=%d  p50 %v  p95 %v  p99 %v\n", st, len(ds), q[0], q[1], q[2])
 	}
-	fmt.Printf("minnowload: client-observed cache hit ratio %.3f (%d of %d served without a fresh simulation)\n", ratio, l.cachedN, l.completed)
+	fmt.Printf("minnowload: client-observed cache hit ratio %.3f (%d of %d served without a fresh simulation)\n", ratio, l.cachedN, len(done))
 	fmt.Printf("minnowload: %d distinct cache keys, %d hash mismatches\n", len(l.hashes), len(l.mismatch))
 
 	ok := true

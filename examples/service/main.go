@@ -2,18 +2,16 @@
 // simulation service, submits the same configuration twice over real
 // HTTP, and shows the second submission being served from the
 // content-addressed result cache with a byte-identical summary — no
-// second simulation runs. The same flow works against a standalone
-// `minnowd` binary; see docs/SERVICE.md for the full API.
+// second simulation runs. The same flow, through service.Client, works
+// against a standalone `minnowd` binary; see docs/SERVICE.md for the
+// full API.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"time"
 
 	"minnow/internal/service"
@@ -31,21 +29,21 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stop() //nolint:errcheck // demo teardown
-	base := "http://" + addr
+	c := service.NewClient("http://"+addr, nil)
 	fmt.Println("minnowd serving on", addr)
 
-	spec, _ := json.Marshal(service.JobSpec{
+	spec := service.JobSpec{
 		Bench:  "SSSP",
 		Config: service.ConfigSpec{Threads: 1, Minnow: true, Prefetch: true},
-	})
+	}
 
 	// First submission: a cache miss — the job queues and simulates.
-	first := submitAndWait(base, spec)
+	first := submitAndWait(c, spec)
 	fmt.Printf("first  submission: cached=%-5v status=%s hash=%s...\n", first.Cached, first.Status, first.SummaryHash[:12])
 
 	// Second submission of the identical config: served from the cache,
 	// done before the POST even returns.
-	second := submitAndWait(base, spec)
+	second := submitAndWait(c, spec)
 	fmt.Printf("second submission: cached=%-5v status=%s hash=%s...\n", second.Cached, second.Status, second.SummaryHash[:12])
 
 	fmt.Println("hashes identical:", first.SummaryHash == second.SummaryHash)
@@ -58,33 +56,15 @@ func main() {
 	}
 }
 
-// submitAndWait POSTs one job and polls until it reaches a terminal
-// status, returning the final view.
-func submitAndWait(base string, body []byte) service.JobView {
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+// submitAndWait submits one job and follows its event stream to the
+// terminal view.
+func submitAndWait(c *service.Client, spec service.JobSpec) service.JobView {
+	v, err := c.Submit(context.Background(), spec, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		log.Fatalf("POST /jobs: %d: %s", resp.StatusCode, b)
-	}
-	var v service.JobView
-	if err := json.Unmarshal(b, &v); err != nil {
+	if v, err = c.Wait(context.Background(), v.ID, nil); err != nil {
 		log.Fatal(err)
-	}
-	for v.Status == service.StatusQueued || v.Status == service.StatusRunning {
-		time.Sleep(100 * time.Millisecond)
-		r, err := http.Get(base + "/jobs/" + v.ID)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = json.NewDecoder(r.Body).Decode(&v)
-		r.Body.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	return v
 }

@@ -66,4 +66,9 @@
 // replays are byte-identical with it on or off — span timestamps
 // piggyback on journal records the replay path already reads, and
 // TestTracingInert pins the contract.
+//
+// Client is the Go side of the HTTP API: Submit, Cancel, Get, Wait
+// (following the SSE feed to its done event) and Ready. Every non-2xx
+// response comes back wrapping a *RequestError; retrying is left to
+// the caller. cmd/minnowload and this package's tests use it.
 package service

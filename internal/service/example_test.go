@@ -29,13 +29,9 @@ func ExampleServer() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for {
-		v, _ := s.Job(first.ID, false)
-		if v.Status != service.StatusQueued && v.Status != service.StatusRunning {
-			first = v
-			break
-		}
+	for !service.Terminal(first.Status) {
 		time.Sleep(50 * time.Millisecond)
+		first, _ = s.Job(first.ID, false)
 	}
 
 	second, err := s.Submit(spec)

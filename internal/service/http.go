@@ -171,43 +171,38 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		flush()
 		return true
 	}
+live:
 	for {
 		select {
 		case ev, open := <-ch:
 			if !open {
-				// Terminal: report the final state and end the stream.
-				if v, found := s.Job(id, false); found {
-					emit("done", v)
-				}
-				return
+				break live
 			}
 			if !emit("sample", ev) {
 				return // client hung up
 			}
 		case <-done:
-			// Drain any samples buffered before the close, then finish.
-			for {
-				select {
-				case ev, open := <-ch:
-					if !open {
-						if v, found := s.Job(id, false); found {
-							emit("done", v)
-						}
-						return
-					}
-					if !emit("sample", ev) {
-						return
-					}
-				default:
-					if v, found := s.Job(id, false); found {
-						emit("done", v)
-					}
-					return
-				}
-			}
+			break live
 		case <-r.Context().Done():
 			return
 		}
+	}
+	// Terminal: drain any samples buffered before the close, then report
+	// the final state and end the stream.
+	for drained := false; !drained; {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				drained = true
+			} else if !emit("sample", ev) {
+				return
+			}
+		default:
+			drained = true
+		}
+	}
+	if v, found := s.Job(id, false); found {
+		emit("done", v)
 	}
 }
 

@@ -121,8 +121,8 @@ const (
 	StatusCanceled = "canceled"
 )
 
-// terminal reports whether a status ends a job's lifecycle.
-func terminal(status string) bool {
+// Terminal reports whether a status ends a job's lifecycle.
+func Terminal(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCanceled
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // counters aggregates the server's operational metrics. All fields are
@@ -20,15 +19,10 @@ type counters struct {
 	canceled int64 // jobs canceled by client DELETE or shutdown
 
 	journalErrs int64 // journal appends that failed (durability degraded)
-
-	latencySum   time.Duration // total submit→terminal sojourn
-	latencyCount int64         // terminal jobs observed
-	latencyMax   time.Duration // worst sojourn seen
 }
 
-// observe records one job reaching a terminal status after the given
-// submit→terminal sojourn.
-func (m *counters) observe(status string, d time.Duration) {
+// observe counts one job reaching a terminal status.
+func (m *counters) observe(status string) {
 	switch status {
 	case StatusDone:
 		m.done++
@@ -36,11 +30,6 @@ func (m *counters) observe(status string, d time.Duration) {
 		m.failed++
 	case StatusCanceled:
 		m.canceled++
-	}
-	m.latencySum += d
-	m.latencyCount++
-	if d > m.latencyMax {
-		m.latencyMax = d
 	}
 }
 
@@ -101,14 +90,10 @@ func (s *Server) MetricsText() string {
 	counter("minnowd_recovered_completed_total", "Replayed jobs served straight from the cache at startup.", rec.Completed)
 	counter("minnowd_journal_errors_total", "Journal appends that failed (durability degraded; must stay 0).", m.journalErrs)
 
-	fmt.Fprintf(&b, "# HELP minnowd_job_seconds Submit-to-terminal job sojourn time.\n# TYPE minnowd_job_seconds summary\n")
-	fmt.Fprintf(&b, "minnowd_job_seconds_sum %.6f\n", m.latencySum.Seconds())
-	fmt.Fprintf(&b, "minnowd_job_seconds_count %d\n", m.latencyCount)
-	gauge("minnowd_job_seconds_max", "Worst submit-to-terminal sojourn seen.", fmt.Sprintf("%.6f", m.latencyMax.Seconds()))
-
 	// Lifecycle latency histograms (internal/service/tracing), labeled by
-	// terminal status and cache outcome. Each HistVec locks itself —
-	// s.mu is already released.
+	// terminal status and cache outcome; minnowd_sojourn_seconds is the
+	// one submit→terminal sojourn sink. Each HistVec locks itself — s.mu
+	// is already released.
 	b.WriteString(s.hQueueWait.Text())
 	b.WriteString(s.hExec.Text())
 	b.WriteString(s.hSojourn.Text())

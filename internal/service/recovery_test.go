@@ -1,11 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,27 +17,20 @@ import (
 	"minnow/internal/service/journal"
 )
 
-// cancelJob issues DELETE /jobs/{id} and returns the status code and
-// decoded view (when 200).
+// cancelJob cancels a job through the Client and returns the HTTP
+// status and the view (when 200).
 func cancelJob(t *testing.T, base, id string) (int, JobView) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
+	v, err := NewClient(base, nil).Cancel(context.Background(), id)
+	var re *RequestError
+	switch {
+	case err == nil:
+		return http.StatusOK, v
+	case errors.As(err, &re):
+		return re.Code, JobView{}
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var v JobView
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(b, &v); err != nil {
-			t.Fatalf("DELETE body %s: %v", b, err)
-		}
-	}
-	return resp.StatusCode, v
+	t.Fatal(err)
+	return 0, JobView{}
 }
 
 // slowSpec is a job long enough (several seconds) to reliably cancel
@@ -99,7 +91,7 @@ func TestCancelRunningJob(t *testing.T) {
 		if cur.Status == StatusRunning {
 			break
 		}
-		if terminal(cur.Status) {
+		if Terminal(cur.Status) {
 			t.Fatalf("job finished before it could be canceled: %+v", cur)
 		}
 		if time.Now().After(deadline) {
@@ -164,21 +156,11 @@ func TestCancelIsPerSubmission(t *testing.T) {
 // TestRetryAfterHeader pins the backpressure contract: 429 (queue
 // full) and 503 (draining) both carry a Retry-After header.
 func TestRetryAfterHeader(t *testing.T) {
-	s, err := New(Config{Shards: 1, QueueLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+	s, ts := newTestServer(t, Config{Shards: 1, QueueLimit: 1})
 	submit(t, ts.URL, slowSpec(1))  // running
 	submit(t, ts.URL, smallSpec(2)) // fills the 1-slot queue
 	body, _ := json.Marshal(smallSpec(3))
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", string(body), "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit POST = %d, want 429", resp.StatusCode)
 	}
@@ -186,32 +168,8 @@ func TestRetryAfterHeader(t *testing.T) {
 		t.Fatalf("429 Retry-After = %q, want \"1\"", ra)
 	}
 
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		done <- s.Shutdown(ctx)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never reported draining")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	resp2, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
+	done := startDrain(t, s, ts.URL)
+	resp2, _ := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", string(body), "")
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining POST = %d, want 503", resp2.StatusCode)
 	}
@@ -296,18 +254,7 @@ func TestCrashRecovery(t *testing.T) {
 	cfg2 := cfg1
 	cfg2.CacheDir = filepath.Join(dir2, "cache")
 	cfg2.JournalPath = filepath.Join(dir2, "journal.jsonl")
-	s2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		s2.Shutdown(ctx)
-	}()
-
+	s2, ts2 := newTestServer(t, cfg2)
 	rec := s2.Recovery()
 	if rec.Completed < 1 {
 		t.Fatalf("recovery served %d completed jobs, want >= 1 (the pre-crash done job): %+v", rec.Completed, rec)
@@ -352,21 +299,13 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Idempotency: a third server over the same (now fully terminal)
 	// state replays everything as completed and simulates nothing.
-	ctx, cancelCtx := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelCtx()
 	ts2.Close()
-	if err := s2.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	stop(t, s2)
 	s3, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		s3.Shutdown(ctx)
-	}()
+	defer stop(t, s3)
 	rec3 := s3.Recovery()
 	if rec3.Requeued != 0 {
 		t.Fatalf("double restart requeued %d jobs, want 0: %+v", rec3.Requeued, rec3)

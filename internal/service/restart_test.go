@@ -27,11 +27,7 @@ func liveJournal(t *testing.T, progressEvery int64) (cfg Config, doneID string, 
 	dir := t.TempDir()
 	cfg = Config{Shards: 1, CacheDir: filepath.Join(dir, "cache"), JournalPath: filepath.Join(dir, "journal.jsonl"),
 		ProgressEvery: progressEvery}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
+	s, ts := newTestServer(t, cfg)
 	spec := smallSpec(7)
 	spec.Corr, spec.Priority = "restart-corr", 3
 	doneID = submit(t, ts.URL, spec).ID

@@ -765,7 +765,7 @@ func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
 	}
 	j.journaled = true
 	switch {
-	case terminal(j.status):
+	case Terminal(j.status):
 		s.journalLocked(terminalRecord(j), true)
 	case enqueue:
 		heap.Push(&s.queue, j)
@@ -836,7 +836,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, &RequestError{Code: 404, Msg: "service: unknown job " + id}
 	}
-	if terminal(j.status) {
+	if Terminal(j.status) {
 		return s.viewLocked(j, false), nil
 	}
 	const reason = "service: canceled by client"
@@ -850,7 +850,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 		s.cancelJobLocked(j, reason)
 		// If the carrier's own submission was already canceled and this
 		// was the last live follower, nobody wants the flight: stop it.
-		if terminal(p.status) && !s.flightLiveLocked(p) {
+		if Terminal(p.status) && !s.flightLiveLocked(p) {
 			if p.flightStatus == StatusRunning {
 				p.cancelFlag.Store(true)
 			} else {
@@ -904,7 +904,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 // result (is non-terminal). Callers hold s.mu.
 func (s *Server) flightLiveLocked(p *job) bool {
 	for _, f := range p.followers {
-		if !terminal(f.status) {
+		if !Terminal(f.status) {
 			return true
 		}
 	}
@@ -942,7 +942,7 @@ func (s *Server) cancelJobLocked(j *job, reason string) {
 // must have stamped j.doneAt.
 func (s *Server) observeTerminalLocked(j *job, status string) {
 	d := j.doneAt.Sub(j.queuedAt)
-	s.m.observe(status, d)
+	s.m.observe(status)
 	outcome := cacheOutcome(j)
 	s.hSojourn.Observe(d.Seconds(), status, outcome)
 	if !j.startedAt.IsZero() {
@@ -1063,7 +1063,7 @@ func (s *Server) Subscribe(id string) (ch <-chan ProgressEvent, done <-chan stru
 	if target.lastSample != nil {
 		c <- *target.lastSample
 	}
-	if terminal(target.flightStatus) || terminal(j.status) {
+	if Terminal(target.flightStatus) || Terminal(j.status) {
 		close(c)
 		return c, j.done, func() {}, true
 	}
@@ -1107,11 +1107,11 @@ func (s *Server) worker() {
 		j := heap.Pop(&s.queue).(*job)
 		j.flightStatus = StatusRunning
 		j.startedAt = time.Now()
-		if !terminal(j.status) {
+		if !Terminal(j.status) {
 			j.status = StatusRunning
 		}
 		for _, f := range j.followers {
-			if !terminal(f.status) {
+			if !Terminal(f.status) {
 				f.status = StatusRunning
 				f.startedAt = j.startedAt
 			}
@@ -1178,7 +1178,7 @@ func (s *Server) execute(j *job) {
 		s.persistTrace(j)
 		return
 	}
-	if terminal(j.status) && !s.flightLiveLocked(j) {
+	if Terminal(j.status) && !s.flightLiveLocked(j) {
 		// The run finished before the cancel poll could stop it, but
 		// every attached submission is already canceled: discard the
 		// result without caching — a canceled flight never writes.
@@ -1307,7 +1307,7 @@ func (s *Server) jobTraceLocked(j *job, now time.Time) *tracing.JobTrace {
 				t.Spans = append(t.Spans, tracing.Span{Name: "cache-write", Start: execEnd, End: execEnd.Add(p.cacheWriteDur)})
 			}
 		}
-	} else if terminal(j.status) {
+	} else if Terminal(j.status) {
 		// Never dispatched: the whole sojourn was queue wait (or, for a
 		// born-done hit, the cache lookup itself).
 		if !j.cached || j.coalesced {
@@ -1321,7 +1321,7 @@ func (s *Server) jobTraceLocked(j *job, now time.Time) *tracing.JobTrace {
 		t.Instants = append(t.Instants, tracing.Instant{Name: "coalesced", At: j.queuedAt, Detail: "onto " + p.id})
 	}
 	t.Instants = append(t.Instants, p.ckpts...)
-	if terminal(j.status) && j.status != StatusDone {
+	if Terminal(j.status) && j.status != StatusDone {
 		t.Instants = append(t.Instants, tracing.Instant{Name: j.status, At: end, Detail: j.errMsg})
 	}
 	return t
@@ -1387,7 +1387,7 @@ func (s *Server) finalizeLocked(j *job, status string, e *cache.Entry, errMsg st
 	all := append([]*job{j}, j.followers...)
 	now := time.Now()
 	for _, x := range all {
-		if terminal(x.status) {
+		if Terminal(x.status) {
 			continue // canceled individually before the flight resolved
 		}
 		x.status = status

@@ -1,14 +1,15 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -44,68 +45,89 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// submit POSTs one job and decodes the response.
+// submit POSTs one job through the Client.
 func submit(t *testing.T, base string, spec JobSpec) JobView {
 	t.Helper()
-	body, err := json.Marshal(spec)
+	v, err := NewClient(base, nil).Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /jobs status = %d, body %s", resp.StatusCode, b)
-	}
-	var v JobView
-	if err := json.Unmarshal(b, &v); err != nil {
-		t.Fatalf("POST /jobs body %s: %v", b, err)
 	}
 	return v
 }
 
-// await polls a job until it reaches a terminal status.
+// await follows a job's event stream through the Client until the job
+// is terminal.
 func await(t *testing.T, base, id string) JobView {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /jobs/%s status = %d, body %s", id, resp.StatusCode, b)
-		}
-		var v JobView
-		if err := json.Unmarshal(b, &v); err != nil {
-			t.Fatal(err)
-		}
-		switch v.Status {
-		case StatusDone, StatusFailed, StatusCanceled:
-			return v
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	v, err := NewClient(base, nil).Wait(ctx, id, nil)
+	if err != nil || !Terminal(v.Status) {
+		t.Fatalf("job %s did not finish: %+v, %v", id, v, err)
 	}
-	t.Fatalf("job %s did not finish", id)
-	return JobView{}
+	return v
 }
 
-// metric extracts one un-labeled metric value from Prometheus text.
+// metric reads one series from Prometheus text: an exact
+// name{labels}, or a bare name summed over every label set it carries.
 func metric(t *testing.T, text, name string) float64 {
 	t.Helper()
+	sum, found := 0.0, false
 	for _, line := range strings.Split(text, "\n") {
-		var v float64
-		if _, err := fmt.Sscanf(line, name+" %f", &v); err == nil && strings.HasPrefix(line, name+" ") {
-			return v
+		series, val, _ := strings.Cut(line, " ")
+		if base, _, _ := strings.Cut(series, "{"); series == name || base == name {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			sum, found = sum+v, true
 		}
 	}
-	t.Fatalf("metric %s not found in:\n%s", name, text)
-	return 0
+	if !found {
+		t.Fatalf("metric %s not found in:\n%s", name, text)
+	}
+	return sum
+}
+
+// rawHTTP sends one raw request, with a non-empty corr as
+// X-Correlation-ID, for the tests whose subject is the wire itself. It
+// returns the closed response and its body.
+func rawHTTP(t *testing.T, method, url, body, corr string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corr != "" {
+		req.Header.Set("X-Correlation-ID", corr)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, b
+}
+
+// startDrain begins s.Shutdown in the background and returns, with the
+// channel its result arrives on, once GET /healthz answers 503.
+func startDrain(t *testing.T, s *Server, base string) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		done <- s.Shutdown(ctx)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, _ := rawHTTP(t, http.MethodGet, base+"/healthz", "", ""); resp.StatusCode == http.StatusServiceUnavailable {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healthz never reported draining")
+		}
+	}
 }
 
 // TestSubmitPollLifecycle drives the documented submit→poll flow end to
@@ -139,14 +161,9 @@ func TestSubmitPollLifecycle(t *testing.T) {
 	}
 
 	// ?full=1 adds the complete minnow.Result document.
-	resp, err := http.Get(ts.URL + "/jobs/" + v.ID + "?full=1")
+	c := NewClient(ts.URL, nil)
+	fv, err := c.Get(context.Background(), v.ID, true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var fv JobView
-	if err := json.Unmarshal(b, &fv); err != nil {
 		t.Fatal(err)
 	}
 	var res minnow.Result
@@ -158,15 +175,11 @@ func TestSubmitPollLifecycle(t *testing.T) {
 	}
 
 	// Unknown job IDs are 404; list shows the job.
-	if resp, _ := http.Get(ts.URL + "/jobs/j-999"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status = %d, want 404", resp.StatusCode)
+	var re *RequestError
+	if _, err := c.Get(context.Background(), "j-999", false); !errors.As(err, &re) || re.Code != http.StatusNotFound {
+		t.Fatalf("unknown job: %v, want 404", err)
 	}
-	lresp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := io.ReadAll(lresp.Body)
-	lresp.Body.Close()
+	_, lb := rawHTTP(t, http.MethodGet, ts.URL+"/jobs", "", "")
 	var list []JobView
 	if err := json.Unmarshal(lb, &list); err != nil || len(list) != 1 || list[0].ID != v.ID {
 		t.Fatalf("job list = %s (err %v)", lb, err)
@@ -180,12 +193,7 @@ func TestSubmitPollLifecycle(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1})
 	post := func(body string) (int, string) {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		resp, b := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", body, "")
 		return resp.StatusCode, string(b)
 	}
 	code, body := post(`{"bench":"SSSP","config":{"Threads":-1}}`)
@@ -307,61 +315,28 @@ func TestStreamDeliversProgress(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1, ProgressEvery: 20000})
 	v := submit(t, ts.URL, smallSpec(42))
 
-	resp, err := http.Get(ts.URL + "/jobs/" + v.ID + "/stream")
+	c := NewClient(ts.URL, nil)
+	samples := 0
+	final, err := c.Wait(context.Background(), v.ID, func(ev ProgressEvent) {
+		samples++
+		if ev.Cycles <= 0 || !strings.Contains(ev.Metrics, "minnow") {
+			t.Fatalf("implausible sample: %+v", ev)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-	samples, dones := 0, 0
-	var final JobView
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "sample":
-				samples++
-				var ev ProgressEvent
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					t.Fatalf("sample payload %q: %v", data, err)
-				}
-				if ev.Cycles <= 0 || !strings.Contains(ev.Metrics, "minnow") {
-					t.Fatalf("implausible sample: %+v", ev)
-				}
-			case "done":
-				dones++
-				if err := json.Unmarshal([]byte(data), &final); err != nil {
-					t.Fatalf("done payload %q: %v", data, err)
-				}
-			}
-		}
 	}
 	if samples == 0 {
 		t.Fatal("stream delivered no interval samples")
 	}
-	if dones != 1 || final.Status != StatusDone || final.SummaryHash == "" {
-		t.Fatalf("stream terminal event wrong: dones=%d final=%+v", dones, final)
+	if final.Status != StatusDone || final.SummaryHash == "" {
+		t.Fatalf("stream terminal event wrong: final=%+v", final)
 	}
 
 	// Streaming an already-finished job yields the done event
 	// immediately (plus the replayed last sample).
-	resp2, err := http.Get(ts.URL + "/jobs/" + v.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if !strings.Contains(string(b), "event: done") {
-		t.Fatalf("post-completion stream missing done event:\n%s", b)
+	if _, err := c.Wait(context.Background(), v.ID, nil); err != nil {
+		t.Fatalf("post-completion stream: %v", err)
 	}
 }
 
@@ -372,18 +347,10 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := smallSpec(42)
 
-	s1, err := New(Config{Shards: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
+	s1, ts1 := newTestServer(t, Config{Shards: 1, CacheDir: dir})
 	first := await(t, ts1.URL, submit(t, ts1.URL, spec).ID)
 	ts1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	stop(t, s1)
 
 	s2, ts2 := newTestServer(t, Config{Shards: 1, CacheDir: dir})
 	second := submit(t, ts2.URL, spec)
@@ -438,49 +405,17 @@ func TestArtifactUpgrade(t *testing.T) {
 // TestGracefulShutdownDrains accepts several jobs, starts a drain, and
 // requires every accepted job to finish while new submissions get 503.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, err := New(Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+	s, ts := newTestServer(t, Config{Shards: 1})
 	var ids []string
 	for seed := uint64(1); seed <= 3; seed++ {
 		ids = append(ids, submit(t, ts.URL, smallSpec(seed)).ID)
 	}
 
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		done <- s.Shutdown(ctx)
-	}()
-
 	// Draining must refuse new work with 503 and fail health checks.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never reported draining")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	body, _ := json.Marshal(smallSpec(9))
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining POST status = %d, want 503", resp.StatusCode)
+	done := startDrain(t, s, ts.URL)
+	var re *RequestError
+	if _, err := NewClient(ts.URL, nil).Submit(context.Background(), smallSpec(9), ""); !errors.As(err, &re) || re.Code != http.StatusServiceUnavailable {
+		t.Fatalf("draining POST: %v, want 503", err)
 	}
 
 	if err := <-done; err != nil {
@@ -510,5 +445,30 @@ func TestFailedJobReportsError(t *testing.T) {
 	}
 	if failed := metric(t, s.MetricsText(), `minnowd_jobs_total{status="failed"}`); failed != 1 {
 		t.Fatalf("failed counter = %v, want 1", failed)
+	}
+}
+
+// TestSojournTotals pins minnowd_sojourn_seconds as the one sojourn
+// sink: its _count summed over labels is the number of terminal jobs,
+// and its _sum summed over labels is their total submit→terminal time.
+func TestSojournTotals(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1})
+	failing := smallSpec(43)
+	failing.Config.MaxCycles = 1000
+	views := []JobView{
+		await(t, ts.URL, submit(t, ts.URL, smallSpec(42)).ID), // miss
+		submit(t, ts.URL, smallSpec(42)),                      // hit
+		await(t, ts.URL, submit(t, ts.URL, failing).ID),       // failed
+	}
+	want := 0.0
+	for _, v := range views {
+		want += float64(v.DoneAtNS-v.QueuedAtNS) / 1e9
+	}
+	text := s.MetricsText()
+	if count, jobs := metric(t, text, "minnowd_sojourn_seconds_count"), metric(t, text, "minnowd_jobs_total"); count != 3 || jobs != 3 {
+		t.Fatalf("sojourn count %v, terminal jobs %v, want 3", count, jobs)
+	}
+	if sum := metric(t, text, "minnowd_sojourn_seconds_sum"); math.Abs(sum-want) > 1e-3 {
+		t.Fatalf("sojourn sum %.6fs, want the views' total %.6fs", sum, want)
 	}
 }

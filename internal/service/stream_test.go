@@ -1,58 +1,32 @@
 package service
 
 import (
-	"bufio"
-	"encoding/json"
+	"context"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// sseResult is one parsed /jobs/{id}/stream session.
+// sseResult is one /jobs/{id}/stream session.
 type sseResult struct {
 	cycles []int64 // sample event cycle stamps, arrival order
 	final  JobView // the terminal "done" event payload
-	dones  int
+	dones  int     // 1 once the Client accepted the stream's one done event
 }
 
-// readStream consumes one SSE session to completion.
+// readStream follows one job's stream to its end through the Client.
 func readStream(t *testing.T, base, id string) sseResult {
 	t.Helper()
-	resp, err := http.Get(base + "/jobs/" + id + "/stream")
+	var out sseResult
+	final, err := NewClient(base, nil).Wait(context.Background(), id, func(ev ProgressEvent) {
+		out.cycles = append(out.cycles, ev.Cycles)
+	})
 	if err != nil {
 		t.Error(err)
-		return sseResult{}
+		return out
 	}
-	defer resp.Body.Close()
-	var out sseResult
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "sample":
-				var ev ProgressEvent
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					t.Errorf("sample payload %q: %v", data, err)
-					return out
-				}
-				out.cycles = append(out.cycles, ev.Cycles)
-			case "done":
-				out.dones++
-				if err := json.Unmarshal([]byte(data), &out.final); err != nil {
-					t.Errorf("done payload %q: %v", data, err)
-				}
-			}
-		}
-	}
+	out.final, out.dones = final, 1
 	return out
 }
 
@@ -96,7 +70,7 @@ func TestStreamMonotoneAcrossCoalesceAndCancel(t *testing.T) {
 		if cur.Status == StatusRunning {
 			break
 		}
-		if terminal(cur.Status) {
+		if Terminal(cur.Status) {
 			t.Fatalf("primary finished before the test could attach: %+v", cur)
 		}
 		if time.Now().After(deadline) {
@@ -159,7 +133,7 @@ func TestStreamReplayNotAhead(t *testing.T) {
 		if cur.CheckpointCycles > 0 {
 			break
 		}
-		if terminal(cur.Status) {
+		if Terminal(cur.Status) {
 			t.Fatalf("job finished before a checkpoint: %+v", cur)
 		}
 		if time.Now().After(deadline) {

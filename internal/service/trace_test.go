@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,11 +70,7 @@ func TestTracingInertJournalReplay(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "journal.jsonl")
 
-	s1, err := New(Config{Shards: 1, JournalPath: jp, TraceDir: filepath.Join(dir, "traces"), FlightRecEvents: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
+	s1, ts1 := newTestServer(t, Config{Shards: 1, JournalPath: jp, TraceDir: filepath.Join(dir, "traces"), FlightRecEvents: 32})
 	spec := smallSpec(42)
 	spec.Corr = "replay-corr"
 	fin := await(t, ts1.URL, submit(t, ts1.URL, spec).ID)
@@ -84,11 +78,7 @@ func TestTracingInertJournalReplay(t *testing.T) {
 		t.Fatalf("job: %+v", fin)
 	}
 	ts1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	stop(t, s1)
 	journalBytes, err := os.ReadFile(jp)
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +143,7 @@ func TestMergedTraceEndpoint(t *testing.T) {
 		t.Fatalf("job: %+v", v)
 	}
 
-	resp, err := http.Get(ts.URL + "/jobs/" + v.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, b := rawHTTP(t, http.MethodGet, ts.URL+"/jobs/"+v.ID+"/trace", "", "")
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
 		t.Fatalf("GET trace = %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
@@ -209,7 +194,7 @@ func TestMergedTraceEndpoint(t *testing.T) {
 	}
 
 	// Unknown jobs are 404.
-	if resp, _ := http.Get(ts.URL + "/jobs/j-999/trace"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := rawHTTP(t, http.MethodGet, ts.URL+"/jobs/j-999/trace", "", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown trace = %d, want 404", resp.StatusCode)
 	}
 }
@@ -226,17 +211,13 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		t.Fatalf("job: %+v", v)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/flightrec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, b := rawHTTP(t, http.MethodGet, ts.URL+"/debug/flightrec", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/flightrec = %d", resp.StatusCode)
 	}
 	var kinds []string
 	first := true
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(bytes.NewReader(b))
 	for sc.Scan() {
 		var m map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
@@ -281,5 +262,28 @@ func TestLifecycleStampsOrdered(t *testing.T) {
 	// Born-done: never dispatched, so StartedAtNS stays 0.
 	if hit.QueuedAtNS <= 0 || hit.StartedAtNS != 0 || hit.DoneAtNS < hit.QueuedAtNS {
 		t.Fatalf("cache-hit stamps wrong: %+v", hit)
+	}
+}
+
+// TestCorrelationIDHeader pins the X-Correlation-ID path of POST /jobs:
+// the header is the job's corr when the body has none, the body's corr
+// wins when both are set, and every client ID is sanitized (control
+// characters dropped, capped at 128 bytes).
+func TestCorrelationIDHeader(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 1})
+	for _, c := range []struct{ body, header, want string }{
+		{"", "hdr-only", "hdr-only"},
+		{"", "h\tdr", "hdr"},
+		{"body-wins", "hdr-loses", "body-wins"},
+		{"a\x00b\nc\x7f" + strings.Repeat("x", 200), "", "abc" + strings.Repeat("x", 125)},
+	} {
+		spec := smallSpec(42)
+		spec.Corr = c.body
+		body, _ := json.Marshal(spec)
+		_, b := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", string(body), c.header)
+		var v JobView
+		if err := json.Unmarshal(b, &v); err != nil || v.Corr != c.want {
+			t.Fatalf("body corr %q, header %q: got corr %q (%v), want %q", c.body, c.header, v.Corr, err, c.want)
+		}
 	}
 }
