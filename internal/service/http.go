@@ -26,7 +26,8 @@ import (
 //	GET    /                 human-readable index
 //
 // Error bodies are plain text; validation failures carry the
-// minnow.Config.Validate message verbatim with status 400. Backpressure
+// minnow.Config.Validate message verbatim with status 400, and a submit
+// body over 1 MiB is refused with 413. Backpressure
 // responses — 429 (queue full) and 503 (draining) — carry a Retry-After
 // header. See docs/SERVICE.md for the full API reference.
 func (s *Server) Handler() http.Handler {
@@ -82,13 +83,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone mid-body; nothing to do
 }
 
-// handleSubmit is POST /jobs.
+// maxSubmitBody bounds a POST /jobs body; a JobSpec is a few hundred
+// bytes.
+const maxSubmitBody = 1 << 20
+
+// handleSubmit is POST /jobs. A body over maxSubmitBody is refused with
+// 413 before anything is journaled.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, "service: bad request body: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "service: bad request body: "+err.Error(), code)
 		return
 	}
 	if spec.Corr == "" {

@@ -20,6 +20,13 @@
 // appended after a restart lands on a fresh line instead of fusing
 // with the fragment.
 //
+// Line format: each line is a Record as json.Marshal writes it, and
+// Append and Rewrite write nothing else. Open reads that form with a
+// strict single-pass decoder (decode.go) and hands any other line — a
+// spec, whitespace, escapes, unknown or case-variant keys, null — to
+// json.Unmarshal, so every line decodes exactly as json.Unmarshal would
+// decode it, only faster. Lines have no length limit.
+//
 // Compacted form: the service rewrites the journal at startup down to
 // the jobs it keeps. A finished job becomes one folded terminal record
 // (Record.Folded) carrying its submit fields; an unfinished one keeps
@@ -37,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -142,6 +150,12 @@ func (r Record) Equal(o Record) bool {
 		r.Cycles == o.Cycles && r.Samples == o.Samples && r.Hash == o.Hash && r.Error == o.Error
 }
 
+// lineSizeEstimate presizes Open's record slice from the file size. It
+// sits just under the 200 to 300 bytes of a folded record, the bulk of
+// a compacted journal; a live journal's shorter start and checkpoint
+// lines can outgrow the estimate, and the slice then grows.
+const lineSizeEstimate = 192
+
 // Journal is an open append-only job log.
 type Journal struct {
 	mu   sync.Mutex
@@ -167,20 +181,25 @@ func Open(path string) (*Journal, []Record, error) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	var recs []Record
-	skipped := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.ID == "" || r.Op == "" {
-			skipped++ // blank, torn or corrupt line: skip, never fail recovery
-			continue
-		}
-		recs = append(recs, r)
+	if fi, err := f.Stat(); err == nil {
+		recs = make([]Record, 0, fi.Size()/lineSizeEstimate+1)
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: read %s: %w", path, err)
+	skipped := 0
+	lr := lineReader{r: bufio.NewReaderSize(f, 64<<10)}
+	for {
+		line, err := lr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("journal: read %s: %w", path, err)
+		}
+		recs = append(recs, Record{})
+		if r := &recs[len(recs)-1]; decode(line, r) != nil || r.ID == "" || r.Op == "" {
+			recs = recs[:len(recs)-1]
+			skipped++ // blank, torn or corrupt line: skip, never fail recovery
+		}
 	}
 	// Appends must land at the end regardless of where the scan stopped.
 	end, err := f.Seek(0, 2)

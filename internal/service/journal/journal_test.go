@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -203,5 +204,45 @@ func TestClosedAppendFails(t *testing.T) {
 	j.Close()
 	if err := j.Append(Record{Op: OpSubmit, ID: "j-1"}, false); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+}
+
+// TestLongLineReplays pins that no line is too long to replay: a submit
+// record whose spec carries a fault plan of about 19 MB, past the 16 MiB
+// token cap a bufio.Scanner would impose, decodes with the records
+// around it.
+func TestLongLineReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := json.RawMessage(`{"Faults":"` + strings.Repeat("noc-delay:p=0.001,cycles=1;", 700000) + `"}`)
+	want := []Record{
+		{Op: OpSubmit, ID: "j-1", Key: "k1"},
+		{Op: OpSubmit, ID: "j-2", Key: "k2", Spec: spec},
+		{Op: OpDone, ID: "j-1", Hash: "aa"},
+	}
+	for _, r := range want {
+		if err := j.Append(r, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() <= 16<<20 {
+		t.Fatalf("journal of %v bytes (%v), want a line over 16 MiB", fi.Size(), err)
+	}
+	j, recs, err := Open(path)
+	if err != nil {
+		t.Fatalf("long line failed recovery: %v", err)
+	}
+	j.Close()
+	if !j.Intact() || len(recs) != len(want) {
+		t.Fatalf("replayed %d records (intact %v), want %d", len(recs), j.Intact(), len(want))
+	}
+	for i, r := range recs {
+		if !r.Equal(want[i]) {
+			t.Fatalf("record %d = %.200v, want %.200v", i, r, want[i])
+		}
 	}
 }

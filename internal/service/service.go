@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"minnow"
 	"minnow/internal/service/cache"
@@ -232,7 +233,8 @@ func cacheOutcome(j *job) string {
 
 // sanitizeCorr normalizes a client-supplied correlation ID: control
 // characters (which could forge flight-recorder JSONL or journal lines
-// in log-viewing tools) are dropped and the length is capped at 128.
+// in log-viewing tools) are dropped, invalid UTF-8 becomes U+FFFD, and
+// the length is capped at 128 bytes, cut at a rune boundary.
 func sanitizeCorr(corr string) string {
 	corr = strings.Map(func(r rune) rune {
 		if r < 0x20 || r == 0x7f {
@@ -241,7 +243,11 @@ func sanitizeCorr(corr string) string {
 		return r
 	}, corr)
 	if len(corr) > 128 {
-		corr = corr[:128]
+		n := 128
+		for !utf8.RuneStart(corr[n]) {
+			n--
+		}
+		corr = corr[:n]
 	}
 	return corr
 }
@@ -379,6 +385,7 @@ func New(cfg Config) (*Server, error) {
 // Runs before the worker shards start, so no lock is needed.
 func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchanged bool) {
 	type state struct {
+		id      string
 		submit  journal.Record
 		last    journal.Op
 		cycles  int64
@@ -394,23 +401,26 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 		ckptAt  int64
 		termAt  int64
 	}
-	states := make(map[string]*state)
-	var order []string
+	// states holds one state per job in journal order, indexed by ID;
+	// a job has at least one record, so len(recs) bounds both.
+	states := make([]state, 0, len(recs))
+	index := make(map[string]int, len(recs))
 	for _, r := range recs {
-		st, ok := states[r.ID]
+		i, ok := index[r.ID]
 		if !ok {
 			switch {
 			case r.Op == journal.OpSubmit:
-				st = &state{submit: r}
+				states = append(states, state{id: r.ID, submit: r})
 			case r.Folded():
-				st = &state{submit: journal.Record{Op: journal.OpSubmit, ID: r.ID, Bench: r.Bench,
-					Key: r.Key, Priority: r.Priority, At: r.SubmitAt, Corr: r.Corr}}
+				states = append(states, state{id: r.ID, submit: journal.Record{Op: journal.OpSubmit, ID: r.ID,
+					Bench: r.Bench, Key: r.Key, Priority: r.Priority, At: r.SubmitAt, Corr: r.Corr}})
 			default:
 				continue // start/terminal for a submit lost to a torn line
 			}
-			states[r.ID] = st
-			order = append(order, r.ID)
+			i = len(states) - 1
+			index[r.ID] = i
 		}
+		st := &states[i]
 		st.last = r.Op
 		switch r.Op {
 		case journal.OpStart:
@@ -435,13 +445,16 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 	// the oldest beyond the cap. Even a dropped job's ID still advances
 	// s.seq, so new submissions never reuse it.
 	dropTerminal := -replayTerminalCap
-	for _, id := range order {
-		if states[id].last.Terminal() {
+	for i := range states {
+		if states[i].last.Terminal() {
 			dropTerminal++
 		}
 	}
 	// keep appends one record to the compacted set, noting whether the
-	// set still matches recs so far.
+	// set still matches recs so far. A job keeps at most as many records
+	// as it has, so len(recs) bounds the set.
+	compact = make([]journal.Record, 0, len(recs))
+	s.jobs = make(map[string]*job, len(states)) // still empty: replay runs first
 	unchanged = true
 	keep := func(r journal.Record) {
 		if unchanged && (len(compact) == len(recs) || !recs[len(compact)].Equal(r)) {
@@ -449,8 +462,9 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 		}
 		compact = append(compact, r)
 	}
-	for _, id := range order {
-		st := states[id]
+	for i := range states {
+		st := &states[i]
+		id := st.id
 		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "j-"), 10, 64); err == nil && n > s.seq {
 			s.seq = n
 		}
@@ -479,12 +493,12 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 				keep(journal.Record{Op: journal.OpCheckpoint, ID: id, Cycles: st.cycles, Samples: st.samples, At: st.ckptAt})
 			}
 		}
-		queuedAt := time.Now()
-		if st.submit.At != 0 {
-			// Restore the original submission time, so latency metrics
-			// for recovered jobs span the crash instead of restarting the
-			// clock at replay.
-			queuedAt = time.Unix(0, st.submit.At)
+		// Restore the original submission time, so latency metrics for
+		// recovered jobs span the crash instead of restarting the clock
+		// at replay.
+		queuedAt := time.Unix(0, st.submit.At)
+		if st.submit.At == 0 {
+			queuedAt = time.Now()
 		}
 		j := &job{
 			id:               id,

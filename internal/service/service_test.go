@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -219,6 +221,24 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if code, body = post(`{"bench":"SSSP","config":{"Minnow":true,"TraceEvents":2000000000}}`); code != http.StatusBadRequest || !strings.Contains(body, "minnow: TraceEvents: 2000000000 exceeds") {
 		t.Fatalf("huge TraceEvents = %d %s", code, body)
+	}
+}
+
+// TestOversizedBodyRefused pins the POST /jobs body bound: a body over
+// 1 MiB gets 413, and nothing is queued or journaled.
+func TestOversizedBodyRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, ts := newTestServer(t, Config{Shards: 1, JournalPath: path})
+	body := `{"bench":"SSSP","config":{"Threads":1},"corr":"` + strings.Repeat("x", 1<<20) + `"}`
+	resp, b := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", body, "")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d %s, want 413", resp.StatusCode, b)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("oversized body registered %d jobs", n)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("oversized body journaled: %v bytes (%v)", fi.Size(), err)
 	}
 }
 

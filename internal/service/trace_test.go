@@ -268,7 +268,7 @@ func TestLifecycleStampsOrdered(t *testing.T) {
 // TestCorrelationIDHeader pins the X-Correlation-ID path of POST /jobs:
 // the header is the job's corr when the body has none, the body's corr
 // wins when both are set, and every client ID is sanitized (control
-// characters dropped, capped at 128 bytes).
+// characters dropped, capped at 128 bytes without splitting a rune).
 func TestCorrelationIDHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1})
 	for _, c := range []struct{ body, header, want string }{
@@ -276,6 +276,7 @@ func TestCorrelationIDHeader(t *testing.T) {
 		{"", "h\tdr", "hdr"},
 		{"body-wins", "hdr-loses", "body-wins"},
 		{"a\x00b\nc\x7f" + strings.Repeat("x", 200), "", "abc" + strings.Repeat("x", 125)},
+		{strings.Repeat("x", 127) + "é", "", strings.Repeat("x", 127)},
 	} {
 		spec := smallSpec(42)
 		spec.Corr = c.body
