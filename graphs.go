@@ -51,8 +51,10 @@ type Edge struct {
 	Weight   int32 // edge weight (weighted graphs only)
 }
 
-// NewGraphFromEdges builds a CSR graph from an edge list (duplicates and
-// self-loops are dropped; rows are sorted by destination).
+// NewGraphFromEdges builds a CSR graph from an edge list. Self-loops
+// are dropped, rows are sorted by destination, and a repeated
+// (From, To) pair keeps only its first occurrence, so for a weighted
+// graph the first weight given for a pair is the one that counts.
 func NewGraphFromEdges(name string, nodes int, edges []Edge, weighted bool) (*Graph, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("minnow: graph needs at least one node")

@@ -5,6 +5,7 @@ import (
 
 	"minnow/internal/graph"
 	"minnow/internal/mem"
+	"minnow/internal/sim"
 )
 
 // BenchmarkGlobalWLSpillFill measures one spill, one MinBucket read (the
@@ -46,5 +47,52 @@ func BenchmarkGlobalWLSpillFill(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLocalQueue measures one EnqueueFrom plus one DequeueFrom on a
+// front-end's local queue with prefetching off, the Fig. 12 fast path
+// every Minnow enqueue and dequeue takes while its priority stays local.
+// The queue holds a standing backlog of LocalQ/2 tasks, so each dequeue
+// returns the task enqueued LocalQ/2 iterations earlier; at the end the
+// backlog drains and every task must have come back in order.
+func BenchmarkLocalQueue(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Prefetch = false
+	e, _ := testEngine(cfg)
+	core := e.CoreID
+	now := sim.Time(0)
+	in, out := int32(0), int32(0)
+	enqueue := func() {
+		now = e.EnqueueFrom(core, task(0, in), now)
+		in++
+		if e.LocalLen() > cfg.LocalQ {
+			b.Fatalf("local queue holds %d tasks, LocalQ is %d", e.LocalLen(), cfg.LocalQ)
+		}
+	}
+	dequeue := func() {
+		t, ready, ok := e.DequeueFrom(core, now)
+		if !ok || t.Node != out {
+			b.Fatalf("dequeue %d returned node %d (ok=%v)", out, t.Node, ok)
+		}
+		now = ready
+		out++
+	}
+	for e.LocalLen() < cfg.LocalQ/2 {
+		enqueue()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enqueue()
+		dequeue()
+	}
+	b.StopTimer()
+	for out < in {
+		dequeue()
+	}
+	if e.LocalLen() != 0 || e.Stat.LocalEnq != int64(in) || e.Stat.LocalDeq != int64(in) {
+		b.Fatalf("after %d tasks: %d still queued, %d local enqueues, %d local dequeues",
+			in, e.LocalLen(), e.Stat.LocalEnq, e.Stat.LocalDeq)
 	}
 }

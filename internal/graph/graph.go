@@ -11,7 +11,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -160,54 +159,96 @@ func (b *Builder) AddUndirectedWeighted(a, c, w int32) {
 	b.AddWeighted(c, a, w)
 }
 
-// Build sorts, deduplicates, and produces the CSR graph.
+// Build produces the CSR graph in O(n+m) time with two stable counting
+// sorts: the first buckets the edges by destination, the second by
+// source, so every row comes out sorted by destination with equal
+// destinations in the order they were added. Self-loops are dropped, and
+// so is every repeat of a (source, destination) pair: for a weighted
+// graph the weight added first survives. The builder is left unchanged,
+// so Build may be called again.
 func (b *Builder) Build(name string) *Graph {
-	m := len(b.src)
-	// Counting sort by source for determinism and speed.
-	counts := make([]int32, b.n+1)
-	for _, s := range b.src {
-		counts[s+1]++
-	}
-	for i := 0; i < b.n; i++ {
-		counts[i+1] += counts[i]
-	}
-	order := make([]int32, m)
-	next := make([]int32, b.n)
+	n, m := b.n, len(b.src)
+	// rowEnd[s] and colEnd[d] count source s's and destination d's edges,
+	// then become the running write cursors of the two scatters; each
+	// cursor ends at its bucket's end, the next bucket's start.
+	ends := make([]int32, 2*n)
+	rowEnd, colEnd := ends[:n], ends[n:]
 	for i := 0; i < m; i++ {
-		s := b.src[i]
-		order[counts[s]+next[s]] = int32(i)
-		next[s]++
+		rowEnd[b.src[i]]++
+		colEnd[b.dst[i]]++
+	}
+	exclusiveSum(rowEnd)
+	exclusiveSum(colEnd)
+
+	// Pass 1: scatter each edge's source (and weight) into its
+	// destination's bucket; the bucket itself records the destination.
+	bySrc := make([]int32, m)
+	var byW []int32
+	if b.weighted {
+		byW = make([]int32, m)
+	}
+	for i := 0; i < m; i++ {
+		p := colEnd[b.dst[i]]
+		colEnd[b.dst[i]] = p + 1
+		bySrc[p] = b.src[i]
+		if byW != nil {
+			byW[p] = b.w[i]
+		}
 	}
 
-	g := &Graph{Name: name, N: b.n}
-	g.Offsets = make([]int32, b.n+1)
-	g.Dests = make([]int32, 0, m)
+	// Pass 2: walk the destination buckets in order and scatter each edge
+	// into its source's row.
+	g := &Graph{Name: name, N: n, Offsets: make([]int32, n+1), Dests: make([]int32, m)}
 	if b.weighted {
-		g.Weights = make([]int32, 0, m)
+		g.Weights = make([]int32, m)
 	}
-	idx := 0
-	for v := 0; v < b.n; v++ {
-		start := counts[v]
-		end := counts[v+1]
-		row := order[start:end]
-		// Sort each row by destination and drop duplicates/self-loops.
-		slices.SortFunc(row, func(x, y int32) int { return cmp.Compare(b.dst[x], b.dst[y]) })
+	p := int32(0)
+	for d := int32(0); d < int32(n); d++ {
+		for ; p < colEnd[d]; p++ {
+			s := bySrc[p]
+			q := rowEnd[s]
+			rowEnd[s] = q + 1
+			g.Dests[q] = d
+			if byW != nil {
+				g.Weights[q] = byW[p]
+			}
+		}
+	}
+
+	// Compact in place, dropping self-loops and repeats; the write index
+	// never passes the read index.
+	out, lo := int32(0), int32(0)
+	for v := int32(0); v < int32(n); v++ {
 		prev := int32(-1)
-		for _, ei := range row {
-			d := b.dst[ei]
-			if d == int32(v) || d == prev {
+		for i := lo; i < rowEnd[v]; i++ {
+			d := g.Dests[i]
+			if d == v || d == prev {
 				continue
 			}
 			prev = d
-			g.Dests = append(g.Dests, d)
-			if b.weighted {
-				g.Weights = append(g.Weights, b.w[ei])
+			g.Dests[out] = d
+			if g.Weights != nil {
+				g.Weights[out] = g.Weights[i]
 			}
-			idx++
+			out++
 		}
-		g.Offsets[v+1] = int32(idx)
+		lo = rowEnd[v]
+		g.Offsets[v+1] = out
+	}
+	g.Dests = g.Dests[:out]
+	if g.Weights != nil {
+		g.Weights = g.Weights[:out]
 	}
 	return g
+}
+
+// exclusiveSum turns per-bucket counts into each bucket's start index.
+func exclusiveSum(c []int32) {
+	sum := int32(0)
+	for i, x := range c {
+		c[i] = sum
+		sum += x
+	}
 }
 
 // Validate checks CSR invariants; tests and generators call it.

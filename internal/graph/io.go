@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary CSR serialization: a small versioned header followed by the
@@ -68,28 +69,24 @@ func Load(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: reading header: %w", err)
 		}
 	}
-	if n < 0 || edges < 0 || nameLen < 0 || nameLen > 255 {
-		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", n, edges)
+	// n+1 offsets must fit an int32 length.
+	if n < 0 || n >= math.MaxInt32 || edges < 0 || nameLen < 0 || nameLen > 255 || weighted < 0 || weighted > 1 {
+		return nil, fmt.Errorf("graph: implausible header n=%d m=%d weighted=%d name=%d", n, edges, weighted, nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("graph: reading name: %w", err)
 	}
-	g := &Graph{
-		Name:    string(name),
-		N:       int(n),
-		Offsets: make([]int32, n+1),
-		Dests:   make([]int32, edges),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &Graph{Name: string(name), N: int(n)}
+	var err error
+	if g.Offsets, err = readInt32s(br, int(n)+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Dests); err != nil {
+	if g.Dests, err = readInt32s(br, int(edges)); err != nil {
 		return nil, fmt.Errorf("graph: reading dests: %w", err)
 	}
 	if weighted == 1 {
-		g.Weights = make([]int32, edges)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readInt32s(br, int(edges)); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
@@ -97,4 +94,33 @@ func Load(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readChunk is how many int32s readInt32s reads at a time.
+const readChunk = 1 << 14
+
+// readInt32s reads count little-endian int32s. It reads one chunk at a
+// time and at most doubles the result's capacity per chunk, so a header
+// that claims more values than the input holds costs memory in
+// proportion to the bytes actually present and fails with
+// io.ErrUnexpectedEOF instead of allocating the claim.
+func readInt32s(r io.Reader, count int) ([]int32, error) {
+	out := make([]int32, 0, min(count, readChunk))
+	buf := make([]byte, 4*cap(out))
+	for len(out) < count {
+		k := min(count-len(out), readChunk)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(out)+k > cap(out) {
+			out = append(make([]int32, 0, min(count, 2*cap(out))), out...)
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+	}
+	return out, nil
 }

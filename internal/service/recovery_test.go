@@ -81,24 +81,7 @@ func TestCancelRunningJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Shards: 1})
 	v := submit(t, ts.URL, slowSpec(1))
 
-	// Wait until the shard actually picks it up.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		cur, ok := s.Job(v.ID, false)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if cur.Status == StatusRunning {
-			break
-		}
-		if Terminal(cur.Status) {
-			t.Fatalf("job finished before it could be canceled: %+v", cur)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitRunning(t, s, v.ID)
 	if code, _ := cancelJob(t, ts.URL, v.ID); code != http.StatusOK {
 		t.Fatalf("DELETE running job = %d", code)
 	}
@@ -157,7 +140,8 @@ func TestCancelIsPerSubmission(t *testing.T) {
 // full) and 503 (draining) both carry a Retry-After header.
 func TestRetryAfterHeader(t *testing.T) {
 	s, ts := newTestServer(t, Config{Shards: 1, QueueLimit: 1})
-	submit(t, ts.URL, slowSpec(1))  // running
+	running := submit(t, ts.URL, slowSpec(1))
+	waitRunning(t, s, running.ID)
 	submit(t, ts.URL, smallSpec(2)) // fills the 1-slot queue
 	body, _ := json.Marshal(smallSpec(3))
 	resp, _ := rawHTTP(t, http.MethodPost, ts.URL+"/jobs", string(body), "")

@@ -70,6 +70,29 @@ func await(t *testing.T, base, id string) JobView {
 	return v
 }
 
+// waitRunning polls until a shard has dequeued job id and is running it.
+// A job that ends before anyone saw it run fails the test.
+func waitRunning(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		cur, ok := s.Job(id, false)
+		if !ok {
+			t.Fatalf("job %s vanished", id)
+		}
+		if cur.Status == StatusRunning {
+			return
+		}
+		if Terminal(cur.Status) {
+			t.Fatalf("job %s finished before it was seen running: %+v", id, cur)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // metric reads one series from Prometheus text: an exact
 // name{labels}, or a bare name summed over every label set it carries.
 func metric(t *testing.T, text, name string) float64 {

@@ -61,23 +61,7 @@ func TestStreamMonotoneAcrossCoalesceAndCancel(t *testing.T) {
 
 	// Wait until the shard picks the primary up, so the duplicate below
 	// coalesces onto a running flight.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		cur, ok := s.Job(p.ID, false)
-		if !ok {
-			t.Fatal("primary vanished")
-		}
-		if cur.Status == StatusRunning {
-			break
-		}
-		if Terminal(cur.Status) {
-			t.Fatalf("primary finished before the test could attach: %+v", cur)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("primary never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitRunning(t, s, p.ID)
 	f := submit(t, ts.URL, slowSpec(7))
 	if !f.Coalesced {
 		t.Fatalf("duplicate did not coalesce: %+v", f)
