@@ -99,11 +99,11 @@ const noBucket = int64(1) << 62
 // core. Dedicated engines have exactly one.
 type frontEnd struct {
 	coreID      int
-	localQ      []worklist.Task
+	localQ      worklist.Deque[worklist.Task]
 	localBucket int64
 	enqSeq      int64 // tasks ever inserted into the local queue
 	deqSeq      int64 // tasks ever dequeued from it
-	streams     []*streamState
+	streams     worklist.Deque[*streamState]
 	doFill      bool
 }
 
@@ -123,6 +123,7 @@ type Engine struct {
 	clock sim.Time // shared back-end local time
 
 	spillQ  []worklist.Task // tasks awaiting a spill threadlet
+	fillBuf []worklist.Task // GlobalWL.Fill's output, reused across fills
 	credits int
 
 	loadDone []sim.Time // load-buffer occupancy ring
@@ -240,7 +241,7 @@ func (e *Engine) Cores() []int {
 }
 
 // LocalLen returns the primary core's local queue depth (tests).
-func (e *Engine) LocalLen() int { return len(e.fes[0].localQ) }
+func (e *Engine) LocalLen() int { return e.fes[0].localQ.Len() }
 
 // QueuedTasks returns the tasks resident in this engine: local queues
 // plus the spill queue awaiting threadlets. Zero-cost bookkeeping the
@@ -249,7 +250,7 @@ func (e *Engine) LocalLen() int { return len(e.fes[0].localQ) }
 func (e *Engine) QueuedTasks() int64 {
 	n := int64(len(e.spillQ))
 	for _, fe := range e.fes {
-		n += int64(len(fe.localQ))
+		n += int64(fe.localQ.Len())
 	}
 	return n
 }
@@ -263,7 +264,7 @@ func (e *Engine) busy() bool {
 		return true
 	}
 	for _, fe := range e.fes {
-		if fe.doFill || len(fe.streams) > 0 {
+		if fe.doFill || fe.streams.Len() > 0 {
 			return true
 		}
 	}
@@ -305,7 +306,7 @@ func (e *Engine) spillBacklog() int {
 func (e *Engine) streamCount() int {
 	n := 0
 	for _, fe := range e.fes {
-		n += len(fe.streams)
+		n += fe.streams.Len()
 	}
 	return n
 }
@@ -327,9 +328,9 @@ func (e *Engine) EnqueueFrom(coreID int, t worklist.Task, coreNow sim.Time) sim.
 	e.catchUp(coreNow)
 	done := coreNow + e.cfg.LocalQLatency
 	b := e.bucketOf(t.Priority)
-	if len(fe.localQ) < e.cfg.LocalQ && (b <= fe.localBucket || fe.localBucket == noBucket) {
+	if fe.localQ.Len() < e.cfg.LocalQ && (b <= fe.localBucket || fe.localBucket == noBucket) {
 		// Fig. 12 fast path: highest-priority work stays local.
-		fe.localQ = append(fe.localQ, t)
+		fe.localQ.PushBack(t)
 		fe.localBucket = b
 		e.Stat.LocalEnq++
 		fe.enqSeq++
@@ -380,12 +381,11 @@ func (e *Engine) DequeueFrom(coreID int, coreNow sim.Time) (t worklist.Task, rea
 	fe := e.byID[coreID]
 	e.catchUp(coreNow)
 	ready = coreNow + e.cfg.LocalQLatency
-	if len(fe.localQ) > 0 {
-		t = fe.localQ[0]
-		fe.localQ = fe.localQ[1:]
+	if fe.localQ.Len() > 0 {
+		t = fe.localQ.PopFront()
 		e.Stat.LocalDeq++
 		fe.deqSeq++
-		if len(fe.localQ) == 0 {
+		if fe.localQ.Len() == 0 {
 			fe.localBucket = noBucket
 		}
 		e.Obs.Emit(obs.EvDequeue, coreNow, ready, coreID, int64(t.Node))
@@ -412,13 +412,12 @@ func (e *Engine) Flush(coreNow sim.Time) sim.Time {
 	}
 	e.Obs.Emit(obs.EvFlush, coreNow, coreNow, e.CoreID, 0)
 	for _, fe := range e.fes {
-		for _, t := range fe.localQ {
-			e.clock = e.gwl.Spill(e, t, e.clock)
+		for fe.localQ.Len() > 0 {
+			e.clock = e.gwl.Spill(e, fe.localQ.PopFront(), e.clock)
 			e.Stat.Spills++
 		}
-		fe.localQ = fe.localQ[:0]
 		fe.localBucket = noBucket
-		fe.streams = fe.streams[:0]
+		fe.streams.Reset()
 	}
 	// Tasks still waiting for a spill threadlet are part of the flush
 	// contract too — leaving them stranded would lose work across a
@@ -434,10 +433,10 @@ func (e *Engine) Flush(coreNow sim.Time) sim.Time {
 // priority than the local queue, they are streamed in" — fetching
 // lower-priority work while local work remains would only bounce it back.
 func (e *Engine) maybeRefill(fe *frontEnd, at sim.Time) {
-	if len(fe.localQ) >= e.cfg.RefillThreshold || fe.doFill || e.gwl.Len() == 0 {
+	if fe.localQ.Len() >= e.cfg.RefillThreshold || fe.doFill || e.gwl.Len() == 0 {
 		return
 	}
-	if len(fe.localQ) > 0 && e.gwl.MinBucket() > fe.localBucket {
+	if fe.localQ.Len() > 0 && e.gwl.MinBucket() > fe.localBucket {
 		return
 	}
 	fe.doFill = true
@@ -460,7 +459,7 @@ func (e *Engine) startPrefetch(fe *frontEnd, t worklist.Task, seq int64, at sim.
 	if 2*(e.streamCount()+1) > e.cfg.ThreadletQ {
 		return
 	}
-	fe.streams = append(fe.streams, &streamState{s: e.cfg.Program.Start(t), seq: seq})
+	fe.streams.PushBack(&streamState{s: e.cfg.Program.Start(t), seq: seq})
 	if e.wake != nil {
 		e.wake(at)
 	}
@@ -530,7 +529,7 @@ func (e *Engine) step() bool {
 	}
 	for i := 0; i < n; i++ {
 		fe := e.fes[(e.rr+i)%n]
-		if len(fe.streams) > 0 {
+		if fe.streams.Len() > 0 {
 			if e.stepPrefetch(fe) {
 				e.rr++
 				return true
@@ -586,7 +585,7 @@ func (e *Engine) drainSpills() {
 // runFill executes a fill threadlet: stream tasks from the global
 // worklist into fe's local queue (Fig. 13).
 func (e *Engine) runFill(fe *frontEnd) {
-	want := e.cfg.LocalQ - len(fe.localQ)
+	want := e.cfg.LocalQ - fe.localQ.Len()
 	if want > e.cfg.FillChunk {
 		want = e.cfg.FillChunk
 	}
@@ -603,9 +602,9 @@ func (e *Engine) runFill(fe *frontEnd) {
 		// higher priority than the local queue, they are streamed in...
 		// if the local queue is empty, tasks are unconditionally
 		// accepted." Lower-priority stragglers go back.
-		if len(fe.localQ) == 0 || b <= fe.localBucket {
-			if len(fe.localQ) < e.cfg.LocalQ {
-				fe.localQ = append(fe.localQ, t)
+		if fe.localQ.Len() == 0 || b <= fe.localBucket {
+			if fe.localQ.Len() < e.cfg.LocalQ {
+				fe.localQ.PushBack(t)
 				fe.localBucket = b
 				e.Stat.Fills++
 				fe.enqSeq++
@@ -667,20 +666,20 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 	// stream is pure cache pollution, and worse: the marked lines are
 	// never demanded, so their credits only come back through slow LRU
 	// eviction, starving the prefetcher for everyone else.
-	for len(fe.streams) > 0 {
-		st := fe.streams[0]
+	for fe.streams.Len() > 0 {
+		st := fe.streams.At(0)
 		if st.seq <= fe.deqSeq {
-			fe.streams = fe.streams[1:]
+			fe.streams.PopFront()
 			e.Stat.LateDrops++
 			e.Obs.Emit(obs.EvStreamDrop, e.clock, e.clock, fe.coreID, st.seq)
 			continue
 		}
 		break
 	}
-	if len(fe.streams) == 0 {
+	if fe.streams.Len() == 0 {
 		return true
 	}
-	st := fe.streams[0]
+	st := fe.streams.At(0)
 	if e.credits <= 0 {
 		if e.lost > 0 && e.marked == 0 {
 			// Credit-leak audit (§5.3.1's pool is the prefetcher's only
@@ -704,7 +703,7 @@ func (e *Engine) stepPrefetch(fe *frontEnd) bool {
 	var ok bool
 	st.buf, ok = st.s.Next(st.buf[:0])
 	if !ok {
-		fe.streams = fe.streams[1:]
+		fe.streams.PopFront()
 		e.Stat.StreamsDone++
 		return true
 	}
@@ -799,10 +798,10 @@ func (e *Engine) TakeOffline() []worklist.Task {
 	e.offline = true
 	var out []worklist.Task
 	for _, fe := range e.fes {
-		out = append(out, fe.localQ...)
-		fe.localQ = nil
+		out = fe.localQ.AppendTo(out)
+		fe.localQ.Reset()
 		fe.localBucket = noBucket
-		fe.streams = nil
+		fe.streams.Reset()
 		fe.doFill = false
 	}
 	out = append(out, e.spillQ...)

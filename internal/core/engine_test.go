@@ -500,3 +500,55 @@ func TestFairShareFillCap(t *testing.T) {
 		t.Fatalf("fill hoarded %d tasks of 16 across 8 cores", len(got))
 	}
 }
+
+// TestQueueTrafficAllocs pins that steady-state task traffic allocates
+// nothing: Fig. 12 fast-path enqueue/dequeue pairs on a local queue
+// holding a standing backlog, and spill/fill round trips through the
+// global worklist, once their queues have grown to the working set.
+func TestQueueTrafficAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Prefetch = false
+	t.Run("local-queue", func(t *testing.T) {
+		e, _ := testEngine(cfg)
+		now := sim.Time(0)
+		in, out := int32(0), int32(0)
+		pair := func() {
+			now = e.EnqueueFrom(e.CoreID, task(0, in), now)
+			in++
+			got, ready, ok := e.DequeueFrom(e.CoreID, now)
+			if !ok || got.Node != out {
+				t.Fatalf("dequeue %d returned node %d (ok=%v)", out, got.Node, ok)
+			}
+			now = ready
+			out++
+		}
+		for e.LocalLen() < cfg.LocalQ/2 {
+			now = e.EnqueueFrom(e.CoreID, task(0, in), now)
+			in++
+		}
+		for i := 0; i < 4*cfg.LocalQ; i++ {
+			pair()
+		}
+		if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
+			t.Fatalf("enqueue+dequeue allocates %.2f times per pair at a standing backlog", allocs)
+		}
+	})
+	t.Run("spill-fill", func(t *testing.T) {
+		e, _ := testEngine(cfg)
+		gwl := e.gwl
+		i := int32(0)
+		trip := func() {
+			gwl.Spill(e, task(int64(i%8), i), e.Clock())
+			if got, _ := gwl.Fill(e, 1, e.Clock()); len(got) != 1 {
+				t.Fatalf("fill returned %d tasks, want 1", len(got))
+			}
+			i++
+		}
+		for n := 0; n < 64; n++ {
+			trip()
+		}
+		if allocs := testing.AllocsPerRun(1000, trip); allocs != 0 {
+			t.Fatalf("spill+fill allocates %.2f times per round trip", allocs)
+		}
+	})
+}

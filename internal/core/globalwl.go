@@ -66,8 +66,7 @@ func (g *GlobalWL) DrainAll() []worklist.Task {
 	var out []worklist.Task
 	for _, s := range g.shards {
 		for b, ok := s.buckets.Min(); ok; b, ok = s.buckets.Min() {
-			out = append(out, s.buckets.Get(b)...)
-			s.buckets.Set(b, nil)
+			out = s.buckets.TakeFront(b, s.buckets.Size(b), out)
 		}
 	}
 	g.size = 0
@@ -148,7 +147,7 @@ func (g *GlobalWL) SpillBatch(e *Engine, tasks []worklist.Task, at sim.Time) sim
 	// update, so they need no lock.
 	for _, t := range tasks {
 		b := t.Priority >> e.cfg.LgInterval
-		e.load(s.slotAddr(b, len(s.buckets.Get(b))), mem.EngineStore)
+		e.load(s.slotAddr(b, s.buckets.Size(b)), mem.EngineStore)
 		s.buckets.Append(b, t)
 		g.size++
 	}
@@ -163,7 +162,9 @@ func (g *GlobalWL) SpillBatch(e *Engine, tasks []worklist.Task, at sim.Time) sim
 
 // Fill pops up to want tasks from the lowest bucket available to the
 // engine's socket (stealing from other shards when its own is empty),
-// returning the tasks and the completion time.
+// returning the tasks and the completion time. The tasks are written to
+// the engine's fill buffer, so the returned slice is valid until the
+// engine's next Fill.
 func (g *GlobalWL) Fill(e *Engine, want int, at sim.Time) ([]worklist.Task, sim.Time) {
 	if e.clock < at {
 		e.clock = at
@@ -184,19 +185,15 @@ func (g *GlobalWL) Fill(e *Engine, want int, at sim.Time) ([]worklist.Task, sim.
 		s.acquire(e, e.clock)
 		e.load(s.mapAddr, mem.EngineLoad)
 		e.load(s.mapAddr+256, mem.EngineLoad)
-		list := s.buckets.Get(fromB)
 		n := want
 		// Fair-share cap: grabbing a huge chunk while little work remains
 		// strands the tail on one engine while the other cores starve.
 		if fair := g.size/g.cores + 1; n > fair {
 			n = fair
 		}
-		if n > len(list) {
-			n = len(list)
-		}
-		out := make([]worklist.Task, n)
-		copy(out, list[:n])
-		s.buckets.Set(fromB, list[n:])
+		out := s.buckets.TakeFront(fromB, n, e.fillBuf[:0])
+		e.fillBuf = out
+		n = len(out)
 		e.load(s.mapAddr, mem.EngineStore)
 		s.release(e)
 		// Stream the claimed task slots in (4 tasks per 64B line).

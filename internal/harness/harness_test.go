@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"minnow/internal/kernels"
@@ -55,5 +56,32 @@ func TestSmokeMinnow(t *testing.T) {
 			t.Logf("%s: %d cycles, %d tasks, %d prefetches, MPKI %.2f, eff %.3f",
 				spec.Name, run.WallCycles, run.WorkItems, pf, run.L2MPKI(), run.L2.Efficiency())
 		})
+	}
+}
+
+// TestPrefetchLedgerClean runs Minnow with prefetching and the invariant
+// checker armed, whose memory audit includes the exact L2 prefetch
+// ledger (fills = used + evicted unused + invalidated + still marked):
+// Run fails on any violation, so a pass shows the ledger balances on
+// every kernel at two thread counts.
+func TestPrefetchLedgerClean(t *testing.T) {
+	for _, name := range []string{"SSSP", "BFS", "CC", "PR", "TC"} {
+		for _, threads := range []int{4, 16} {
+			name, threads := name, threads
+			t.Run(fmt.Sprintf("%s/%d", name, threads), func(t *testing.T) {
+				t.Parallel()
+				spec, err := kernels.SpecByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := small(threads)
+				o.Scheduler = "minnow"
+				o.Prefetch = true
+				o.Invariants = true
+				if _, err := Run(spec, o); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -539,7 +539,9 @@ func (s *System) Access(core int, addr uint64, kind Kind, now sim.Time) Result {
 //     sharer bit set (L2 inclusion in the directory's view);
 //   - per-cache counters satisfy their arithmetic identities
 //     (writebacks <= evictions, misses <= accesses, prefetch
-//     used+waste <= fills).
+//     used+waste <= fills);
+//   - summed over the L2s, prefetch fills equal the lines used, plus
+//     those evicted unused, invalidated (WasteInval) or still marked.
 func (s *System) CheckInvariants() []string {
 	var v []string
 	s.dir.each(func(line uint64, e dirEntry) {
@@ -578,6 +580,22 @@ func (s *System) CheckInvariants() []string {
 	}
 	for i, c := range s.l3 {
 		checkCounters(fmt.Sprintf("l3[%d]", i), c.Stats)
+	}
+	// Summed over the L2s the prefetch ledger is exact: every line a
+	// prefetch installed or marked was since used, evicted unused,
+	// invalidated by a remote write, or is still marked. (Invalidation
+	// waste is counted system-wide, so the per-cache check above can
+	// only bound it.)
+	var fills, used, waste, marked int64
+	for _, c := range s.l2 {
+		fills += c.Stats.PrefetchFills
+		used += c.Stats.PrefetchUsed
+		waste += c.Stats.PrefetchWaste
+		marked += int64(c.CountPrefetchMarked())
+	}
+	if used+waste+s.WasteInval+marked != fills {
+		v = append(v, fmt.Sprintf("mem: L2 prefetch fills %d != used %d + evicted unused %d + invalidated %d + still marked %d",
+			fills, used, waste, s.WasteInval, marked))
 	}
 	sort.Strings(v)
 	return v

@@ -267,3 +267,49 @@ func TestMeshDims(t *testing.T) {
 		t.Fatalf("100 cores: mesh %dx%d too small", cfg.MeshW, cfg.MeshH)
 	}
 }
+
+// TestPrefetchLedgerExact drives a marked line down each of its four
+// fates — used by a demand load, evicted unused, invalidated by another
+// core's write, still marked — and checks that CheckInvariants finds the
+// summed L2 ledger balanced, then that a doctored counter unbalances it.
+func TestPrefetchLedgerExact(t *testing.T) {
+	s := testSystem(2)
+	cfg := s.Config()
+	setStride := uint64(cfg.L2Lines/cfg.L2Assoc) * LineSize
+	const used, evicted, inval, kept = 0x400000, 0x400040, 0x400080, 0x4000c0
+	now := sim.Time(0)
+	access := func(core int, addr uint64, k Kind) {
+		now = s.Access(core, addr, k, now).Done + 1
+	}
+	for _, addr := range []uint64{used, evicted, inval, kept} {
+		access(0, addr, EnginePrefetch)
+	}
+	access(0, used, Load)
+	for i := 1; i <= cfg.L2Assoc+1; i++ {
+		access(0, evicted+uint64(i)*setStride, Load)
+	}
+	access(1, inval, Store)
+	l2 := s.L2Counters()
+	if l2.PrefetchUsed == 0 || l2.PrefetchWaste == 0 || s.WasteInval == 0 || s.PrefetchMarked([]int{0, 1}) == 0 {
+		t.Fatalf("not every fate reached: used %d, evicted %d, invalidated %d, marked %d",
+			l2.PrefetchUsed, l2.PrefetchWaste, s.WasteInval, s.PrefetchMarked([]int{0, 1}))
+	}
+	if v := s.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+	for name, doctor := range map[string]func(d int64){
+		"fills":       func(d int64) { s.l2[0].Stats.PrefetchFills += d },
+		"used":        func(d int64) { s.l2[1].Stats.PrefetchUsed += d },
+		"invalidated": func(d int64) { s.WasteInval += d },
+	} {
+		doctor(1)
+		v := s.CheckInvariants()
+		doctor(-1)
+		if len(v) == 0 {
+			t.Errorf("doctored %s counter passed the ledger check", name)
+		}
+	}
+	if v := s.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("invariants after undoing the doctoring: %v", v)
+	}
+}

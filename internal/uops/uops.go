@@ -34,7 +34,6 @@ const (
 
 // UOp is one micro-operation.
 type UOp struct {
-	Kind Kind
 	// Addr is the simulated byte address for memory ops.
 	Addr uint64
 	// PC identifies the static branch site (Branch) for the TAGE
@@ -42,6 +41,10 @@ type UOp struct {
 	PC uint64
 	// N is the op count for Compute (>= 1).
 	N uint16
+	// Kind follows N so that it and the flags below share N's word:
+	// UOp packs into 24 bytes, not 32, and the per-worker traces hold
+	// many of them.
+	Kind Kind
 	// Taken is the branch outcome (Branch).
 	Taken bool
 	// Delinquent marks first accesses to task/node/edge data (the

@@ -1,22 +1,24 @@
 package worklist
 
-// Buckets is an ordered map from bucket number to a list of T: the
+// Buckets is an ordered map from bucket number to a queue of T: the
 // bookkeeping behind OBIM's per-socket bucket maps and the Minnow
-// engines' global worklist shards. Min is exact and amortized O(log n):
-// bucket numbers sit in a binary min-heap, and a bucket emptied by Set
-// keeps its heap entry (and its slot) until it surfaces at the top, where
-// Min retires it. A Go map would do here only if its iteration were
-// cheap, but finding the minimum of a map walks every slot it ever grew
-// to — maps never shrink — so a rescan after draining the lowest bucket
-// costs the map's high-water capacity, not its current length.
+// engines' global worklist shards. Each bucket's values sit in a Deque,
+// so taking them from either end keeps the bucket's storage. Min is exact
+// and amortized O(log n): bucket numbers sit in a binary min-heap, and a
+// bucket emptied by a take keeps its heap entry (and its slot) until it
+// surfaces at the top, where Min retires it. A Go map would do here only
+// if its iteration were cheap, but finding the minimum of a map walks
+// every slot it ever grew to — maps never shrink — so a rescan after
+// draining the lowest bucket costs the map's high-water capacity, not its
+// current length.
 //
 // The zero value is empty and ready to use.
 type Buckets[T any] struct {
 	index map[int64]int32 // bucket number -> slot in lists
-	lists [][]T           // per-slot list; empty for a drained bucket
-	free  []int32         // retired slots, reused with their list capacity
+	lists []Deque[T]      // per-slot queue; empty for a drained bucket
+	free  []int32         // retired slots, reused with their queue's storage
 	heap  []heapEntry     // min-heap of every indexed bucket
-	live  int             // buckets whose list is non-empty
+	live  int             // buckets whose queue is non-empty
 }
 
 // heapEntry is one indexed bucket: its number and its slot.
@@ -28,42 +30,58 @@ type heapEntry struct {
 // Len returns the number of non-empty buckets.
 func (bk *Buckets[T]) Len() int { return bk.live }
 
-// Get returns bucket b's list (nil or empty when b holds nothing). The
-// slice aliases the map's storage until the next Append or Set.
-func (bk *Buckets[T]) Get(b int64) []T {
+// Size returns the number of values bucket b holds.
+func (bk *Buckets[T]) Size(b int64) int {
 	if i, ok := bk.index[b]; ok {
-		return bk.lists[i]
+		return bk.lists[i].Len()
 	}
-	return nil
+	return 0
 }
 
-// Append adds v to the end of bucket b's list.
+// Append adds v to the back of bucket b.
 func (bk *Buckets[T]) Append(b int64, v T) {
 	i := bk.slot(b)
-	if len(bk.lists[i]) == 0 {
+	q := &bk.lists[i]
+	if q.Len() == 0 {
 		bk.live++
 	}
-	bk.lists[i] = append(bk.lists[i], v)
+	q.PushBack(v)
 }
 
-// Set replaces bucket b's list. An empty list drains the bucket: it no
-// longer counts toward Len or Min.
-func (bk *Buckets[T]) Set(b int64, list []T) {
+// PopBack removes and returns the back value of bucket b, which must not
+// be empty.
+func (bk *Buckets[T]) PopBack(b int64) T {
 	i, ok := bk.index[b]
 	if !ok {
-		if len(list) == 0 {
-			return
-		}
-		i = bk.slot(b)
+		panic("worklist: PopBack on an empty bucket")
 	}
-	was, now := len(bk.lists[i]) > 0, len(list) > 0
-	switch {
-	case was && !now:
+	q := &bk.lists[i]
+	v := q.PopBack()
+	if q.Len() == 0 {
 		bk.live--
-	case !was && now:
-		bk.live++
 	}
-	bk.lists[i] = list
+	return v
+}
+
+// TakeFront moves up to n values from the front of bucket b to the end of
+// dst, in order, and returns dst. Taking every value drains the bucket:
+// it no longer counts toward Len or Min.
+func (bk *Buckets[T]) TakeFront(b int64, n int, dst []T) []T {
+	i, ok := bk.index[b]
+	if !ok {
+		return dst
+	}
+	q := &bk.lists[i]
+	if q.Len() == 0 {
+		return dst
+	}
+	for ; n > 0 && q.Len() > 0; n-- {
+		dst = append(dst, q.PopFront())
+	}
+	if q.Len() == 0 {
+		bk.live--
+	}
+	return dst
 }
 
 // Min returns the lowest non-empty bucket number; ok is false when every
@@ -72,13 +90,12 @@ func (bk *Buckets[T]) Min() (b int64, ok bool) {
 	for len(bk.heap) > 0 {
 		top := bk.heap[0]
 		i := top.slot
-		if len(bk.lists[i]) > 0 {
+		if bk.lists[i].Len() > 0 {
 			return top.b, true
 		}
-		// Drained: retire the bucket, keeping its list's capacity.
+		// Drained: retire the bucket; its slot keeps the queue's storage.
 		bk.popHeap()
 		delete(bk.index, top.b)
-		bk.lists[i] = bk.lists[i][:0]
 		bk.free = append(bk.free, i)
 	}
 	return 0, false
@@ -99,7 +116,7 @@ func (bk *Buckets[T]) slot(b int64) int32 {
 		bk.free = bk.free[:n-1]
 	} else {
 		i = int32(len(bk.lists))
-		bk.lists = append(bk.lists, nil)
+		bk.lists = append(bk.lists, Deque[T]{})
 	}
 	bk.index[b] = i
 	bk.pushHeap(heapEntry{b, i})

@@ -31,7 +31,8 @@ func (r refBuckets) set(b int64, list []int) {
 }
 
 // bucketsHarness applies the same operations to a Buckets and to the
-// reference and checks after each one that Get, Len and Min agree.
+// reference and checks after each one that the bucket's contents, Size,
+// Len and Min agree.
 type bucketsHarness struct {
 	t    *testing.T
 	bk   Buckets[int]
@@ -43,6 +44,14 @@ func newBucketsHarness(t *testing.T) *bucketsHarness {
 	return &bucketsHarness{t: t, ref: refBuckets{}}
 }
 
+// items returns bucket b's values, front to back.
+func (h *bucketsHarness) items(b int64) []int {
+	if i, ok := h.bk.index[b]; ok {
+		return h.bk.lists[i].AppendTo(nil)
+	}
+	return nil
+}
+
 func (h *bucketsHarness) append(b int64) {
 	h.bk.Append(b, h.next)
 	h.ref[b] = append(h.ref[b], h.next)
@@ -51,35 +60,45 @@ func (h *bucketsHarness) append(b int64) {
 }
 
 // take removes n values from the front (front=true) or back of bucket b,
-// the two ways the global worklist and OBIM drain a bucket.
+// the two ways the global worklist and OBIM drain a bucket, and checks
+// that the values come out in the reference's order.
 func (h *bucketsHarness) take(b int64, n int, front bool) {
-	list := h.bk.Get(b)
-	if n > len(list) {
-		n = len(list)
-	}
+	h.t.Helper()
+	want := h.ref[b]
+	k := min(n, len(want))
+	var got []int
 	if front {
-		list = list[n:]
+		got = h.bk.TakeFront(b, n, nil)
+		want, h.ref[b] = want[:k], want[k:]
 	} else {
-		list = list[:len(list)-n]
+		for i := 0; i < k; i++ {
+			got = append(got, h.bk.PopBack(b))
+		}
+		want, h.ref[b] = slices.Clone(want[len(want)-k:]), want[:len(want)-k]
+		slices.Reverse(want)
 	}
-	h.bk.Set(b, list)
-	h.ref.set(b, list)
+	if !slices.Equal(got, want) {
+		h.t.Fatalf("take(%d, %d, front=%v) = %v, want %v", b, n, front, got, want)
+	}
+	h.ref.set(b, h.ref[b])
 	h.check(b)
 }
 
 // drainMin empties the lowest bucket, if any.
 func (h *bucketsHarness) drainMin() {
+	h.t.Helper()
 	if b, ok := h.bk.Min(); ok {
-		h.bk.Set(b, nil)
-		h.ref.set(b, nil)
-		h.check(b)
+		h.take(b, h.bk.Size(b), true)
 	}
 }
 
 func (h *bucketsHarness) check(b int64) {
 	h.t.Helper()
-	if got, want := h.bk.Get(b), h.ref[b]; !slices.Equal(got, want) {
-		h.t.Fatalf("Get(%d) = %v, want %v", b, got, want)
+	if got, want := h.items(b), h.ref[b]; !slices.Equal(got, want) {
+		h.t.Fatalf("bucket %d holds %v, want %v", b, got, want)
+	}
+	if got, want := h.bk.Size(b), len(h.ref[b]); got != want {
+		h.t.Fatalf("Size(%d) = %d, want %d", b, got, want)
 	}
 	if got, want := h.bk.Len(), len(h.ref); got != want {
 		h.t.Fatalf("Len = %d, want %d", got, want)
@@ -100,7 +119,7 @@ func (h *bucketsHarness) checkAll(lo, hi int64) {
 }
 
 // TestBucketsMatchesReference drives Buckets and the reference with the
-// same seeded random Append/Set/Get/Min/Len sequences: appends, partial
+// same seeded random Append/take/Size/Min/Len sequences: appends, partial
 // takes from either end, whole-bucket drains (re-creating drained buckets
 // later), and runs of repeated minimum drains.
 func TestBucketsMatchesReference(t *testing.T) {
@@ -157,8 +176,8 @@ func TestBucketsRecreateDrained(t *testing.T) {
 }
 
 // FuzzBuckets interprets a byte string as an Append/take/drain-min
-// program against Buckets and the reference, checking Get, Len and Min
-// after every operation.
+// program against Buckets and the reference, checking contents, Size, Len
+// and Min after every operation.
 func FuzzBuckets(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80, 0x40})
 	f.Add([]byte("append take drain append"))

@@ -14,7 +14,7 @@ type ChunkedQueue struct {
 	push []*chunk // per-thread chunk being filled
 	pop  []*chunk // per-thread chunk being drained
 
-	global []*chunk
+	global Deque[*chunk]
 	glock  lock
 	ghead  uint64 // simulated address of the global list head
 
@@ -77,18 +77,18 @@ func (q *ChunkedQueue) Push(ctx *Ctx, t Task) {
 	// Local fast path: write the descriptor and the chunk slot.
 	ctx.TR.Compute(6)
 	ctx.TR.Store(t.Desc)
-	ctx.TR.Store(c.slotAddr(len(c.tasks)))
-	c.tasks = append(c.tasks, t)
+	ctx.TR.Store(c.slotAddr(c.tasks.Len()))
+	c.tasks.PushBack(t)
 	q.size++
 	q.pushed++
-	if len(c.tasks) == chunkCap {
+	if c.tasks.Len() == chunkCap {
 		// Publish the full chunk on the shared list.
 		q.glock.acquire(ctx)
 		ctx.TR.Compute(4)
 		ctx.TR.Load(q.ghead, false, false)
 		ctx.TR.Store(q.ghead)
 		q.glock.release(ctx)
-		q.global = append(q.global, c)
+		q.global.PushBack(c)
 		q.push[tid] = nil
 	}
 	ctx.flush()
@@ -98,7 +98,7 @@ func (q *ChunkedQueue) Push(ctx *Ctx, t Task) {
 func (q *ChunkedQueue) Pop(ctx *Ctx) (Task, bool) {
 	tid := ctx.Core.ID
 	c := q.pop[tid]
-	if c == nil || len(c.tasks) == 0 {
+	if c == nil || c.tasks.Len() == 0 {
 		if c != nil {
 			q.arena.put(c)
 			q.pop[tid] = nil
@@ -110,14 +110,12 @@ func (q *ChunkedQueue) Pop(ctx *Ctx) (Task, bool) {
 	}
 	var t Task
 	if q.lifo {
-		t = c.tasks[len(c.tasks)-1]
-		c.tasks = c.tasks[:len(c.tasks)-1]
+		t = c.tasks.PopBack()
 	} else {
-		t = c.tasks[0]
-		c.tasks = c.tasks[1:]
+		t = c.tasks.PopFront()
 	}
 	ctx.TR.Compute(6)
-	ctx.TR.Load(c.slotAddr(len(c.tasks)), false, false)
+	ctx.TR.Load(c.slotAddr(c.tasks.Len()), false, false)
 	ctx.TR.Load(t.Desc, false, false)
 	ctx.flush()
 	q.size--
@@ -128,25 +126,21 @@ func (q *ChunkedQueue) Pop(ctx *Ctx) (Task, bool) {
 // refill moves a chunk from the global list (or steals the thread's own
 // partially-filled push chunk) into the pop slot.
 func (q *ChunkedQueue) refill(ctx *Ctx, tid int) bool {
-	if len(q.global) > 0 {
+	if q.global.Len() > 0 {
 		q.glock.acquire(ctx)
 		ctx.TR.Compute(4)
 		ctx.TR.Load(q.ghead, false, false)
 		ctx.TR.Store(q.ghead)
 		q.glock.release(ctx)
-		var c *chunk
 		if q.lifo {
-			c = q.global[len(q.global)-1]
-			q.global = q.global[:len(q.global)-1]
+			q.pop[tid] = q.global.PopBack()
 		} else {
-			c = q.global[0]
-			q.global = q.global[1:]
+			q.pop[tid] = q.global.PopFront()
 		}
-		q.pop[tid] = c
 		return true
 	}
 	// Fall back to the thread's own push chunk.
-	if c := q.push[tid]; c != nil && len(c.tasks) > 0 {
+	if c := q.push[tid]; c != nil && c.tasks.Len() > 0 {
 		q.pop[tid] = c
 		q.push[tid] = nil
 		ctx.TR.Compute(4)
@@ -155,7 +149,7 @@ func (q *ChunkedQueue) refill(ctx *Ctx, tid int) bool {
 	}
 	// Steal another thread's push chunk (requires the lock).
 	for o := 0; o < q.threads; o++ {
-		if c := q.push[o]; o != tid && c != nil && len(c.tasks) > 0 {
+		if c := q.push[o]; o != tid && c != nil && c.tasks.Len() > 0 {
 			q.glock.acquire(ctx)
 			ctx.TR.Load(q.ghead, false, false)
 			ctx.TR.Compute(8)

@@ -114,12 +114,12 @@ func (o *OBIM) Push(ctx *Ctx, t Task) {
 	ctx.TR.Compute(8) // priority→bucket math, descriptor setup
 	ctx.TR.Store(t.Desc)
 
-	if c := o.push[tid]; c != nil && b == o.cur[tid] && len(c.tasks) < chunkCap {
+	if c := o.push[tid]; c != nil && b == o.cur[tid] && c.tasks.Len() < chunkCap {
 		// Fast path: same bucket, room in the private chunk.
-		ctx.TR.Store(c.slotAddr(len(c.tasks)))
-		c.tasks = append(c.tasks, t)
+		ctx.TR.Store(c.slotAddr(c.tasks.Len()))
+		c.tasks.PushBack(t)
 		ctx.flush()
-		if len(c.tasks) == chunkCap {
+		if c.tasks.Len() == chunkCap {
 			// Publish the full chunk so other threads can see it.
 			s := o.socketOf(tid)
 			s.lock.acquire(ctx)
@@ -140,7 +140,7 @@ func (o *OBIM) Push(ctx *Ctx, t Task) {
 func (o *OBIM) globalPush(ctx *Ctx, tid int, b int64, t Task) {
 	s := o.socketOf(tid)
 	// Retire the old private chunk to its bucket first.
-	if c := o.push[tid]; c != nil && len(c.tasks) > 0 && (o.cur[tid] != b || len(c.tasks) >= chunkCap) {
+	if c := o.push[tid]; c != nil && c.tasks.Len() > 0 && (o.cur[tid] != b || c.tasks.Len() >= chunkCap) {
 		s.lock.acquire(ctx)
 		ctx.TR.Load(s.mapAddr, false, false)
 		ctx.TR.Compute(10)
@@ -161,10 +161,10 @@ func (o *OBIM) globalPush(ctx *Ctx, tid int, b int64, t Task) {
 		s.lock.release(ctx)
 	}
 	c := o.push[tid]
-	ctx.TR.Store(c.slotAddr(len(c.tasks)))
+	ctx.TR.Store(c.slotAddr(c.tasks.Len()))
 	ctx.flush()
-	c.tasks = append(c.tasks, t)
-	if len(c.tasks) == chunkCap {
+	c.tasks.PushBack(t)
+	if c.tasks.Len() == chunkCap {
 		s.lock.acquire(ctx)
 		ctx.TR.Load(s.mapAddr, false, false)
 		ctx.TR.Store(s.mapAddr)
@@ -191,7 +191,7 @@ func (o *OBIM) globalMin() int64 {
 // Pop implements Worklist.
 func (o *OBIM) Pop(ctx *Ctx) (Task, bool) {
 	tid := ctx.Core.ID
-	if c := o.pop[tid]; c != nil && len(c.tasks) > 0 {
+	if c := o.pop[tid]; c != nil && c.tasks.Len() > 0 {
 		// OBIM threads watch a shared level line: when strictly better
 		// work appears anywhere, the stale pop chunk goes back to its
 		// bucket and the thread rebinds to the lowest level. The check
@@ -215,10 +215,9 @@ func (o *OBIM) Pop(ctx *Ctx) (Task, bool) {
 			s.buckets.Append(o.popBkt[tid], c)
 			o.pop[tid] = nil
 		} else {
-			t := c.tasks[0]
-			c.tasks = c.tasks[1:]
+			t := c.tasks.PopFront()
 			ctx.TR.Compute(6)
-			ctx.TR.Load(c.slotAddr(len(c.tasks)), false, false)
+			ctx.TR.Load(c.slotAddr(c.tasks.Len()), false, false)
 			ctx.TR.Load(t.Desc, false, false)
 			ctx.flush()
 			o.size--
@@ -226,7 +225,7 @@ func (o *OBIM) Pop(ctx *Ctx) (Task, bool) {
 			return t, true
 		}
 	}
-	if c := o.pop[tid]; c != nil && len(c.tasks) == 0 {
+	if c := o.pop[tid]; c != nil && c.tasks.Len() == 0 {
 		o.arena.put(c)
 		o.pop[tid] = nil
 	}
@@ -256,7 +255,7 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 	}
 	// The thread's own private push chunk is visible to itself: prefer
 	// it when it holds strictly better work than any published bucket.
-	if c := o.push[tid]; c != nil && len(c.tasks) > 0 && (best == nil || o.cur[tid] < bestB) {
+	if c := o.push[tid]; c != nil && c.tasks.Len() > 0 && (best == nil || o.cur[tid] < bestB) {
 		s := o.socketOf(tid)
 		s.lock.acquire(ctx)
 		ctx.TR.Compute(8)
@@ -277,10 +276,7 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 		ctx.TR.Load(s.mapAddr, false, false)
 		ctx.TR.Load(s.mapAddr+192, false, true)
 		ctx.TR.Compute(16)
-		list := s.buckets.Get(bestB)
-		c := list[len(list)-1]
-		list[len(list)-1] = nil // the slot's array outlives this bucket
-		s.buckets.Set(bestB, list[:len(list)-1])
+		c := s.buckets.PopBack(bestB)
 		ctx.TR.Store(s.mapAddr)
 		s.lock.release(ctx)
 		o.pop[tid] = c
@@ -290,7 +286,7 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 	// Nothing in any socket map: drain private push chunks (own first).
 	for probe := 0; probe < o.threads; probe++ {
 		ot := (tid + probe) % o.threads
-		if c := o.push[ot]; c != nil && len(c.tasks) > 0 {
+		if c := o.push[ot]; c != nil && c.tasks.Len() > 0 {
 			s := o.socketOf(ot)
 			s.lock.acquire(ctx)
 			ctx.TR.Compute(8)
@@ -307,8 +303,8 @@ func (o *OBIM) refill(ctx *Ctx, tid int) bool {
 // minBucketOf returns the bucket of a chunk taken from bucket b. Published
 // chunks are never empty; an empty one would report b.
 func (o *OBIM) minBucketOf(c *chunk, b int64) int64 {
-	if len(c.tasks) > 0 {
-		return o.bucketOf(c.tasks[0].Priority)
+	if c.tasks.Len() > 0 {
+		return o.bucketOf(c.tasks.At(0).Priority)
 	}
 	return b
 }

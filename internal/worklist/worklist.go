@@ -41,6 +41,13 @@ type Task struct {
 	// when task splitting (§6.2.1) is active. EdgeHi < 0 means the whole
 	// node.
 	EdgeLo, EdgeHi int32
+	// Class tags an injected arrival task with 1 + its arrival-class
+	// index. The zero value marks ordinary closed-loop work (seeded or
+	// operator-generated), so the arrival layer is invisible when off.
+	// It sits among the int32 fields so that Task packs into 40 bytes,
+	// not 48: every queued task in every worklist, chunk and engine
+	// queue is a Task value.
+	Class int32
 	// Desc is the simulated address of the task descriptor.
 	Desc uint64
 	// Birth is the simulated cycle an open-loop arrival task was injected
@@ -50,10 +57,6 @@ type Task struct {
 	// spill queues, the global worklist — as Go values, so Birth and
 	// Class survive every spill/fill/rescue path unchanged.
 	Birth int64
-	// Class tags an injected arrival task with 1 + its arrival-class
-	// index. The zero value marks ordinary closed-loop work (seeded or
-	// operator-generated), so the arrival layer is invisible when off.
-	Class int32
 }
 
 // WholeNode reports whether the task covers all of its node's edges.
@@ -188,16 +191,22 @@ func (a *descArena) alloc(tid int) uint64 {
 	return d
 }
 
-// chunk is a fixed-capacity run of tasks with a simulated base address.
-// Chunks are the unit moved between local and global queues.
+// chunk is a run of at most chunkCap tasks with a simulated base address.
+// Chunks are the unit moved between local and global queues. The tasks
+// sit in a Deque that grows with them, so a chunk costs host memory for
+// the tasks it has held, not for chunkCap slots; the simulated slot an
+// operation touches comes from slotAddr alone.
 type chunk struct {
 	addr  uint64
-	tasks []Task
+	tasks Deque[Task]
 }
 
 const chunkCap = 16
 
-// chunkArena recycles chunk storage addresses.
+// chunkArena hands out chunks. A chunk given back by put (empty) keeps
+// its simulated address and its task storage, and get hands it out again
+// before making a fresh one; a fresh chunk starts with no storage and
+// takes the next of n chunkCap-slot simulated address ranges, round-robin.
 type chunkArena struct {
 	base uint64
 	n    uint64
@@ -213,14 +222,14 @@ func (a *chunkArena) get() *chunk {
 	if n := len(a.free); n > 0 {
 		c := a.free[n-1]
 		a.free = a.free[:n-1]
-		c.tasks = c.tasks[:0]
 		return c
 	}
-	c := &chunk{addr: a.base + (a.next%a.n)*chunkCap*16, tasks: make([]Task, 0, chunkCap)}
+	c := &chunk{addr: a.base + (a.next%a.n)*chunkCap*16}
 	a.next++
 	return c
 }
 
+// put recycles an empty chunk.
 func (a *chunkArena) put(c *chunk) {
 	a.free = append(a.free, c)
 }
