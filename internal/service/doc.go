@@ -23,9 +23,13 @@
 //
 // Concurrency contract: Server state (queue, job table, singleflight
 // registry, metrics counters) is guarded by one mutex; simulations run
-// outside it on the worker shards. Concurrent duplicate submissions
-// coalesce onto the single in-flight execution of their key
-// (singleflight) rather than queueing a second simulation. Progress
+// outside it on the worker shards. A job is one submission; the
+// simulation it waits on is its flight, the one queued or running
+// execution of its key. Concurrent duplicate submissions attach to
+// their key's flight (singleflight) rather than queueing a second
+// simulation; the queue holds flights, each in the place of its oldest
+// live submission, and the flight owns the run's status, cancel flag,
+// stream subscribers, and progress checkpoints. Progress
 // fan-out (the /jobs/{id}/stream SSE feed) consumes the simulator's
 // OnSample callback, which fires on the simulation goroutine: the
 // publisher only copies the sample under the lock and never blocks on
@@ -51,8 +55,10 @@
 // flag (wired to minnow.Config.Cancel, polled on the watchdog cadence)
 // within one poll interval, stops, and writes nothing to the cache.
 // Cancellation is per-submission: canceling one of several coalesced
-// duplicates detaches only that submission while the shared simulation
-// keeps running for the survivors.
+// duplicates detaches only that submission from their flight, and it
+// ends at once, while the shared simulation keeps running for the
+// survivors. Only the last live submission of a running flight stops
+// the simulation; it ends with the flight.
 //
 // Tracing contract: every submission carries a correlation ID (client-
 // supplied or server-generated) and lifecycle stamps, rendered by the

@@ -236,7 +236,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // the same format the on-disk panic/watchdog/SIGTERM dumps use.
 func (s *Server) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.flight.WriteJSONL(w) //nolint:errcheck // client gone mid-body; nothing to do
+	s.recorder.WriteJSONL(w) //nolint:errcheck // client gone mid-body; nothing to do
 }
 
 // handleMetrics is GET /metrics.

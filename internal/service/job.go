@@ -108,8 +108,8 @@ func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
 const (
 	// StatusQueued marks a job waiting for a worker shard.
 	StatusQueued = "queued"
-	// StatusRunning marks a job currently simulating (or coalesced onto
-	// a simulating primary).
+	// StatusRunning marks a job whose flight (the simulation of its key,
+	// shared with coalesced duplicates) is running.
 	StatusRunning = "running"
 	// StatusDone marks a job whose result is available.
 	StatusDone = "done"
@@ -163,9 +163,10 @@ type JobView struct {
 	// queue-wait and sojourn latencies without scraping /metrics;
 	// GET /jobs/{id}/trace renders the same stamps as spans.
 	QueuedAtNS int64 `json:"queued_at_ns,omitempty"`
-	// StartedAtNS is the worker-dispatch stamp in Unix nanoseconds (for
-	// coalesced followers, when the shared flight dispatched); 0 until
-	// the job runs — born-done cache hits never do.
+	// StartedAtNS is the stamp in Unix nanoseconds at which the job's
+	// flight dispatched to a worker (for a job that coalesced onto a
+	// running flight, when it attached); 0 until the job runs —
+	// born-done cache hits never do.
 	StartedAtNS int64 `json:"started_at_ns,omitempty"`
 	// DoneAtNS is the terminal stamp in Unix nanoseconds; 0 until the
 	// job reaches a terminal status.

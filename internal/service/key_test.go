@@ -218,21 +218,22 @@ func TestCacheKeyArrivals(t *testing.T) {
 	}
 }
 
-// TestJobQueueOrder pins the priority heap: higher priority first,
-// submission order within a level.
+// TestJobQueueOrder pins the priority heap: a flight takes its oldest
+// live submission's place — higher priority first, submission order
+// within a level.
 func TestJobQueueOrder(t *testing.T) {
-	q := &jobQueue{}
+	q := &flightQueue{}
 	for _, j := range []*job{
 		{priority: 0, seq: 1},
 		{priority: 5, seq: 2},
 		{priority: 0, seq: 3},
 		{priority: 5, seq: 4},
 	} {
-		heap.Push(q, j)
+		heap.Push(q, &flight{jobs: []*job{j}})
 	}
 	var got []int64
 	for q.Len() > 0 {
-		got = append(got, heap.Pop(q).(*job).seq)
+		got = append(got, heap.Pop(q).(*flight).jobs[0].seq)
 	}
 	want := []int64{2, 4, 1, 3}
 	for i := range want {

@@ -98,6 +98,6 @@ func (s *Server) MetricsText() string {
 	b.WriteString(s.hExec.Text())
 	b.WriteString(s.hSojourn.Text())
 	b.WriteString(s.hCacheWrite.Text())
-	gauge("minnowd_flightrec_events_seen", "Events ever recorded by the crash flight recorder (ring may have displaced older ones).", s.flight.Seen())
+	gauge("minnowd_flightrec_events_seen", "Events ever recorded by the crash flight recorder (ring may have displaced older ones).", s.recorder.Seen())
 	return b.String()
 }

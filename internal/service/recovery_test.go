@@ -136,6 +136,38 @@ func TestCancelIsPerSubmission(t *testing.T) {
 	}
 }
 
+// TestQueuedFlightKeepsOldestLivePlace pins the queue place of a
+// flight whose oldest submission is canceled: the flight moves to the
+// place of its oldest live submission. Flight A holds a1 (priority 5)
+// and its duplicate a2 (priority 0), flight B holds b1 (priority 1);
+// once a1 is canceled, B dispatches before A.
+func TestQueuedFlightKeepsOldestLivePlace(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1})
+	blocker := submit(t, ts.URL, slowSpec(1)) // holds the shard so the rest queue
+	waitRunning(t, s, blocker.ID)
+	a, b := smallSpec(2), smallSpec(3)
+	a.Priority, b.Priority = 5, 1
+	a1 := submit(t, ts.URL, a)
+	a.Priority = 0
+	a2 := submit(t, ts.URL, a)
+	b1 := submit(t, ts.URL, b)
+	if !a2.Coalesced {
+		t.Fatalf("duplicate did not coalesce: %+v", a2)
+	}
+	if code, v := cancelJob(t, ts.URL, a1.ID); code != http.StatusOK || v.Status != StatusCanceled {
+		t.Fatalf("DELETE %s = %d %+v", a1.ID, code, v)
+	}
+	fa, fb := await(t, ts.URL, a2.ID), await(t, ts.URL, b1.ID)
+	if fa.Status != StatusDone || fb.Status != StatusDone {
+		t.Fatalf("flights did not finish: a2=%+v b1=%+v", fa, fb)
+	}
+	if fb.StartedAtNS >= fa.StartedAtNS {
+		t.Fatalf("flight B (priority 1) started at %d, not before flight A (priority 0 once a1 left) at %d",
+			fb.StartedAtNS, fa.StartedAtNS)
+	}
+	await(t, ts.URL, blocker.ID)
+}
+
 // TestRetryAfterHeader pins the backpressure contract: 429 (queue
 // full) and 503 (draining) both carry a Retry-After header.
 func TestRetryAfterHeader(t *testing.T) {
@@ -442,7 +474,7 @@ func TestSSESubscriberNoLeak(t *testing.T) {
 	for {
 		runtime.GC()
 		s.mu.Lock()
-		subs := len(s.jobs[target.ID].subs)
+		subs := len(s.jobs[target.ID].flight.subs)
 		s.mu.Unlock()
 		if subs == 0 && runtime.NumGoroutine() <= baseline+3 {
 			break

@@ -300,3 +300,41 @@ func TestFullResultSurvivesRestart(t *testing.T) {
 		})
 	}
 }
+
+// TestCanceledSubmissionStaysCanceledAfterRestart pins that a DELETE
+// survives a restart. The first of two coalesced submissions is
+// canceled mid-run while the flight runs on for its duplicate; after a
+// restart over the same journal and cache the canceled job still reads
+// canceled, whatever the flight journaled after the cancel.
+func TestCanceledSubmissionStaysCanceledAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, ProgressEvery: 2000,
+		JournalPath: filepath.Join(dir, "journal.jsonl"), CacheDir: filepath.Join(dir, "cache")}
+	s, ts := newTestServer(t, cfg)
+	first := submit(t, ts.URL, slowSpec(5))
+	waitRunning(t, s, first.ID)
+	dup := submit(t, ts.URL, slowSpec(5))
+	if !dup.Coalesced {
+		t.Fatalf("duplicate did not coalesce: %+v", dup)
+	}
+	if code, v := cancelJob(t, ts.URL, first.ID); code != 200 || v.Status != StatusCanceled {
+		t.Fatalf("DELETE %s = %d %+v, want 200 canceled", first.ID, code, v)
+	}
+	if v := await(t, ts.URL, dup.ID); v.Status != StatusDone {
+		t.Fatalf("duplicate did not finish the flight: %+v", v)
+	}
+	ts.Close()
+	stop(t, s)
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop(t, s2)
+	if v, ok := s2.Job(first.ID, false); !ok || v.Status != StatusCanceled {
+		t.Fatalf("canceled %s after restart: ok=%v status %q", first.ID, ok, v.Status)
+	}
+	if rec := s2.Recovery(); rec != (RecoveryStats{Completed: 1, Terminal: 1}) {
+		t.Fatalf("recovery = %+v, want 1 completed and 1 terminal", rec)
+	}
+}

@@ -106,13 +106,12 @@ type Config struct {
 	FlightRecEvents int
 }
 
-// job is the server-side record of one submission.
+// job is the server-side record of one submission. The simulation it
+// waits on, shared with identical submissions, is its flight.
 type job struct {
 	id       string
 	bench    string
-	cfg      minnow.Config
 	key      string
-	keyJSON  []byte
 	priority int
 	seq      int64
 	// corr is the job's correlation ID: client-supplied (JobSpec.Corr or
@@ -121,9 +120,12 @@ type job struct {
 	// record so one ID follows the job from HTTP accept to terminal.
 	corr string
 
-	status    string
-	cached    bool
-	coalesced bool
+	status string
+	cached bool
+	// onto names the submission whose flight this one coalesced onto
+	// (singleflight): the flight's oldest live submission when it
+	// attached. "" when it did not coalesce.
+	onto      string
 	recovered bool
 	// journaled marks jobs with a submit record in the journal; only
 	// those get lifecycle records (born-done cache hits are never
@@ -138,81 +140,119 @@ type job struct {
 	// looked up yet: replay leaves the lookup, a disk read, to the first
 	// view or trace of the job (attachEntries).
 	unattached bool
+	// cycles is the checkpoint stamp a recovered finished job's journal
+	// record carries; a job with a flight reports the flight's.
+	cycles int64
 
 	// Lifecycle stamps backing the job's trace spans and latency
-	// histograms: queuedAt→startedAt is queue wait, startedAt→execStartAt
-	// is shard dispatch (config prep and hook wiring), execStartAt→
-	// execEndAt is execution, and cacheWriteDur times the cache Put.
-	// startedAt is stamped on coalesced followers too (the flight's
-	// pickup); the exec stamps live on the primary.
-	queuedAt    time.Time
-	startedAt   time.Time
-	execStartAt time.Time
-	execEndAt   time.Time
-	doneAt      time.Time
-	// cacheWriteDur is how long the flight's cache Put took (primary
-	// only; 0 when nothing was written).
-	cacheWriteDur time.Duration
-	// ckpts are the trace instants of journaled progress checkpoints
-	// (primary only), capped at maxTraceCheckpoints.
-	ckpts []tracing.Instant
+	// histograms: queuedAt→startedAt is queue wait. startedAt is the
+	// flight's dispatch, or the attach time for a job that coalesced onto
+	// a running flight; the exec stamps live on the flight.
+	queuedAt  time.Time
+	startedAt time.Time
+	doneAt    time.Time
 
-	// cancelFlag, when set, is observed by the running simulation's
-	// cancel hook within one poll interval; the run stops with
-	// minnow.ErrCanceled and writes nothing to the cache.
-	cancelFlag atomic.Bool
-	// flightStatus is the status of the underlying simulation flight
-	// (primary only). It diverges from status when the primary's own
-	// submission is canceled while coalesced followers keep the
-	// simulation alive — new duplicates coalesce against flightStatus.
-	flightStatus string
-	// checkpointCycles is the simulated cycle stamp of the latest
-	// interval sample (primary only), journaled every
-	// checkpointEverySamples samples.
-	checkpointCycles int64
-	// samples counts interval samples seen (primary only).
-	samples int64
-
-	// primary, when non-nil, is the in-flight job this submission
-	// coalesced onto (singleflight follower).
-	primary *job
-	// followers are coalesced duplicates finalized with this job's
-	// outcome (primary only).
-	followers []*job
-	// subs are live stream subscribers (primary only; followers
-	// subscribe through primary).
-	subs []chan ProgressEvent
-	// lastSample is replayed to late stream subscribers so a slow client
-	// still sees where the run is.
-	lastSample *ProgressEvent
+	// flight is the simulation this submission waits on, or waited on
+	// once finished; nil for born-done cache hits and recovered finished
+	// jobs.
+	flight *flight
 	// done is closed when the job reaches a terminal status.
 	done chan struct{}
 }
 
-// jobQueue is the pending-job priority heap: higher Priority first,
-// submission order within a priority level.
-type jobQueue []*job
+// checkpointCycles is the cycle stamp of the job's flight's latest
+// progress sample, or what the journal recorded for a recovered
+// finished job.
+func (j *job) checkpointCycles() int64 {
+	if j.flight != nil {
+		return j.flight.cycles
+	}
+	return j.cycles
+}
 
-// Len reports the number of queued jobs (container/heap interface).
-func (q jobQueue) Len() int { return len(q) }
+// flight is the one queued or running simulation of a cache key and
+// the submissions attached to it. Identical submissions attach to the
+// key's flight instead of simulating twice (singleflight); it runs
+// while any of them still wants the result.
+type flight struct {
+	bench   string
+	cfg     minnow.Config
+	key     string
+	keyJSON []byte
+	// status is queued, running, or the terminal status the run ended
+	// with.
+	status string
+	// cancel, when set, is observed by the running simulation's cancel
+	// hook within one poll interval; the run stops with
+	// minnow.ErrCanceled and writes nothing to the cache.
+	cancel atomic.Bool
+	// jobs are the live submissions attached to the flight, oldest
+	// first. The oldest sets the flight's queue place and names it in the
+	// journal. A submission canceled alone leaves the list; the rest end
+	// with the run.
+	jobs []*job
+	// index is the flight's slot in the queue heap; -1 when not queued.
+	index int
+
+	// subs are live stream subscribers; lastSample is replayed to late
+	// ones so a slow client still sees where the run is.
+	subs       []chan ProgressEvent
+	lastSample *ProgressEvent
+	// cycles is the simulated cycle stamp of the latest interval sample,
+	// journaled every checkpointEverySamples samples; samples counts
+	// them.
+	cycles  int64
+	samples int64
+	// ckpts are the trace instants of journaled progress checkpoints,
+	// capped at maxTraceCheckpoints.
+	ckpts []tracing.Instant
+
+	// execStartAt→execEndAt is execution; cacheWriteDur times the cache
+	// Put (0 when nothing was written).
+	execStartAt   time.Time
+	execEndAt     time.Time
+	cacheWriteDur time.Duration
+}
+
+// flightQueue is the pending-flight priority heap. A flight takes the
+// place of its oldest live submission: higher Priority first,
+// submission order within a priority level.
+type flightQueue []*flight
+
+// Len reports the number of queued flights (container/heap interface).
+func (q flightQueue) Len() int { return len(q) }
 
 // Less orders the heap: higher priority first, then submission order.
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].priority != q[j].priority {
-		return q[i].priority > q[j].priority
+func (q flightQueue) Less(i, j int) bool {
+	a, b := q[i].jobs[0], q[j].jobs[0]
+	if a.priority != b.priority {
+		return a.priority > b.priority
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
 // Swap exchanges two queue slots (container/heap interface).
-func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q flightQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
 
-// Push appends a job for heap.Push (container/heap interface).
-func (q *jobQueue) Push(x any) { *q = append(*q, x.(*job)) }
+// Push appends a flight for heap.Push (container/heap interface).
+func (q *flightQueue) Push(x any) {
+	f := x.(*flight)
+	f.index = len(*q)
+	*q = append(*q, f)
+}
 
 // Pop removes and returns the last slot for heap.Pop (container/heap
 // interface).
-func (q *jobQueue) Pop() any { old := *q; n := len(old); x := old[n-1]; *q = old[:n-1]; return x }
+func (q *flightQueue) Pop() any {
+	old := *q
+	f := old[len(old)-1]
+	f.index = -1
+	*q = old[:len(old)-1]
+	return f
+}
 
 // histLabels is the label schema shared by every latency histogram:
 // the job's terminal status and its cache outcome.
@@ -223,7 +263,7 @@ var histLabels = []string{"status", "cache"}
 // including jobs canceled or failed before producing one).
 func cacheOutcome(j *job) string {
 	switch {
-	case j.coalesced:
+	case j.onto != "":
 		return "coalesced"
 	case j.cached:
 		return "hit"
@@ -274,10 +314,10 @@ type Server struct {
 	cache  *cache.Cache
 	jl     *journal.Journal
 
-	// flight is the crash flight recorder; always on (events are a few
+	// recorder is the crash flight recorder; always on (events are a few
 	// dozen bytes), sized by Config.FlightRecEvents, dumped to
 	// Config.TraceDir on panic, watchdog halt, or SIGTERM.
-	flight *tracing.FlightRecorder
+	recorder *tracing.FlightRecorder
 	// Latency histograms served on /metrics, labeled by terminal status
 	// and cache outcome (hit/coalesced/miss).
 	hQueueWait  *tracing.HistVec
@@ -287,9 +327,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    jobQueue
-	jobs     map[string]*job // by ID
-	inflight map[string]*job // singleflight: key → queued/running primary
+	queue    flightQueue
+	jobs     map[string]*job    // by ID
+	inflight map[string]*flight // singleflight: key → queued/running flight
 	seq      int64
 	busy     int
 	draining bool
@@ -315,8 +355,8 @@ func New(cfg Config) (*Server, error) {
 		shards:   shards,
 		cache:    cache.New(),
 		jobs:     make(map[string]*job),
-		inflight: make(map[string]*job),
-		flight:   tracing.NewFlightRecorder(cfg.FlightRecEvents),
+		inflight: make(map[string]*flight),
+		recorder: tracing.NewFlightRecorder(cfg.FlightRecEvents),
 		hQueueWait: tracing.NewHistVec("minnowd_queue_wait_seconds",
 			"Submit-to-dispatch queue wait (for jobs that never ran, submit-to-terminal).", histLabels, nil),
 		hExec: tracing.NewHistVec("minnowd_exec_seconds",
@@ -354,10 +394,10 @@ func New(cfg Config) (*Server, error) {
 		if rewrite {
 			if err := jl.Rewrite(compact); err != nil {
 				s.m.journalErrs++
-				s.flight.Record(tracing.Event{Kind: "journal-error", Detail: "startup compaction rewrite failed"})
+				s.recorder.Record(tracing.Event{Kind: "journal-error", Detail: "startup compaction rewrite failed"})
 			}
 		}
-		s.flight.Record(tracing.Event{Kind: "replay", Detail: fmt.Sprintf(
+		s.recorder.Record(tracing.Event{Kind: "replay", Detail: fmt.Sprintf(
 			"requeued=%d completed=%d terminal=%d read=%d kept=%d rewritten=%v ms=%.3f",
 			s.rec.Requeued, s.rec.Completed, s.rec.Terminal, len(recs), len(compact), rewrite,
 			float64(time.Since(t0).Microseconds())/1e3)})
@@ -381,8 +421,11 @@ func New(cfg Config) (*Server, error) {
 // leaves the journal file as it is. Replaying the compacted journal
 // reconstructs the identical state, which keeps a double restart a
 // no-op — the idempotency the recovery test pins. Both the live form (a
-// submit record, then the terminal one) and the folded form replay.
-// Runs before the worker shards start, so no lock is needed.
+// submit record, then the terminal one) and the folded form replay. A
+// job's terminal record is final: replay ignores the records that
+// follow it for that ID, and compaction drops them. Only requeued jobs
+// get a flight. Runs before the worker shards start, so no lock is
+// needed.
 func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchanged bool) {
 	type state struct {
 		id      string
@@ -421,6 +464,12 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 			index[r.ID] = i
 		}
 		st := &states[i]
+		if st.last.Terminal() {
+			// A terminal record is final: a later start or checkpoint (a
+			// flight journaling under a submission already canceled)
+			// must not make the job unfinished again.
+			continue
+		}
 		st.last = r.Op
 		switch r.Op {
 		case journal.OpStart:
@@ -501,82 +550,68 @@ func (s *Server) replay(recs []journal.Record) (compact []journal.Record, unchan
 			queuedAt = time.Now()
 		}
 		j := &job{
-			id:               id,
-			bench:            st.submit.Bench,
-			key:              st.submit.Key,
-			corr:             st.submit.Corr,
-			priority:         st.submit.Priority,
-			recovered:        true,
-			journaled:        true,
-			checkpointCycles: cycles,
-			samples:          st.samples,
-			queuedAt:         queuedAt,
-			done:             make(chan struct{}),
+			id:        id,
+			bench:     st.submit.Bench,
+			key:       st.submit.Key,
+			corr:      st.submit.Corr,
+			priority:  st.submit.Priority,
+			recovered: true,
+			journaled: true,
+			cycles:    cycles,
+			queuedAt:  queuedAt,
+			done:      make(chan struct{}),
 		}
 		// Restore the lifecycle stamps the journal preserved, so the
 		// job's trace and latency metrics span the crash.
 		if st.startAt != 0 && st.last.Terminal() {
 			j.startedAt = time.Unix(0, st.startAt)
-			j.execStartAt = j.startedAt
 		}
 		if st.termAt != 0 {
 			j.doneAt = time.Unix(0, st.termAt)
 		}
-		if st.cycles > 0 && st.ckptAt != 0 {
-			j.ckpts = append(j.ckpts, tracing.Instant{Name: "checkpoint", At: time.Unix(0, st.ckptAt), Arg: st.cycles})
-		}
 		s.jobs[id] = j
 		switch st.last {
 		case journal.OpDone:
-			j.status, j.flightStatus = StatusDone, StatusDone
-			j.cached, j.hash, j.unattached = true, st.hash, true
+			j.status, j.cached, j.hash, j.unattached = StatusDone, true, st.hash, true
 			s.rec.Completed++
 			close(j.done)
-		case journal.OpFailed:
-			j.status, j.flightStatus = StatusFailed, StatusFailed
-			j.errMsg = st.errMsg
-			s.rec.Terminal++
-			close(j.done)
-		case journal.OpCanceled:
-			j.status, j.flightStatus = StatusCanceled, StatusCanceled
-			j.errMsg = st.errMsg
+		case journal.OpFailed, journal.OpCanceled:
+			j.status, j.errMsg = string(st.last), st.errMsg
 			s.rec.Terminal++
 			close(j.done)
 		default: // submit, start, or checkpoint: the job never finished
 			var spec ConfigSpec
 			if err := json.Unmarshal(st.submit.Spec, &spec); err != nil {
-				j.status, j.flightStatus = StatusFailed, StatusFailed
+				j.status = StatusFailed
 				j.errMsg = "service: journal spec unreadable: " + err.Error()
 				s.rec.Terminal++
 				close(j.done)
 				continue
 			}
-			j.cfg = spec.ToConfig()
+			cfg := spec.ToConfig()
 			j.seq = s.seq // preserves journal order within a priority
 			// Re-key under the running schema: after a key-version bump
 			// the journaled key names no entry this server would write.
-			j.key, j.keyJSON = CacheKey(j.bench, j.cfg)
+			var keyJSON []byte
+			j.key, keyJSON = CacheKey(j.bench, cfg)
 			// An identical job may have completed while this one was
 			// lost: replay checks the cache exactly like a fresh Submit.
-			if e, ok := s.cache.Get(j.key); ok && e.Covers(j.cfg.Timeline, j.cfg.Profile) {
-				j.status, j.flightStatus = StatusDone, StatusDone
-				j.cached = true
-				j.entry = e
+			if e, ok := s.cache.Get(j.key); ok && e.Covers(cfg.Timeline, cfg.Profile) {
+				j.status, j.cached, j.entry = StatusDone, true, e
 				s.rec.Completed++
 				close(j.done)
 				continue
 			}
-			if p, ok := s.inflight[j.key]; ok && p.cfg.Timeline == j.cfg.Timeline && p.cfg.Profile == j.cfg.Profile {
-				j.coalesced, j.cached = true, true
-				j.primary = p
-				j.status = StatusQueued
-				p.followers = append(p.followers, j)
-				s.rec.Requeued++
-				continue
+			f := s.flightForLocked(j.bench, cfg, j.key, keyJSON)
+			if len(f.jobs) == 0 {
+				// A new flight resumes the lost run's progress report.
+				f.cycles, f.samples = cycles, st.samples
+				if st.cycles > 0 && st.ckptAt != 0 {
+					f.ckpts = append(f.ckpts, tracing.Instant{Name: "checkpoint", At: time.Unix(0, st.ckptAt), Arg: st.cycles})
+				}
 			}
-			j.status, j.flightStatus = StatusQueued, StatusQueued
-			s.inflight[j.key] = j
-			heap.Push(&s.queue, j)
+			s.attachLocked(j, f)
+			s.placeLocked(f)
 			s.rec.Requeued++
 		}
 	}
@@ -627,8 +662,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for s.queue.Len() > 0 {
-			j := heap.Pop(&s.queue).(*job)
-			s.finalizeLocked(j, StatusCanceled, nil, "service: canceled by shutdown")
+			f := heap.Pop(&s.queue).(*flight)
+			s.finalizeLocked(f, StatusCanceled, nil, "service: canceled by shutdown")
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -650,7 +685,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Submit validates and registers one job, returning its API view. The
 // fast paths — validation failure, cache hit, singleflight coalesce —
-// never touch the queue. Accepted jobs (queued and coalesced) are
+// never add to the queue. Accepted jobs (queued and coalesced) are
 // journaled with an fsync before the call returns, so the submission
 // survives a crash from the moment the API acknowledges it; the fsync
 // happens outside s.mu (see journalAccepted) so per-submit disk
@@ -689,9 +724,7 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	j := &job{
 		id:       fmt.Sprintf("j-%d", s.seq),
 		bench:    spec.Bench,
-		cfg:      cfg,
 		key:      key,
-		keyJSON:  keyJSON,
 		corr:     sanitizeCorr(spec.Corr),
 		priority: spec.Priority,
 		seq:      s.seq,
@@ -705,72 +738,105 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	}
 	s.jobs[j.id] = j
 	s.m.submitted++
-	s.flight.Record(tracing.Event{Kind: "submit", Job: j.id, Corr: j.corr, Detail: spec.Bench})
+	s.recorder.Record(tracing.Event{Kind: "submit", Job: j.id, Corr: j.corr, Detail: spec.Bench})
 
 	// Cache hit: born done, no simulation.
 	if e, ok := s.cache.Get(key); ok && e.Covers(cfg.Timeline, cfg.Profile) {
 		s.m.hits++
 		j.cached = true
-		s.flight.Record(tracing.Event{Kind: "cache-hit", Job: j.id, Corr: j.corr})
-		s.finalizeLocked(j, StatusDone, e, "")
+		s.recorder.Record(tracing.Event{Kind: "cache-hit", Job: j.id, Corr: j.corr})
+		s.finishLocked(j, StatusDone, e, "", time.Now())
 		v := s.viewLocked(j, false)
 		s.mu.Unlock()
 		return v, nil
 	}
 	// Singleflight: an identical submission is already queued or
-	// running; attach to it instead of simulating twice. The primary
-	// must cover this job's artifact needs — a timeline-requesting
-	// duplicate of a timeline-less run simulates separately (and
-	// upgrades the cache entry it shares). Coalescing keys off the
-	// flight's status, not the primary's own — a primary whose
-	// submission was canceled can still be carrying a live simulation
-	// for its followers.
-	if p, ok := s.inflight[key]; ok && p.cfg.Timeline == cfg.Timeline && p.cfg.Profile == cfg.Profile {
-		s.m.coalesced++
-		j.coalesced, j.cached = true, true
-		j.primary = p
-		j.status = p.flightStatus
-		if p.flightStatus == StatusRunning {
-			// The flight is already dispatched: this follower starts the
-			// moment it attaches, never before it was submitted — the
-			// primary's earlier pickup would read as a negative queue
-			// wait on the follower's stamps and histograms.
-			j.startedAt = j.queuedAt
-		}
-		p.followers = append(p.followers, j)
-		s.flight.Record(tracing.Event{Kind: "coalesce", Job: j.id, Corr: j.corr, Detail: "onto " + p.id})
-		s.mu.Unlock()
-		return s.journalAccepted(j, false)
-	}
-
-	if s.queue.Len() >= s.cfg.QueueLimit {
+	// running; attach to its flight instead of simulating twice.
+	f := s.flightForLocked(spec.Bench, cfg, key, keyJSON)
+	if len(f.jobs) == 0 && s.queue.Len() >= s.cfg.QueueLimit {
 		delete(s.jobs, j.id)
 		s.m.submitted--
 		n := s.queue.Len()
 		s.mu.Unlock()
 		return JobView{}, &RequestError{Code: 429, Msg: fmt.Sprintf("service: queue full (%d jobs)", n), RetryAfter: 1}
 	}
-	j.status, j.flightStatus = StatusQueued, StatusQueued
-	s.inflight[key] = j
+	s.attachLocked(j, f)
+	if j.onto != "" {
+		s.m.coalesced++
+		s.recorder.Record(tracing.Event{Kind: "coalesce", Job: j.id, Corr: j.corr, Detail: "onto " + j.onto})
+	}
 	s.mu.Unlock()
-	return s.journalAccepted(j, true)
+	return s.journalAccepted(j, cfg)
+}
+
+// flightForLocked returns the queued or running flight of key when it
+// covers a submission of cfg — the same Timeline and Profile, so a
+// timeline-requesting duplicate of a timeline-less run simulates
+// separately (and upgrades the cache entry they share) — and otherwise
+// a new queued flight, which attachLocked registers. Callers hold s.mu.
+func (s *Server) flightForLocked(bench string, cfg minnow.Config, key string, keyJSON []byte) *flight {
+	if f, ok := s.inflight[key]; ok && f.cfg.Timeline == cfg.Timeline && f.cfg.Profile == cfg.Profile {
+		return f
+	}
+	return &flight{bench: bench, cfg: cfg, key: key, keyJSON: keyJSON, status: StatusQueued, index: -1}
+}
+
+// attachLocked attaches a submission to the flight flightForLocked
+// returned: a new flight takes its key's singleflight slot, and a job
+// joining a live one coalesces onto it. Callers hold s.mu.
+func (s *Server) attachLocked(j *job, f *flight) {
+	if len(f.jobs) == 0 {
+		s.inflight[f.key] = f
+	} else {
+		j.onto, j.cached = f.jobs[0].id, true
+		if f.status == StatusRunning {
+			// The flight is already dispatched: this job starts the
+			// moment it attaches, never before it was submitted — the
+			// flight's earlier dispatch would read as a negative queue
+			// wait on the job's stamps and histograms.
+			j.startedAt = j.queuedAt
+		}
+	}
+	j.status, j.flight = f.status, f
+	f.jobs = append(f.jobs, j)
+}
+
+// placeLocked puts a queued flight where its oldest live submission
+// belongs: a flight left with no live submission leaves the queue and
+// its singleflight slot, a queued one moves to its oldest submission's
+// place, and one not yet queued joins the queue once that submission's
+// submit record is journaled, so the worker shards never see a flight
+// before the submission it runs under. Callers hold s.mu.
+func (s *Server) placeLocked(f *flight) {
+	switch {
+	case len(f.jobs) == 0:
+		if f.index >= 0 {
+			heap.Remove(&s.queue, f.index)
+		}
+		s.finalizeLocked(f, StatusCanceled, nil, "")
+	case f.index >= 0:
+		heap.Fix(&s.queue, f.index)
+	case f.jobs[0].journaled:
+		heap.Push(&s.queue, f)
+		s.cond.Signal()
+	}
 }
 
 // journalAccepted records an accepted submission in the journal —
 // fsync'd, but outside s.mu, so per-submit fsync latency never
 // serializes unrelated API handlers — then, back under the lock, marks
-// the job journaled and (for the queue path) makes it visible to the
-// worker shards. Between registration and the append the job is
-// cancellable and (as a singleflight target) coalescable but not yet
-// runnable, so a start or done record can never precede its submit
-// record. A job that reached a terminal status while the append was in
-// flight — client cancel, or its coalesced flight resolving — had its
+// the job journaled and places its flight (placeLocked). Between
+// registration and the append the job is cancellable and its flight
+// coalescable, but a flight waits for its oldest submission's append
+// before it runs, so a start record never precedes that submission's
+// submit record. A job that reached a terminal status while the append
+// was in flight — client cancel, or its flight resolving — had its
 // terminal record skipped (journaled was still false); it is written
 // here, after the submit record, so replay never resurrects it.
-func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
+func (s *Server) journalAccepted(j *job, cfg minnow.Config) (JobView, error) {
 	var appendErr error
 	if s.jl != nil {
-		appendErr = s.jl.Append(s.submitRecord(j), true)
+		appendErr = s.jl.Append(submitRecord(j, cfg), true)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -781,9 +847,8 @@ func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
 	switch {
 	case Terminal(j.status):
 		s.journalLocked(terminalRecord(j), true)
-	case enqueue:
-		heap.Push(&s.queue, j)
-		s.cond.Signal()
+	case j.flight.status == StatusQueued:
+		s.placeLocked(j.flight)
 	}
 	return s.viewLocked(j, false), nil
 }
@@ -795,10 +860,7 @@ func (s *Server) journalAccepted(j *job, enqueue bool) (JobView, error) {
 // statuses are spelled as their journal ops. Callers hold s.mu.
 func terminalRecord(j *job) journal.Record {
 	r := journal.Record{Op: journal.Op(j.status), ID: j.id, At: j.doneAt.UnixNano(),
-		StartAt: unixOrZero(j.startedAt), Cycles: j.checkpointCycles}
-	if j.primary != nil {
-		r.Cycles = j.primary.checkpointCycles
-	}
+		StartAt: unixOrZero(j.startedAt), Cycles: j.checkpointCycles()}
 	switch {
 	case j.status != StatusDone:
 		r.Error = j.errMsg
@@ -808,10 +870,11 @@ func terminalRecord(j *job) journal.Record {
 	return r
 }
 
-// submitRecord builds a job's journal submit record: everything replay
-// needs to re-run it without the original HTTP request.
-func (s *Server) submitRecord(j *job) journal.Record {
-	spec, err := json.Marshal(ConfigSpec(j.cfg))
+// submitRecord builds a job's journal submit record from the job and
+// its submitted configuration: everything replay needs to re-run it
+// without the original HTTP request.
+func submitRecord(j *job, cfg minnow.Config) journal.Record {
+	spec, err := json.Marshal(ConfigSpec(cfg))
 	if err != nil {
 		spec = nil // the func hooks are json:"-"; Marshal cannot fail
 	}
@@ -836,14 +899,16 @@ func unixOrZero(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// Cancel cancels one job. Queued jobs (and coalesced followers) leave
-// the queue immediately; a running job's simulation observes its cancel
-// flag within one cancel-poll interval, stops, and writes nothing to
-// the cache. Cancellation is per-submission: canceling a job that
-// identical submissions coalesced onto detaches only the canceling
-// submission — the simulation keeps running for the survivors (a queued
-// carrier hands its flight to the oldest follower). Terminal jobs are
-// returned unchanged (idempotent); unknown IDs return 404.
+// Cancel cancels one submission. Cancellation is per-submission: the
+// job detaches from its flight and ends canceled at once, and the
+// flight keeps its place for the submissions still attached — a queued
+// flight re-sorts to its oldest live submission's place and leaves the
+// queue when none is left. The one exception is the last live
+// submission of a running flight: the flight's cancel flag is set, the
+// simulation observes it within one cancel-poll interval, stops, and
+// writes nothing to the cache, and the submission ends with the flight
+// (canceled, or done if the run finished before the poll). Terminal
+// jobs are returned unchanged (idempotent); unknown IDs return 404.
 func (s *Server) Cancel(id string) (JobView, error) {
 	j, ok := s.lockJob(id)
 	defer s.mu.Unlock()
@@ -853,122 +918,47 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	if Terminal(j.status) {
 		return s.viewLocked(j, false), nil
 	}
-	const reason = "service: canceled by client"
-	switch {
-	case j.primary != nil:
-		// Follower: detach from the flight and finalize alone.
-		p := j.primary
-		if i := slices.Index(p.followers, j); i >= 0 {
-			p.followers = slices.Delete(p.followers, i, i+1)
-		}
-		s.cancelJobLocked(j, reason)
-		// If the carrier's own submission was already canceled and this
-		// was the last live follower, nobody wants the flight: stop it.
-		if Terminal(p.status) && !s.flightLiveLocked(p) {
-			if p.flightStatus == StatusRunning {
-				p.cancelFlag.Store(true)
-			} else {
-				s.dequeueLocked(p)
-				delete(s.inflight, p.key)
-				p.flightStatus = StatusCanceled
-			}
-		}
-	case j.status == StatusQueued && len(j.followers) > 0:
-		// Queued carrier with followers: the flight must still run. Hand
-		// it to the oldest follower and cancel only this submission.
-		f := j.followers[0]
-		rest := j.followers[1:]
-		j.followers = nil
-		f.primary = nil
-		f.followers = append(f.followers, rest...)
-		for _, x := range rest {
-			x.primary = f
-		}
-		f.status, f.flightStatus = StatusQueued, StatusQueued
-		f.lastSample = j.lastSample
-		f.subs = append(f.subs, j.subs...)
-		j.subs = nil
-		s.dequeueLocked(j)
-		heap.Push(&s.queue, f)
-		s.inflight[j.key] = f
-		s.cancelJobLocked(j, reason)
-		s.cond.Signal()
-	case j.status == StatusQueued:
-		// Queued, nobody else attached: gone immediately.
-		s.dequeueLocked(j)
-		delete(s.inflight, j.key)
-		j.flightStatus = StatusCanceled
-		s.cancelJobLocked(j, reason)
-	default: // running primary
-		if s.flightLiveLocked(j) {
-			// Followers still want the result: cancel only this
-			// submission, keep simulating.
-			s.cancelJobLocked(j, reason)
-		} else {
-			// Sole interested party: stop the simulation. execute()
-			// observes minnow.ErrCanceled and finalizes the flight;
-			// status stays "running" until the poll fires.
-			j.cancelFlag.Store(true)
-		}
+	f := j.flight
+	if f.status == StatusRunning && len(f.jobs) == 1 {
+		f.cancel.Store(true)
+		return s.viewLocked(j, false), nil
+	}
+	f.jobs = slices.DeleteFunc(f.jobs, func(x *job) bool { return x == j })
+	s.finishLocked(j, StatusCanceled, nil, "service: canceled by client", time.Now())
+	if f.status == StatusQueued {
+		s.placeLocked(f)
 	}
 	return s.viewLocked(j, false), nil
 }
 
-// flightLiveLocked reports whether any follower of p still wants p's
-// result (is non-terminal). Callers hold s.mu.
-func (s *Server) flightLiveLocked(p *job) bool {
-	for _, f := range p.followers {
-		if !Terminal(f.status) {
-			return true
-		}
-	}
-	return false
-}
-
-// dequeueLocked removes a job from the pending heap if present.
-// Callers hold s.mu.
-func (s *Server) dequeueLocked(j *job) {
-	for i, x := range s.queue {
-		if x == j {
-			heap.Remove(&s.queue, i)
-			return
-		}
-	}
-}
-
-// cancelJobLocked finalizes one submission as canceled — terminal
-// status, journal record, metrics — without touching the flight it may
-// have been attached to. Callers hold s.mu.
-func (s *Server) cancelJobLocked(j *job, reason string) {
-	j.status = StatusCanceled
-	j.errMsg = reason
-	j.doneAt = time.Now()
-	s.observeTerminalLocked(j, StatusCanceled)
+// finishLocked moves one submission to a terminal status at now:
+// outcome, metrics, its journal record, and its done channel. Callers
+// hold s.mu.
+func (s *Server) finishLocked(j *job, status string, e *cache.Entry, errMsg string, now time.Time) {
+	j.status, j.entry, j.errMsg, j.doneAt = status, e, errMsg, now
+	s.observeTerminalLocked(j)
 	if j.journaled {
 		s.journalLocked(terminalRecord(j), true)
 	}
 	close(j.done)
 }
 
-// observeTerminalLocked records one submission reaching a terminal
+// observeTerminalLocked records one submission reaching its terminal
 // status into the counters, the latency histograms (labeled by status
 // and cache outcome), and the flight recorder. Callers hold s.mu and
 // must have stamped j.doneAt.
-func (s *Server) observeTerminalLocked(j *job, status string) {
+func (s *Server) observeTerminalLocked(j *job) {
+	status := j.status
 	d := j.doneAt.Sub(j.queuedAt)
 	s.m.observe(status)
 	outcome := cacheOutcome(j)
 	s.hSojourn.Observe(d.Seconds(), status, outcome)
 	if !j.startedAt.IsZero() {
 		s.hQueueWait.Observe(j.startedAt.Sub(j.queuedAt).Seconds(), status, outcome)
-		end := j.execEndAt
-		if j.primary != nil && !j.primary.execEndAt.IsZero() {
-			end = j.primary.execEndAt
-		}
-		if !end.IsZero() {
-			// A follower can attach in the window between the primary's
+		if f := j.flight; f != nil && !f.execEndAt.IsZero() {
+			// A job can attach in the window between the flight's
 			// exec-end stamp and finalize; it rode none of the flight.
-			s.hExec.Observe(max(end.Sub(j.startedAt), 0).Seconds(), status, outcome)
+			s.hExec.Observe(max(f.execEndAt.Sub(j.startedAt), 0).Seconds(), status, outcome)
 		}
 	} else if outcome == "miss" {
 		// Never dispatched (canceled in queue, refused result): the whole
@@ -976,7 +966,7 @@ func (s *Server) observeTerminalLocked(j *job, status string) {
 		// never queued at all.
 		s.hQueueWait.Observe(d.Seconds(), status, outcome)
 	}
-	s.flight.Record(tracing.Event{Kind: status, Job: j.id, Corr: j.corr, Detail: j.errMsg})
+	s.recorder.Record(tracing.Event{Kind: status, Job: j.id, Corr: j.corr, Detail: j.errMsg})
 }
 
 // Job returns the API view of one job; full includes the complete
@@ -1059,9 +1049,9 @@ func (s *Server) Jobs() []JobView {
 
 // Subscribe attaches a progress listener to a job's stream, replaying
 // the most recent sample first. The returned channel is closed when the
-// job completes (terminal status) or cancel is called; it is buffered
-// and lossy — a slow reader misses samples, never stalls the simulation.
-// ok is false for unknown job IDs.
+// job's flight ends or cancel is called; it is buffered and lossy — a
+// slow reader misses samples, never stalls the simulation. ok is false
+// for unknown job IDs.
 func (s *Server) Subscribe(id string) (ch <-chan ProgressEvent, done <-chan struct{}, cancel func(), ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1069,34 +1059,28 @@ func (s *Server) Subscribe(id string) (ch <-chan ProgressEvent, done <-chan stru
 	if !found {
 		return nil, nil, nil, false
 	}
-	target := j
-	if j.primary != nil {
-		target = j.primary
-	}
+	f := j.flight
 	c := make(chan ProgressEvent, 16)
-	if target.lastSample != nil {
-		c <- *target.lastSample
+	if f != nil && f.lastSample != nil {
+		c <- *f.lastSample
 	}
-	if Terminal(target.flightStatus) || Terminal(j.status) {
+	if Terminal(j.status) { // a live job's flight is live too
 		close(c)
 		return c, j.done, func() {}, true
 	}
-	target.subs = append(target.subs, c)
+	f.subs = append(f.subs, c)
 	cancel = func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for i, sub := range target.subs {
-			if sub == c {
-				target.subs = append(target.subs[:i], target.subs[i+1:]...)
-				close(c)
-				break
-			}
+		if i := slices.Index(f.subs, c); i >= 0 {
+			f.subs = slices.Delete(f.subs, i, i+1)
+			close(c)
 		}
 	}
 	return c, j.done, cancel, true
 }
 
-// worker is one shard: it pulls the highest-priority queued job and
+// worker is one shard: it pulls the highest-priority queued flight and
 // simulates it, until shutdown drains the queue. A panic escaping the
 // service layer itself (simulation panics are already contained by the
 // harness) dumps the flight recorder before taking the process down, so
@@ -1118,25 +1102,20 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			return
 		}
-		j := heap.Pop(&s.queue).(*job)
-		j.flightStatus = StatusRunning
-		j.startedAt = time.Now()
-		if !Terminal(j.status) {
-			j.status = StatusRunning
-		}
-		for _, f := range j.followers {
-			if !Terminal(f.status) {
-				f.status = StatusRunning
-				f.startedAt = j.startedAt
-			}
+		f := heap.Pop(&s.queue).(*flight)
+		f.status = StatusRunning
+		now := time.Now()
+		for _, j := range f.jobs {
+			j.status, j.startedAt = StatusRunning, now
 		}
 		s.busy++
 		s.m.sims++
-		s.journalLocked(journal.Record{Op: journal.OpStart, ID: j.id, At: j.startedAt.UnixNano()}, false)
-		s.flight.Record(tracing.Event{Kind: "start", Job: j.id, Corr: j.corr})
+		lead := f.jobs[0]
+		s.journalLocked(journal.Record{Op: journal.OpStart, ID: lead.id, At: now.UnixNano()}, false)
+		s.recorder.Record(tracing.Event{Kind: "start", Job: lead.id, Corr: lead.corr})
 		s.mu.Unlock()
 
-		s.execute(j)
+		s.execute(f)
 
 		s.mu.Lock()
 		s.busy--
@@ -1144,92 +1123,86 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one primary job through minnow.RunMany — the same
+// execute runs one flight through minnow.RunMany — the same
 // harness.RunJobs worker machinery the sweep tools use, so a panicking
 // simulation becomes a per-job error with a stack trace instead of
-// killing the shard — then caches and finalizes. The job's cancel flag
-// is wired to the simulator's cooperative cancel hook: a DELETE flips
-// the flag and the run stops within one poll interval, caching nothing.
-func (s *Server) execute(j *job) {
-	cfg := j.cfg
-	cfg.Cancel = j.cancelFlag.Load
+// killing the shard — then caches and finalizes. The flight's cancel
+// flag is wired to the simulator's cooperative cancel hook: a DELETE of
+// its last live submission flips the flag and the run stops within one
+// poll interval, caching nothing.
+func (s *Server) execute(f *flight) {
+	cfg := f.cfg
+	cfg.Cancel = f.cancel.Load
 	if cfg.MetricsEvery > 0 {
 		cfg.OnSample = func(cycles int64, metrics string) {
-			s.publish(j, ProgressEvent{Cycles: cycles, Metrics: metrics})
+			s.publish(f, ProgressEvent{Cycles: cycles, Metrics: metrics})
 		}
 	}
 	s.mu.Lock()
-	j.execStartAt = time.Now()
+	f.execStartAt = time.Now()
 	s.mu.Unlock()
-	res := minnow.RunMany([]minnow.RunRequest{{Benchmark: j.bench, Config: cfg}}, 1)[0]
+	res := minnow.RunMany([]minnow.RunRequest{{Benchmark: f.bench, Config: cfg}}, 1)[0]
 
 	s.mu.Lock()
-	j.execEndAt = time.Now()
-	if errors.Is(res.Err, minnow.ErrCanceled) {
-		s.finalizeLocked(j, StatusCanceled, nil, "service: canceled by client")
-		s.mu.Unlock()
-		s.persistTrace(j)
-		return
+	f.execEndAt = time.Now()
+	// A running flight keeps its last live submission until it ends, so
+	// there is always one to name it.
+	lead := f.jobs[0]
+	switch {
+	case errors.Is(res.Err, minnow.ErrCanceled):
+		s.finalizeLocked(f, StatusCanceled, nil, "service: canceled by client")
+	case res.Err != nil:
+		s.finalizeLocked(f, StatusFailed, nil, res.Err.Error())
+	default:
+		s.storeLocked(f, lead, res.Result)
 	}
+	s.mu.Unlock()
+	// A watchdog halt or a contained simulation panic is exactly the
+	// post-mortem the flight recorder exists for: dump it.
 	if res.Err != nil {
-		s.finalizeLocked(j, StatusFailed, nil, res.Err.Error())
-		s.mu.Unlock()
-		// A watchdog halt or a contained simulation panic is exactly the
-		// post-mortem the flight recorder exists for: dump it.
-		msg := res.Err.Error()
-		if strings.Contains(msg, "watchdog") {
+		if msg := res.Err.Error(); strings.Contains(msg, "watchdog") {
 			s.DumpFlight("watchdog") //nolint:errcheck // best-effort post-mortem
 		} else if strings.Contains(msg, "panicked") {
 			s.DumpFlight("panic") //nolint:errcheck // best-effort post-mortem
 		}
-		s.persistTrace(j)
-		return
 	}
-	resultJSON, err := json.Marshal(res.Result)
+	s.persistTrace(lead)
+}
+
+// storeLocked caches a finished run's result and finalizes its flight:
+// done, or failed when the result does not marshal or its hash
+// conflicts with the cached entry — a determinism violation, surfaced
+// on the jobs rather than serving either result silently. lead names
+// the flight in the flight recorder. Callers hold s.mu.
+func (s *Server) storeLocked(f *flight, lead *job, r *minnow.Result) {
+	resultJSON, err := json.Marshal(r)
 	if err != nil {
-		s.finalizeLocked(j, StatusFailed, nil, "service: marshal result: "+err.Error())
-		s.mu.Unlock()
-		s.persistTrace(j)
-		return
-	}
-	if Terminal(j.status) && !s.flightLiveLocked(j) {
-		// The run finished before the cancel poll could stop it, but
-		// every attached submission is already canceled: discard the
-		// result without caching — a canceled flight never writes.
-		s.finalizeLocked(j, StatusCanceled, nil, "")
-		s.mu.Unlock()
-		s.persistTrace(j)
+		s.finalizeLocked(f, StatusFailed, nil, "service: marshal result: "+err.Error())
 		return
 	}
 	e := &cache.Entry{
-		Key:         j.key,
-		Bench:       j.bench,
-		KeyJSON:     json.RawMessage(j.keyJSON),
-		SummaryHash: res.Result.SummaryHash,
-		Summary:     json.RawMessage(res.Result.SummaryJSON),
+		Key:         f.key,
+		Bench:       f.bench,
+		KeyJSON:     json.RawMessage(f.keyJSON),
+		SummaryHash: r.SummaryHash,
+		Summary:     json.RawMessage(r.SummaryJSON),
 		Result:      json.RawMessage(resultJSON),
-		HasTimeline: len(res.Result.TimelineJSON) > 0,
-		HasProfile:  res.Result.ProfilePprof != nil || res.Result.Folded != "",
+		HasTimeline: len(r.TimelineJSON) > 0,
+		HasProfile:  r.ProfilePprof != nil || r.Folded != "",
 	}
 	putStart := time.Now()
 	putErr := s.cache.Put(e)
-	j.cacheWriteDur = time.Since(putStart)
-	s.flight.Record(tracing.Event{Kind: "cache-write", Job: j.id, Corr: j.corr,
-		Detail: fmt.Sprintf("%v err=%v", j.cacheWriteDur.Round(time.Microsecond), putErr != nil)})
+	f.cacheWriteDur = time.Since(putStart)
+	s.recorder.Record(tracing.Event{Kind: "cache-write", Job: lead.id, Corr: lead.corr,
+		Detail: fmt.Sprintf("%v err=%v", f.cacheWriteDur.Round(time.Microsecond), putErr != nil)})
 	if putErr != nil {
-		// A hash conflict is a determinism violation: surface it on the
-		// job rather than serving either result silently.
 		s.m.conflicts++
-		s.hCacheWrite.Observe(j.cacheWriteDur.Seconds(), StatusFailed, cacheOutcome(j))
-		s.finalizeLocked(j, StatusFailed, nil, putErr.Error())
-		s.mu.Unlock()
-		s.persistTrace(j)
+		s.hCacheWrite.Observe(f.cacheWriteDur.Seconds(), StatusFailed, cacheOutcome(lead))
+		s.finalizeLocked(f, StatusFailed, nil, putErr.Error())
 		return
 	}
-	s.hCacheWrite.Observe(j.cacheWriteDur.Seconds(), StatusDone, cacheOutcome(j))
-	s.finalizeLocked(j, StatusDone, e, "")
-	s.mu.Unlock()
-	s.persistTrace(j)
+	s.hCacheWrite.Observe(f.cacheWriteDur.Seconds(), StatusDone, cacheOutcome(lead))
+	s.finalizeLocked(f, StatusDone, e, "")
 }
 
 // persistTrace writes an executed job's merged lifecycle trace to
@@ -1245,15 +1218,15 @@ func (s *Server) persistTrace(j *job) {
 		return
 	}
 	if err := os.MkdirAll(s.cfg.TraceDir, 0o755); err != nil {
-		s.flight.Record(tracing.Event{Kind: "trace-error", Job: j.id, Corr: j.corr, Detail: err.Error()})
+		s.recorder.Record(tracing.Event{Kind: "trace-error", Job: j.id, Corr: j.corr, Detail: err.Error()})
 		return
 	}
 	path := filepath.Join(s.cfg.TraceDir, j.id+".trace.json")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
-		s.flight.Record(tracing.Event{Kind: "trace-error", Job: j.id, Corr: j.corr, Detail: err.Error()})
+		s.recorder.Record(tracing.Event{Kind: "trace-error", Job: j.id, Corr: j.corr, Detail: err.Error()})
 		return
 	}
-	s.flight.Record(tracing.Event{Kind: "trace-write", Job: j.id, Corr: j.corr, Detail: path})
+	s.recorder.Record(tracing.Event{Kind: "trace-write", Job: j.id, Corr: j.corr, Detail: path})
 }
 
 // Trace renders one job's merged lifecycle trace: the service-level
@@ -1283,10 +1256,11 @@ func (s *Server) Trace(id string) ([]byte, bool) {
 	return t.Render(sim), true
 }
 
-// jobTraceLocked assembles one job's lifecycle spans and instants.
-// Followers time their own queue wait but borrow the primary's exec
-// stamps and checkpoints — the simulation they observed ran there.
-// Callers hold s.mu.
+// jobTraceLocked assembles one job's lifecycle spans and instants. A
+// job times its own queue wait but takes the exec stamps and
+// checkpoints from its flight — the simulation it observed. A
+// recovered finished job has no flight: the dispatch and terminal
+// stamps its journal kept bound its exec span. Callers hold s.mu.
 func (s *Server) jobTraceLocked(j *job, now time.Time) *tracing.JobTrace {
 	t := &tracing.JobTrace{
 		ID: j.id, Corr: j.corr, Bench: j.bench, Status: j.status,
@@ -1297,17 +1271,17 @@ func (s *Server) jobTraceLocked(j *job, now time.Time) *tracing.JobTrace {
 		end = now
 	}
 	t.Spans = append(t.Spans, tracing.Span{Name: "job", Start: j.queuedAt, End: end, Detail: cacheOutcome(j)})
-	p := j
-	if j.primary != nil {
-		p = j.primary
-	}
+	f := j.flight
 	if !j.startedAt.IsZero() {
 		t.Spans = append(t.Spans, tracing.Span{Name: "queue-wait", Start: j.queuedAt, End: j.startedAt})
-		execStart, execEnd := p.execStartAt, p.execEndAt
+		execStart, execEnd, cacheWrite := j.startedAt, j.doneAt, time.Duration(0)
+		if f != nil {
+			execStart, execEnd, cacheWrite = f.execStartAt, f.execEndAt, f.cacheWriteDur
+		}
 		if !execStart.IsZero() {
-			// A follower that attached mid-execution has no dispatch of
-			// its own, and its exec span covers only the stretch of the
-			// primary's flight it actually rode.
+			// A job that attached mid-execution has no dispatch of its
+			// own, and its exec span covers only the stretch of the
+			// flight it actually rode.
 			if execStart.Before(j.startedAt) {
 				execStart = j.startedAt
 			} else {
@@ -1317,24 +1291,26 @@ func (s *Server) jobTraceLocked(j *job, now time.Time) *tracing.JobTrace {
 				execEnd = end // still running: open span closes at "now"
 			}
 			t.Spans = append(t.Spans, tracing.Span{Name: "exec", Start: execStart, End: execEnd})
-			if p.cacheWriteDur > 0 {
-				t.Spans = append(t.Spans, tracing.Span{Name: "cache-write", Start: execEnd, End: execEnd.Add(p.cacheWriteDur)})
+			if cacheWrite > 0 {
+				t.Spans = append(t.Spans, tracing.Span{Name: "cache-write", Start: execEnd, End: execEnd.Add(cacheWrite)})
 			}
 		}
 	} else if Terminal(j.status) {
 		// Never dispatched: the whole sojourn was queue wait (or, for a
 		// born-done hit, the cache lookup itself).
-		if !j.cached || j.coalesced {
+		if !j.cached || j.onto != "" {
 			t.Spans = append(t.Spans, tracing.Span{Name: "queue-wait", Start: j.queuedAt, End: end})
 		}
 	}
-	if j.cached && !j.coalesced && j.startedAt.IsZero() {
+	if j.cached && j.onto == "" && j.startedAt.IsZero() {
 		t.Instants = append(t.Instants, tracing.Instant{Name: "cache-hit", At: j.queuedAt})
 	}
-	if j.coalesced {
-		t.Instants = append(t.Instants, tracing.Instant{Name: "coalesced", At: j.queuedAt, Detail: "onto " + p.id})
+	if j.onto != "" {
+		t.Instants = append(t.Instants, tracing.Instant{Name: "coalesced", At: j.queuedAt, Detail: "onto " + j.onto})
 	}
-	t.Instants = append(t.Instants, p.ckpts...)
+	if f != nil {
+		t.Instants = append(t.Instants, f.ckpts...)
+	}
 	if Terminal(j.status) && j.status != StatusDone {
 		t.Instants = append(t.Instants, tracing.Instant{Name: j.status, At: end, Detail: j.errMsg})
 	}
@@ -1350,37 +1326,38 @@ func (s *Server) DumpFlight(reason string) (string, error) {
 	if s.cfg.TraceDir == "" {
 		return "", nil
 	}
-	return s.flight.DumpFile(s.cfg.TraceDir, reason)
+	return s.recorder.DumpFile(s.cfg.TraceDir, reason)
 }
 
 // FlightRecorder exposes the crash ring buffer (the /debug/flightrec
 // endpoint and tests read it).
-func (s *Server) FlightRecorder() *tracing.FlightRecorder { return s.flight }
+func (s *Server) FlightRecorder() *tracing.FlightRecorder { return s.recorder }
 
-// publish fans one progress sample out to a job's stream subscribers
-// and advances the journal's progress checkpoint. Runs on the
-// simulation goroutine: copy under the lock, non-blocking sends,
-// nothing else.
-func (s *Server) publish(j *job, ev ProgressEvent) {
+// publish fans one progress sample out to a flight's stream
+// subscribers and advances the journal's progress checkpoint, which
+// names the flight's oldest live submission. Runs on the simulation
+// goroutine: copy under the lock, non-blocking sends, nothing else.
+func (s *Server) publish(f *flight, ev ProgressEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.lastSample = &ev
-	j.checkpointCycles = ev.Cycles
-	j.samples++
-	if j.samples%checkpointEverySamples == 0 {
+	f.lastSample = &ev
+	f.cycles = ev.Cycles
+	f.samples++
+	if f.samples%checkpointEverySamples == 0 {
 		now := time.Now()
+		lead := f.jobs[0]
 		// Unsynced: a lost checkpoint only loses a progress report — the
 		// job re-runs after a crash either way.
 		s.journalLocked(journal.Record{
-			Op: journal.OpCheckpoint, ID: j.id,
-			Cycles: ev.Cycles, Samples: j.samples, At: now.UnixNano(),
+			Op: journal.OpCheckpoint, ID: lead.id,
+			Cycles: ev.Cycles, Samples: f.samples, At: now.UnixNano(),
 		}, false)
-		if len(j.ckpts) < maxTraceCheckpoints {
-			j.ckpts = append(j.ckpts, tracing.Instant{Name: "checkpoint", At: now, Arg: ev.Cycles})
+		if len(f.ckpts) < maxTraceCheckpoints {
+			f.ckpts = append(f.ckpts, tracing.Instant{Name: "checkpoint", At: now, Arg: ev.Cycles})
 		}
-		s.flight.Record(tracing.Event{Kind: "checkpoint", Job: j.id, Corr: j.corr, Cycles: ev.Cycles, At: now.UnixNano()})
+		s.recorder.Record(tracing.Event{Kind: "checkpoint", Job: lead.id, Corr: lead.corr, Cycles: ev.Cycles, At: now.UnixNano()})
 	}
-	for _, c := range j.subs {
+	for _, c := range f.subs {
 		select {
 		case c <- ev:
 		default: // lossy: never stall the simulation on a slow reader
@@ -1388,36 +1365,24 @@ func (s *Server) publish(j *job, ev ProgressEvent) {
 	}
 }
 
-// finalizeLocked moves a flight — primary and coalesced followers — to
-// a terminal status, updates latency metrics, journals each
-// submission's outcome, releases the singleflight slot, and closes
-// stream subscriptions. Submissions already individually canceled are
-// skipped. Callers hold s.mu.
-func (s *Server) finalizeLocked(j *job, status string, e *cache.Entry, errMsg string) {
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
+// finalizeLocked ends a flight with a terminal status: every live
+// submission attached to it finishes with that outcome (finishLocked),
+// the singleflight slot is released, and stream subscriptions close.
+// Callers hold s.mu.
+func (s *Server) finalizeLocked(f *flight, status string, e *cache.Entry, errMsg string) {
+	if s.inflight[f.key] == f {
+		delete(s.inflight, f.key)
 	}
-	j.flightStatus = status
-	all := append([]*job{j}, j.followers...)
+	f.status = status
 	now := time.Now()
-	for _, x := range all {
-		if Terminal(x.status) {
-			continue // canceled individually before the flight resolved
-		}
-		x.status = status
-		x.entry = e
-		x.errMsg = errMsg
-		x.doneAt = now
-		s.observeTerminalLocked(x, status)
-		if x.journaled {
-			s.journalLocked(terminalRecord(x), true)
-		}
-		close(x.done)
+	for _, j := range f.jobs {
+		s.finishLocked(j, status, e, errMsg, now)
 	}
-	for _, c := range j.subs {
+	f.jobs = nil
+	for _, c := range f.subs {
 		close(c)
 	}
-	j.subs = nil
+	f.subs = nil
 }
 
 // viewLocked renders a job's API view. Callers hold s.mu.
@@ -1429,17 +1394,14 @@ func (s *Server) viewLocked(j *job, full bool) JobView {
 		Key:              j.key,
 		Status:           j.status,
 		Cached:           j.cached,
-		Coalesced:        j.coalesced,
+		Coalesced:        j.onto != "",
 		Recovered:        j.recovered,
-		CheckpointCycles: j.checkpointCycles,
+		CheckpointCycles: j.checkpointCycles(),
 		Priority:         j.priority,
 		Error:            j.errMsg,
 		QueuedAtNS:       unixOrZero(j.queuedAt),
 		StartedAtNS:      unixOrZero(j.startedAt),
 		DoneAtNS:         unixOrZero(j.doneAt),
-	}
-	if j.primary != nil {
-		v.CheckpointCycles = j.primary.checkpointCycles
 	}
 	if j.entry != nil {
 		v.SummaryHash = j.entry.SummaryHash

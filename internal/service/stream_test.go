@@ -134,3 +134,56 @@ func TestStreamReplayNotAhead(t *testing.T) {
 		t.Fatalf("late subscriber terminal: dones=%d final=%+v", r.dones, r.final)
 	}
 }
+
+// TestStreamUnsubscribesAcrossCancel pins that a stream leaves its
+// flight when its client disconnects, even after the flight's first
+// submission was canceled: a job and its duplicate queue behind a
+// running blocker, a stream opens on the duplicate, the first job is
+// canceled, the client hangs up, and the still-queued flight must hold
+// no subscriber channel within a bounded wait.
+func TestStreamUnsubscribesAcrossCancel(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1, ProgressEvery: 20000})
+	blocker := submit(t, ts.URL, slowSpec(1)) // holds the shard so the rest queue
+	waitRunning(t, s, blocker.ID)
+	first := submit(t, ts.URL, smallSpec(2))
+	dup := submit(t, ts.URL, smallSpec(2))
+	if !dup.Coalesced {
+		t.Fatalf("duplicate did not coalesce: %+v", dup)
+	}
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/jobs/"+dup.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req) // returns once the stream has subscribed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, v := cancelJob(t, ts.URL, first.ID); code != http.StatusOK || v.Status != StatusCanceled {
+		t.Fatalf("DELETE %s = %d %+v", first.ID, code, v)
+	}
+	hangUp()
+	resp.Body.Close()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s.mu.Lock()
+		subs, status := len(s.jobs[dup.ID].flight.subs), s.jobs[dup.ID].status
+		s.mu.Unlock()
+		if status != StatusQueued {
+			t.Fatalf("%s left the queue (%s) before its stream unsubscribed: %d subscriber channels", dup.ID, status, subs)
+		}
+		if subs == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight still holds %d subscriber channels after the stream client disconnected", subs)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	await(t, ts.URL, blocker.ID)
+	if v := await(t, ts.URL, dup.ID); v.Status != StatusDone {
+		t.Fatalf("duplicate did not finish: %+v", v)
+	}
+}
