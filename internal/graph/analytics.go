@@ -1,14 +1,18 @@
 package graph
 
+import "math"
+
 // Structural analytics used by graphgen and the input-validation tests:
-// degree statistics, clustering, and component structure. These read the
-// CSR only and are independent of the simulator.
+// degree statistics and clustering. These read the CSR only and are
+// independent of the simulator; the reference answers they share with
+// the kernels (Components, Triangles) live in reference.go.
 
 // DegreeStats summarizes the out-degree distribution.
 type DegreeStats struct {
 	Min, Max int32
 	Mean     float64
-	// P50/P90/P99 are percentile out-degrees.
+	// P50/P90/P99 are nearest-rank percentile out-degrees: the
+	// ⌈p·N⌉-th smallest, the rule stats.Percentile uses.
 	P50, P90, P99 int32
 	Isolated      int // nodes with no outgoing edges
 }
@@ -41,50 +45,18 @@ func (g *Graph) Degrees() DegreeStats {
 	}
 	st.Mean = float64(sum) / float64(g.N)
 	pct := func(p float64) int32 {
-		target := int64(p * float64(g.N))
+		rank := int64(math.Ceil(p / 100 * float64(g.N)))
 		var acc int64
 		for d := int32(0); d <= maxDeg; d++ {
 			acc += counts[d]
-			if acc > target {
+			if acc >= rank {
 				return d
 			}
 		}
 		return maxDeg
 	}
-	st.P50, st.P90, st.P99 = pct(0.50), pct(0.90), pct(0.99)
+	st.P50, st.P90, st.P99 = pct(50), pct(90), pct(99)
 	return st
-}
-
-// Components labels each node with a component ID (the minimum node ID in
-// its weakly-connected component, treating edges as undirected) and
-// returns the labels plus the component count.
-func (g *Graph) Components() (labels []int32, count int) {
-	labels = make([]int32, g.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var stack []int32
-	for s := int32(0); s < int32(g.N); s++ {
-		if labels[s] >= 0 {
-			continue
-		}
-		count++
-		labels[s] = s
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			lo, hi := g.EdgeRange(v)
-			for e := lo; e < hi; e++ {
-				d := g.Dests[e]
-				if labels[d] < 0 {
-					labels[d] = s
-					stack = append(stack, d)
-				}
-			}
-		}
-	}
-	return labels, count
 }
 
 // ClusteringCoefficient returns the global clustering coefficient
@@ -92,37 +64,14 @@ func (g *Graph) Components() (labels []int32, count int) {
 // sorted adjacency lists. O(sum d^2) — intended for the generator-scale
 // graphs used here.
 func (g *Graph) ClusteringCoefficient() float64 {
-	var triangles, wedges int64
+	var wedges int64
 	for u := int32(0); u < int32(g.N); u++ {
-		lo, hi := g.EdgeRange(u)
-		d := int64(hi - lo)
+		d := int64(g.Degree(u))
 		wedges += d * (d - 1) / 2
-		for i := lo; i < hi; i++ {
-			v := g.Dests[i]
-			if v <= u {
-				continue
-			}
-			// Count common neighbors of u and v by merge.
-			a, b := i+1, g.Offsets[v]
-			bhi := g.Offsets[v+1]
-			for a < hi && b < bhi {
-				switch {
-				case g.Dests[a] == g.Dests[b]:
-					triangles++
-					a++
-					b++
-				case g.Dests[a] < g.Dests[b]:
-					a++
-				default:
-					b++
-				}
-			}
-		}
 	}
 	if wedges == 0 {
 		return 0
 	}
-	// Each triangle closes 3 wedges; the merge above counts each
-	// triangle once (at its minimum vertex).
-	return 3 * float64(triangles) / float64(wedges)
+	// Each triangle closes 3 wedges; Triangles counts it once.
+	return 3 * float64(g.Triangles()) / float64(wedges)
 }

@@ -25,6 +25,20 @@ func TestDegreeStats(t *testing.T) {
 	}
 }
 
+func TestDegreePercentilesNearestRank(t *testing.T) {
+	// Ten nodes, five of out-degree 0 and five of out-degree 1. p50 is the
+	// 5th smallest degree, 0; the rule "first degree whose count passes
+	// p·N" gave the 6th, 1.
+	b := NewBuilder(10, false)
+	for v := int32(0); v < 5; v++ {
+		b.AddEdge(v, (v+1)%5)
+	}
+	st := b.Build("half").Degrees()
+	if st.P50 != 0 || st.P90 != 1 || st.P99 != 1 || st.Isolated != 5 {
+		t.Fatalf("stats %+v, want P50 0, P90 1, P99 1, 5 isolated", st)
+	}
+}
+
 func TestComponents(t *testing.T) {
 	b := NewBuilder(6, false)
 	b.AddUndirected(0, 1)

@@ -128,6 +128,27 @@ func TestGMatStarBeatsUnorderedOnRoads(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsWrongAnswers pins that the programs check the answer,
+// not a fixpoint property: all-zero distances relax no edge and
+// all-equal labels agree along every edge, yet both are wrong.
+func TestVerifyRejectsWrongAnswers(t *testing.T) {
+	road := graph.RoadMesh(100, 3)
+	sssp := NewSSSP(road, 0)
+	star := NewGMatStar(road, 0, 13)
+	clear(sssp.Dist)
+	clear(star.Dist)
+	b := graph.NewBuilder(4, false)
+	b.AddUndirected(0, 1)
+	b.AddUndirected(2, 3)
+	cc := NewCC(b.Build("two-pairs"))
+	clear(cc.Comp)
+	for name, verify := range map[string]func() error{"sssp": sssp.Verify, "gmat*": star.Verify, "cc": cc.Verify} {
+		if err := verify(); err == nil {
+			t.Errorf("%s accepted an all-zero answer", name)
+		}
+	}
+}
+
 func TestBudgetTimeout(t *testing.T) {
 	g := graph.RoadMesh(900, 3)
 	as := graph.NewAddrSpace()

@@ -409,64 +409,57 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 // RunGraphMat executes a workload under the GraphMat-like BSP baseline and
 // returns its result (wall cycles for Fig. 2/3 normalization).
 func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
+	return runBSP(bench, o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
+		var prog graphmat.Program
+		switch bench {
+		case "SSSP":
+			prog = graphmat.NewSSSP(g, src)
+		case "BFS", "G500":
+			prog = graphmat.NewBFS(g, src)
+		case "CC":
+			prog = graphmat.NewCC(g)
+		case "PR":
+			prog = graphmat.NewPR(g, kernels.PRDamping, 1e-3)
+		default:
+			return graphmat.Result{}, nil, fmt.Errorf("harness: no GraphMat program for %q", bench)
+		}
+		r := graphmat.Runner{G: g, Cores: cores, Prog: prog, Budget: budget}
+		return r.Run(), prog.Verify, nil
+	})
+}
+
+// RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1).
+func RunGMatStar(o Options, lgInterval uint) (graphmat.Result, error) {
+	return runBSP("SSSP", o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
+		k := graphmat.NewGMatStar(g, src, lgInterval)
+		return k.Run(cores, budget), k.Verify, nil
+	})
+}
+
+// runBSP is the set-up and verify step the GraphMat baselines share: it
+// builds bench's input and a machine, hands them to run, and checks the
+// answer with the verify func run returns unless SkipVerify is set or
+// the run timed out. Every core carries a stride prefetcher: GraphMat's
+// sequential frontier sweeps benefit from its tuned streaming (its
+// software prefetch plus the host's L2 streamer).
+func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error)) (graphmat.Result, error) {
 	o = o.resolve()
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
 		return graphmat.Result{}, err
 	}
 	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
-	src := spec.SourceNode(g)
-	msys := buildMem(o)
-	cores := buildCores(o, msys)
-	// GraphMat's sequential frontier sweeps benefit from its tuned
-	// streaming: attach the stride prefetcher (standing in for its
-	// software prefetch + the host's L2 streamer).
-	for i, c := range cores {
-		c.Prefetcher = prefetch.NewStride(i, msys, 4)
-	}
-
-	var prog graphmat.Program
-	switch bench {
-	case "SSSP":
-		prog = graphmat.NewSSSP(g, src)
-	case "BFS", "G500":
-		prog = graphmat.NewBFS(g, src)
-	case "CC":
-		prog = graphmat.NewCC(g)
-	case "PR":
-		prog = graphmat.NewPR(g, kernels.PRDamping, 1e-3)
-	default:
-		return graphmat.Result{}, fmt.Errorf("harness: no GraphMat program for %q", bench)
-	}
-	r := graphmat.Runner{G: g, Cores: cores, Prog: prog, Budget: o.WorkBudget}
-	res := r.Run()
-	if !o.SkipVerify && !res.TimedOut {
-		if err := prog.Verify(); err != nil {
-			return res, fmt.Errorf("harness: graphmat %s verification failed: %w", bench, err)
-		}
-	}
-	return res, nil
-}
-
-// RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1).
-func RunGMatStar(o Options, lgInterval uint) (graphmat.Result, error) {
-	o = o.resolve()
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		return graphmat.Result{}, err
-	}
-	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
 	msys := buildMem(o)
 	cores := buildCores(o, msys)
 	for i, c := range cores {
 		c.Prefetcher = prefetch.NewStride(i, msys, 4)
 	}
-	k := graphmat.NewGMatStar(g, spec.SourceNode(g), lgInterval)
-	res := k.Run(cores, o.WorkBudget)
-	if !o.SkipVerify && !res.TimedOut {
-		if err := k.Verify(); err != nil {
-			return res, fmt.Errorf("harness: gmat* verification failed: %w", err)
-		}
+	res, verify, err := run(g, spec.SourceNode(g), cores, o.WorkBudget)
+	if err != nil || o.SkipVerify || res.TimedOut {
+		return res, err
+	}
+	if err := verify(); err != nil {
+		return res, fmt.Errorf("harness: graphmat %s verification failed: %w", bench, err)
 	}
 	return res, nil
 }

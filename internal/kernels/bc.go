@@ -31,29 +31,20 @@ func NewBC(g *graph.Graph, as *graph.AddrSpace, cores int) *BC {
 // Graph implements Kernel.
 func (k *BC) Graph() *graph.Graph { return k.g }
 
-// InitialTasks implements Kernel: one seed per connected component,
-// pre-colored 0 (found with a cheap union-find — initialization, not
-// simulated work).
+// InitialTasks implements Kernel: the first non-isolated node of each
+// connected component (graph.Components — initialization, not simulated
+// work), pre-colored 0.
 func (k *BC) InitialTasks() []worklist.Task {
-	uf := newUnionFind(k.g.N)
-	for v := int32(0); v < int32(k.g.N); v++ {
-		lo, hi := k.g.EdgeRange(v)
-		for e := lo; e < hi; e++ {
-			uf.union(int(v), int(k.g.Dests[e]))
-		}
-	}
-	seen := make(map[int]bool)
+	labels, _ := k.g.Components()
+	seeded := make([]bool, k.g.N)
 	var ts []worklist.Task
-	for v := 0; v < k.g.N; v++ {
-		if k.g.Degree(int32(v)) == 0 {
+	for v, l := range labels {
+		if k.g.Degree(int32(v)) == 0 || seeded[l] {
 			continue
 		}
-		r := uf.find(v)
-		if !seen[r] {
-			seen[r] = true
-			k.color[v] = 0
-			ts = append(ts, worklist.Task{Priority: 0, Node: int32(v), EdgeHi: -1})
-		}
+		seeded[l] = true
+		k.color[v] = 0
+		ts = append(ts, worklist.Task{Priority: 0, Node: int32(v), EdgeHi: -1})
 	}
 	return ts
 }

@@ -92,64 +92,14 @@ func (k *CC) Apply(w *galois.Worker, t worklist.Task) {
 	e.locals(2, 1, 8)
 }
 
-// Verify implements Kernel: labels must match union-find components, with
-// each component labeled by its minimum member.
+// Verify implements Kernel: every node must carry its component's
+// minimum member, as graph.Components labels it.
 func (k *CC) Verify() error {
-	uf := newUnionFind(k.g.N)
-	for v := int32(0); v < int32(k.g.N); v++ {
-		lo, hi := k.g.EdgeRange(v)
-		for e := lo; e < hi; e++ {
-			uf.union(int(v), int(k.g.Dests[e]))
-		}
-	}
-	// Minimum node id per component root.
-	minOf := make(map[int]int64)
-	for v := 0; v < k.g.N; v++ {
-		r := uf.find(v)
-		if m, ok := minOf[r]; !ok || int64(v) < m {
-			minOf[r] = int64(v)
-		}
-	}
-	for v := 0; v < k.g.N; v++ {
-		want := minOf[uf.find(v)]
-		if k.comp[v] != want {
+	labels, _ := k.g.Components()
+	for v, want := range labels {
+		if k.comp[v] != int64(want) {
 			return fmt.Errorf("cc: comp[%d] = %d, want %d", v, k.comp[v], want)
 		}
 	}
 	return nil
-}
-
-type unionFind struct {
-	parent []int
-	rank   []int8
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int8, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
 }

@@ -11,7 +11,10 @@
 // (loop bookkeeping, stack spills/fills, secondary field reads — the ~90%
 // of loads §3.4 measures) is non-delinquent traffic against the worker's
 // stack lines. Every kernel verifies its answer against an independent
-// reference implementation.
+// reference implementation. The references of SSSP, BFS/G500, CC, PR and
+// TC live in package graph (ShortestPaths, BFSFrom, Components, PageRank,
+// Triangles), which the GraphMat baselines check against too, so each
+// algorithm has one oracle; BC and KCORE keep theirs here.
 //
 // Suite and Extensions in registry.go are the one place a benchmark is
 // declared: each Spec names its input generator, node layout, source,

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math"
 	"testing"
 
 	"minnow/internal/cpu"
@@ -241,22 +240,6 @@ func TestTaskSplittingPreservesResults(t *testing.T) {
 	}
 	if err := k.Verify(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDijkstraReference(t *testing.T) {
-	// Hand-checkable graph: 0 -> 1 (w5), 0 -> 2 (w1), 2 -> 1 (w2).
-	b := graph.NewBuilder(3, true)
-	b.AddWeighted(0, 1, 5)
-	b.AddWeighted(0, 2, 1)
-	b.AddWeighted(2, 1, 2)
-	g := b.Build("tri")
-	d := dijkstra(g, 0)
-	if d[0] != 0 || d[1] != 3 || d[2] != 1 {
-		t.Fatalf("dijkstra %v", d)
-	}
-	if d[1] >= math.MaxInt64/8 {
-		t.Fatal("unreachable sentinel misused")
 	}
 }
 

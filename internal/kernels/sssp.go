@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -102,70 +101,12 @@ func (k *SSSP) Apply(w *galois.Worker, t worklist.Task) {
 	e.locals(2, 1, 8)
 }
 
-// Verify implements Kernel: compare against Dijkstra.
+// Verify implements Kernel: compare against graph.ShortestPaths.
 func (k *SSSP) Verify() error {
-	ref := dijkstra(k.g, k.src)
-	for v := range ref {
-		if ref[v] != k.dist[v] {
-			return fmt.Errorf("sssp: dist[%d] = %d, want %d", v, k.dist[v], ref[v])
+	for v, want := range k.g.ShortestPaths(k.src) {
+		if k.dist[v] != want {
+			return fmt.Errorf("sssp: dist[%d] = %d, want %d", v, k.dist[v], want)
 		}
 	}
 	return nil
-}
-
-// dijkstra is the reference shortest-path implementation.
-func dijkstra(g *graph.Graph, src int32) []int64 {
-	dist := make([]int64, g.N)
-	for i := range dist {
-		dist[i] = math.MaxInt64 / 4
-	}
-	dist[src] = 0
-	pq := &distHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		lo, hi := g.EdgeRange(it.v)
-		for e := lo; e < hi; e++ {
-			v := g.Dests[e]
-			nd := it.d + int64(g.Weights[e])
-			if nd < dist[v] {
-				dist[v] = nd
-				heap.Push(pq, distItem{v, nd})
-			}
-		}
-	}
-	return dist
-}
-
-type distItem struct {
-	v int32
-	d int64
-}
-
-// distHeap is dijkstra's min-heap of tentative distances, ordered by d
-// through container/heap.
-type distHeap []distItem
-
-// Len implements heap.Interface.
-func (h distHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: the shorter distance pops first.
-func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-
-// Swap implements heap.Interface.
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *distHeap) Push(x any) { *h = append(*h, x.(distItem)) }
-
-// Pop implements heap.Interface: it removes the last element, which
-// container/heap has just swapped into place.
-func (h *distHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

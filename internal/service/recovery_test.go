@@ -97,6 +97,33 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestResubmitDuringRunningCancel pins that a flight whose cancel flag
+// is set takes no new submission: a duplicate submitted right after the
+// DELETE of a running job runs a flight of its own and ends done, while
+// the canceled job still ends canceled.
+func TestResubmitDuringRunningCancel(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1})
+	v := submit(t, ts.URL, slowSpec(1))
+
+	waitRunning(t, s, v.ID)
+	if code, _ := cancelJob(t, ts.URL, v.ID); code != http.StatusOK {
+		t.Fatalf("DELETE running job = %d", code)
+	}
+	dup := submit(t, ts.URL, slowSpec(1))
+	if dup.Cached {
+		t.Fatalf("duplicate joined the canceled flight: %+v", dup)
+	}
+	if fin := await(t, ts.URL, dup.ID); fin.Status != StatusDone || fin.SummaryHash == "" {
+		t.Fatalf("duplicate submitted during a cancel ended %+v, want done", fin)
+	}
+	if fin := await(t, ts.URL, v.ID); fin.Status != StatusCanceled {
+		t.Fatalf("canceled running job ended %q, want canceled", fin.Status)
+	}
+	if sims := metric(t, s.MetricsText(), "minnowd_sims_total"); sims != 2 {
+		t.Fatalf("sims = %v, want 2 (canceled run + duplicate's own run)", sims)
+	}
+}
+
 // TestCancelIsPerSubmission pins singleflight cancellation semantics:
 // canceling a coalesced follower detaches only it, and canceling a
 // queued primary hands the flight to the oldest follower — the

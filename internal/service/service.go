@@ -907,7 +907,9 @@ func unixOrZero(t time.Time) int64 {
 // submission of a running flight: the flight's cancel flag is set, the
 // simulation observes it within one cancel-poll interval, stops, and
 // writes nothing to the cache, and the submission ends with the flight
-// (canceled, or done if the run finished before the poll). Terminal
+// (canceled, or done if the run finished before the poll); the flight
+// leaves its key's singleflight slot at once, so a duplicate submitted
+// meanwhile never joins the stopping run. Terminal
 // jobs are returned unchanged (idempotent); unknown IDs return 404.
 func (s *Server) Cancel(id string) (JobView, error) {
 	j, ok := s.lockJob(id)
@@ -921,6 +923,11 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	f := j.flight
 	if f.status == StatusRunning && len(f.jobs) == 1 {
 		f.cancel.Store(true)
+		// A stopping flight takes no new submission: it leaves its key's
+		// singleflight slot now, so a duplicate runs a flight of its own.
+		if s.inflight[f.key] == f {
+			delete(s.inflight, f.key)
+		}
 		return s.viewLocked(j, false), nil
 	}
 	f.jobs = slices.DeleteFunc(f.jobs, func(x *job) bool { return x == j })
