@@ -184,7 +184,8 @@ func TestArrivalConservationInvariants(t *testing.T) {
 // arrival-conservation violations from the invariant checker.
 func TestArrivalConservationDetectsDrop(t *testing.T) {
 	arr := &arrivalActor{events: make([]arrival.Event, 3), next: 2, delivered: 2}
-	v := checkInvariants(Options{}, true, new(galois.Runner), nil, nil, nil, buildMem(small(1).resolve()), arr)
+	m := &machine{runner: new(galois.Runner), msys: buildMem(small(1).resolve()), arr: arr}
+	v := m.checkInvariants(true)
 	var drop, credit bool
 	for _, msg := range v {
 		if strings.Contains(msg, "delivered 2 of 3 scheduled arrivals") {

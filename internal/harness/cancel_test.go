@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -77,5 +78,45 @@ func TestCancelHookStopsParallelRun(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancel error does not wrap ErrCanceled: %v", err)
+	}
+}
+
+// TestCancelYieldsToWatchdog pins the order of the one poll hook's arms:
+// at a poll where the cycle budget is exceeded and Cancel also fires,
+// the run reports the watchdog halt; at a poll where only Cancel fires,
+// it reports ErrCanceled.
+func TestCancelYieldsToWatchdog(t *testing.T) {
+	spec, err := kernels.SpecByName("SSSP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		maxCycles int64
+		canceled  bool
+	}{
+		{"budget+cancel", 1, false},
+		{"cancel-only", 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := obsOpts()
+			o.MaxCycles = c.maxCycles
+			polls := 0
+			o.Cancel = func() bool { polls++; return true }
+			_, err := Run(spec, o)
+			if err == nil {
+				t.Fatal("stopped run returned no error")
+			}
+			if got := errors.Is(err, ErrCanceled); got != c.canceled {
+				t.Fatalf("errors.Is(err, ErrCanceled) = %v, want %v: %v", got, c.canceled, err)
+			}
+			if !c.canceled && !strings.Contains(err.Error(), "halted by watchdog: cycle budget exceeded") {
+				t.Fatalf("budget halt not reported: %v", err)
+			}
+			// The budget arm stops the run before Cancel is consulted.
+			if want := map[bool]int{false: 0, true: 1}[c.canceled]; polls != want {
+				t.Fatalf("cancel polled %d times, want %d", polls, want)
+			}
+		})
 	}
 }

@@ -6,11 +6,15 @@
 //
 //   - config.go declares Config — the public minnow.Config — with its
 //     validation and its one defaults table (WithDefaults);
-//   - harness.go builds one system from Options (Config plus
-//     ablation-only fields) and runs it (Run);
+//   - harness.go assembles one machine — every part of a run, built
+//     once — from Options (Config plus ablation-only fields) and runs
+//     it (Run), or runs a GraphMat / GMat* baseline on one;
 //   - observe.go wires the obs package's timeline and sampling registry
-//     into a run when Config.Timeline / Config.MetricsEvery ask for
-//     them;
+//     into a machine when Config.Timeline / Config.MetricsEvery ask for
+//     them, and holds its gauges;
+//   - faults.go holds the machine's watchdog poll (liveness arms and
+//     Config.Cancel), snapshot and invariant checker, and the chaos
+//     sweep;
 //   - parallel.go fans independent configurations over a worker pool
 //     (RunJobs) and implements the determinism checker;
 //   - figures.go declares every table and figure once, in one ordered

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"minnow/internal/core"
 	"minnow/internal/fault"
-	"minnow/internal/galois"
-	"minnow/internal/mem"
-	"minnow/internal/sim"
 	"minnow/internal/stats"
 	"minnow/internal/worklist"
 )
@@ -25,81 +21,67 @@ const watchdogEvery = 1 << 16
 // a genuinely wedged scheduler.
 const progressStrikes = 64
 
-// watchdog carries the liveness-poll state installed on the event loop
-// and, after a halt, the reason the poll fired.
-type watchdog struct {
-	reason      string
-	lastApplied int64
-	strikes     int
-}
-
-// installWatchdog arms the event loop's liveness guard. The cycle-budget
-// arm is always on (MaxCycles defaults high enough that healthy runs
-// never trip it); the no-progress arm — operator applications stagnant
-// across progressStrikes consecutive polls — engages only for fault or
-// invariant runs, where injected stalls make livelock a real outcome.
-// The poll only reads simulator state, so arming it never perturbs a
-// run.
-//
-// Open-loop runs add a wrinkle: a sparse arrival plan ("trickle") can
-// leave the machine legitimately quiet between a drained frontier and
-// the next scheduled injection, which is not livelock — the injection
-// actor still holds queued work. Pending future arrivals therefore
-// reset the no-progress strikes; the MaxCycles arm remains the backstop
-// against a plan whose tail never materializes.
-func installWatchdog(eng *sim.Engine, o Options, inj *fault.Injector, runner *galois.Runner, arr *arrivalActor) *watchdog {
-	wd := &watchdog{lastApplied: -1}
-	if o.Cancel != nil {
-		// The cooperative cancellation hook rides the same read-only
-		// polling cadence; a run it never fires on is byte-identical to
-		// one without it.
-		eng.SetCancel(watchdogEvery, o.Cancel)
+// poll is the event loop's one step-count hook, installed every
+// watchdogEvery steps. It checks, in order, the cycle budget (always
+// on: MaxCycles defaults high enough that healthy runs never trip it),
+// the no-progress arm — operator applications stagnant across
+// progressStrikes consecutive polls, engaged only for fault or
+// invariant runs, where injected stalls make livelock a real outcome —
+// and the cooperative Config.Cancel hook, and records which one stopped
+// the run. The poll only reads simulator state, so arming it never
+// perturbs a run it does not stop.
+func (m *machine) poll() bool {
+	if now := m.eng.Now(); int64(now) > m.o.MaxCycles {
+		m.reason = fmt.Sprintf("cycle budget exceeded: t=%d > max %d", now, m.o.MaxCycles)
+		return true
 	}
-	progress := o.Invariants || inj != nil
-	eng.SetWatchdog(watchdogEvery, func() bool {
-		if int64(eng.Now()) > o.MaxCycles {
-			wd.reason = fmt.Sprintf("cycle budget exceeded: t=%d > max %d", eng.Now(), o.MaxCycles)
-			return true
-		}
-		if !progress {
-			return false
-		}
-		a := runner.Applied()
-		if a != wd.lastApplied {
-			wd.lastApplied, wd.strikes = a, 0
-			return false
-		}
-		if arr != nil && arr.Pending() > 0 {
-			// Quiet gap before a scheduled future arrival: the injection
-			// actor's undelivered events are queued work, not livelock.
-			wd.strikes = 0
-			return false
-		}
-		wd.strikes++
-		if wd.strikes >= progressStrikes {
-			wd.reason = fmt.Sprintf("no progress: stuck at %d operator applications for %d steps",
-				a, int64(progressStrikes)*watchdogEvery)
-			return true
-		}
-		return false
-	})
-	return wd
+	if m.stalled() {
+		return true
+	}
+	m.canceled = m.o.Cancel != nil && m.o.Cancel()
+	return m.canceled
 }
 
-// collectSnapshot assembles the diagnostic dump embedded in a watchdog
-// error: per-actor clocks, worklist occupancy, per-engine state, and the
-// memory system's outstanding-transaction counters.
-func collectSnapshot(reason string, eng *sim.Engine, runner *galois.Runner,
-	engines []*core.Engine, gwl *core.GlobalWL, swWL worklist.Worklist,
-	msys *mem.System, inj *fault.Injector) *fault.Snapshot {
+// stalled is the no-progress arm. Open-loop runs add a wrinkle: a
+// sparse arrival plan ("trickle") can leave the machine legitimately
+// quiet between a drained frontier and the next scheduled injection,
+// which is not livelock — the injection actor still holds queued work.
+// Pending future arrivals therefore reset the strikes; the MaxCycles arm
+// remains the backstop against a plan whose tail never materializes.
+func (m *machine) stalled() bool {
+	if !m.o.Invariants && m.inj == nil {
+		return false
+	}
+	a := m.runner.Applied()
+	if a != m.lastApplied {
+		m.lastApplied, m.strikes = a, 0
+		return false
+	}
+	if m.arr != nil && m.arr.Pending() > 0 {
+		m.strikes = 0
+		return false
+	}
+	m.strikes++
+	if m.strikes < progressStrikes {
+		return false
+	}
+	m.reason = fmt.Sprintf("no progress: stuck at %d operator applications for %d steps",
+		a, int64(progressStrikes)*watchdogEvery)
+	return true
+}
 
+// snapshot assembles the diagnostic dump embedded in a watchdog error:
+// per-actor clocks, worklist occupancy, per-engine state, and the
+// memory system's outstanding-transaction counters.
+func (m *machine) snapshot() *fault.Snapshot {
+	eng, msys := m.eng, m.msys
 	s := &fault.Snapshot{
-		Reason:       reason,
+		Reason:       m.reason,
 		Now:          int64(eng.Now()),
 		Steps:        eng.Steps(),
-		Applied:      runner.Applied(),
-		Outstanding:  runner.Outstanding(),
-		Occupancy:    occupancyFn(engines, gwl, swWL)(),
+		Applied:      m.runner.Applied(),
+		Outstanding:  m.runner.Outstanding(),
+		Occupancy:    m.occupancy(),
 		NoCStallCyc:  msys.Mesh.StallCyc,
 		DRAMStallCyc: msys.DRAM.StallCyc,
 		DRAMBusy:     int(msys.DRAM.BusyChannels(eng.Now())),
@@ -107,7 +89,7 @@ func collectSnapshot(reason string, eng *sim.Engine, runner *galois.Runner,
 	for _, q := range eng.Queued() {
 		s.Actors = append(s.Actors, fault.ActorState{ID: q.ID, At: int64(q.At)})
 	}
-	for _, e := range engines {
+	for _, e := range m.engines {
 		s.Engines = append(s.Engines, fault.EngineState{
 			Core:    e.CoreID,
 			Clock:   int64(e.Clock()),
@@ -115,8 +97,8 @@ func collectSnapshot(reason string, eng *sim.Engine, runner *galois.Runner,
 			Offline: e.Offline(),
 		})
 	}
-	if inj != nil {
-		fs := inj.Stats
+	if m.inj != nil {
+		fs := m.inj.Stats
 		s.Faults = &fs
 	}
 	return s
@@ -129,16 +111,14 @@ func collectSnapshot(reason string, eng *sim.Engine, runner *galois.Runner,
 // cross-checked against the L2s' actual marked lines, and the memory
 // system's directory/counter invariants. It returns one message per
 // violation, empty when clean.
-func checkInvariants(o Options, drained bool, runner *galois.Runner,
-	engines []*core.Engine, gwl *core.GlobalWL, swWL worklist.Worklist, msys *mem.System,
-	arr *arrivalActor) []string {
-
+func (m *machine) checkInvariants(drained bool) []string {
+	runner, swWL, arr := m.runner, m.swWL, m.arr
 	var v []string
 	if drained && !runner.TimedOut() {
 		if n := runner.Outstanding(); n != 0 {
 			v = append(v, fmt.Sprintf("task conservation: run drained with %d tasks outstanding", n))
 		}
-		if occ := occupancyFn(engines, gwl, swWL)(); occ != 0 {
+		if occ := m.occupancy(); occ != 0 {
 			v = append(v, fmt.Sprintf("task conservation: run drained with %d tasks still queued", occ))
 		}
 		if c, ok := swWL.(worklist.Conserved); ok {
@@ -165,21 +145,21 @@ func checkInvariants(o Options, drained bool, runner *galois.Runner,
 	}
 	// Hardware prefetchers mark L2 lines outside the engine's credit
 	// protocol, so the credit ledger is only checkable without them.
-	if o.HWPrefetcher == "" {
-		for i, e := range engines {
+	if m.o.HWPrefetcher == "" {
+		for i, e := range m.engines {
 			if err := e.CheckCredits(); err != nil {
 				v = append(v, fmt.Sprintf("engine %d: %v", i, err))
 			}
 			if e.Offline() {
 				continue
 			}
-			if m, lines := e.MarkedOutstanding(), msys.PrefetchMarked(e.Cores()); m != lines {
+			if mk, lines := e.MarkedOutstanding(), m.msys.PrefetchMarked(e.Cores()); mk != lines {
 				v = append(v, fmt.Sprintf("engine %d: credit ledger says %d marked lines but its L2s hold %d",
-					i, m, lines))
+					i, mk, lines))
 			}
 		}
 	}
-	return append(v, msys.CheckInvariants()...)
+	return append(v, m.msys.CheckInvariants()...)
 }
 
 // chaosBenches and chaosPresets span the chaos sweep: every benchmark
@@ -265,9 +245,10 @@ func (r *ChaosReport) Err() error {
 // invariant checker armed and every cell executed twice to prove
 // seed-reproducibility. A cell passes when both runs complete, verify
 // against the kernel's reference answer (so faulty runs converge to the
-// same final answers as fault-free ones), hash identically, and — for
-// fault plans — actually injected something. Per-cell failures are
-// collected, not fatal, so one wedged cell cannot hide the rest.
+// same final answers as fault-free ones), compare equal under the
+// determinism checker's compareRuns, and — for fault plans — actually
+// injected something. Per-cell failures are collected, not fatal, so one
+// wedged cell cannot hide the rest.
 func Chaos(base Options, workers int) *ChaosReport {
 	var jobs []Job
 	rep := &ChaosReport{}
@@ -294,10 +275,10 @@ func Chaos(base Options, workers int) *ChaosReport {
 		case b.Err != nil:
 			c.Err = fmt.Errorf("repeat run: %w", b.Err)
 		default:
-			c.Hash = a.Run.Summary().Hash()
-			c.Faults = a.Run.Faults
-			if hb := b.Run.Summary().Hash(); c.Hash != hb {
-				c.Err = fmt.Errorf("nondeterministic under plan %q: %s != %s", c.Preset, c.Hash[:12], hb[:12])
+			rep := compareRuns(a.Job, a.Run, b.Run)
+			c.Hash, c.Faults = rep.Hash, a.Run.Faults
+			if !rep.OK() {
+				c.Err = fmt.Errorf("nondeterministic under plan %q: %s", c.Preset, strings.Join(rep.Mismatches, "; "))
 			}
 		}
 		if c.Err != nil || c.Preset == "" {

@@ -96,6 +96,7 @@ func (f FigOptions) minnowOpts(prefetch bool) Options {
 // Figure is one table or figure of the evaluation, declared once: the
 // simulations it needs and the table it fills from them.
 type Figure struct {
+	// Name is the figure's -only name, e.g. "fig2".
 	Name string
 	// Jobs lists the runs the figure needs, in the order Table consumes
 	// them; nil when the figure simulates nothing.
@@ -115,10 +116,10 @@ func FigureNames() []string {
 
 // RenderFigures regenerates the named figures. It checks the options and
 // every name before simulating anything, collects the Jobs of all the
-// figures, drops exact repeats (same benchmark and resolved Options, so
-// a run two figures share is simulated once), runs the rest over one
-// RunJobs pool of width f.Jobs, and fills each table in the order named.
-// It also returns the distinct runs in submission order.
+// figures, drops exact repeats (same framework, benchmark and resolved
+// Options, so a run two figures share is simulated once), runs the rest
+// over one RunJobs pool of width f.Jobs, and fills each table in the
+// order named. It also returns the distinct runs in submission order.
 func RenderFigures(names []string, f FigOptions) ([]*stats.Table, []JobResult, error) {
 	if err := f.Validate(); err != nil {
 		return nil, nil, err
@@ -149,7 +150,7 @@ func RenderFigures(names []string, f FigOptions) ([]*stats.Table, []JobResult, e
 			if err != nil {
 				return nil, nil, fmt.Errorf("harness: figure %s: %w", fig.Name, err)
 			}
-			key := j.Bench + " " + string(opts)
+			key := fmt.Sprintf("%d %s %s", j.Framework, j.Bench, opts)
 			n, ok := seen[key]
 			if !ok {
 				n = len(distinct)
@@ -386,17 +387,27 @@ var figures = []Figure{
 	{
 		// Fig. 2: Galois vs GraphMat, speedup at 10 threads normalized to
 		// 1-thread GraphMat. GMat* is the authors' per-bucket
-		// delta-stepping retrofit (SSSP only). The GraphMat baselines run
-		// here, outside the pool.
+		// delta-stepping retrofit (SSSP only).
 		Name: "fig2",
 		Jobs: func(f FigOptions) []Job {
-			o, _ := realMachine(f)
+			o, o1 := realMachine(f)
 			fifo := o
 			fifo.Scheduler = "fifo"
 			fifo.SkipVerify = true // FIFO may time out on ordering-sensitive runs
+			// GMat*'s per-bucket kernel launches are expensive, so its
+			// tuned bucket interval is much larger than OBIM's (§3.1).
+			gstar := o
+			lg := uint(15)
+			gstar.LgInterval = &lg
 			var jobs []Job
 			for _, name := range fig2Benches(f) {
-				jobs = append(jobs, Job{Bench: name, Opts: o}, Job{Bench: name, Opts: fifo})
+				jobs = append(jobs,
+					Job{Bench: name, Opts: o1, Framework: GraphMat},
+					Job{Bench: name, Opts: o, Framework: GraphMat},
+					Job{Bench: name, Opts: o}, Job{Bench: name, Opts: fifo})
+				if name == "SSSP" {
+					jobs = append(jobs, Job{Bench: name, Opts: gstar, Framework: GMatStar})
+				}
 			}
 			return jobs
 		},
@@ -405,33 +416,19 @@ var figures = []Figure{
 				Title:   "Fig 2: speedup at 10 threads normalized to 1-thread GraphMat",
 				Headers: []string{"workload", "gmat-10t", "galois-obim", "galois-fifo", "gmat*"},
 			}
-			o, o1 := realMachine(f)
-			for i, name := range fig2Benches(f) {
-				gm1, err := RunGraphMat(name, o1)
-				if err != nil {
-					return nil, err
+			for _, name := range fig2Benches(f) {
+				gm1 := runs[0].WallCycles
+				row := []any{name}
+				for _, r := range runs[1:4] {
+					row = append(row, ratioOrTimeout(gm1, r.WallCycles, r.TimedOut))
 				}
-				gm10, err := RunGraphMat(name, o)
-				if err != nil {
-					return nil, err
-				}
-				obim, fifo := runs[2*i], runs[2*i+1]
+				runs = runs[4:]
 				gstar := "-"
 				if name == "SSSP" {
-					// GMat*'s per-bucket kernel launches are expensive, so
-					// its tuned bucket interval is much larger than OBIM's
-					// (§3.1).
-					gs, err := RunGMatStar(o, 15)
-					if err != nil {
-						return nil, err
-					}
-					gstar = stats.FormatFloat(ratioOrTimeout(int64(gm1.Wall), int64(gs.Wall), gs.TimedOut))
+					gstar = stats.FormatFloat(ratioOrTimeout(gm1, runs[0].WallCycles, runs[0].TimedOut))
+					runs = runs[1:]
 				}
-				t.AddRow(name,
-					ratioOrTimeout(int64(gm1.Wall), int64(gm10.Wall), gm10.TimedOut),
-					ratioOrTimeout(int64(gm1.Wall), obim.WallCycles, obim.TimedOut),
-					ratioOrTimeout(int64(gm1.Wall), fifo.WallCycles, fifo.TimedOut),
-					gstar)
+				t.AddRow(append(row, gstar)...)
 			}
 			return t, nil
 		},
@@ -441,7 +438,7 @@ var figures = []Figure{
 		// GraphMat at 10 threads.
 		Name: "fig3",
 		Jobs: func(f FigOptions) []Job {
-			o, _ := realMachine(f)
+			o, o1 := realMachine(f)
 			o.SkipVerify = true
 			var jobs []Job
 			for _, name := range fig3Benches(f) {
@@ -455,7 +452,8 @@ var figures = []Figure{
 					return Job{Bench: name, Opts: oo}
 				}
 				spec, _ := kernels.SpecByName(name)
-				jobs = append(jobs, cell("fifo", -1), cell("lifo", -1),
+				jobs = append(jobs, Job{Bench: name, Opts: o1, Framework: GraphMat},
+					cell("fifo", -1), cell("lifo", -1),
 					cell("obim", 2), cell("obim", int(spec.LgInterval)), cell("obim", 16),
 					cell("strictpq", -1))
 			}
@@ -466,20 +464,15 @@ var figures = []Figure{
 				Title:   "Fig 3: runtime normalized to GraphMat, 10 threads (lower is better; 'timeout' = exceeded work budget)",
 				Headers: []string{"workload", "fifo", "lifo(carbon)", "obim-lg2", "obim-tuned", "obim-lg16", "strict-pq"},
 			}
-			_, o1 := realMachine(f)
-			o1.SkipVerify = true
 			cols := len(t.Headers) - 1
 			for i, name := range fig3Benches(f) {
-				gm, err := RunGraphMat(name, o1)
-				if err != nil {
-					return nil, err
-				}
+				gm := runs[i*(cols+1)]
 				row := []any{name}
-				for _, r := range runs[i*cols : (i+1)*cols] {
+				for _, r := range runs[i*(cols+1)+1 : (i+1)*(cols+1)] {
 					if r.TimedOut {
 						row = append(row, "timeout")
 					} else {
-						row = append(row, stats.FormatFloat(float64(r.WallCycles)/float64(gm.Wall)))
+						row = append(row, stats.FormatFloat(float64(r.WallCycles)/float64(gm.WallCycles)))
 					}
 				}
 				t.AddRow(row...)

@@ -185,7 +185,7 @@ func TestGraphMatRunners(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
-		if res.Wall == 0 || res.WorkItems == 0 {
+		if res.WallCycles == 0 || res.WorkItems == 0 {
 			t.Fatalf("%s: empty result %+v", bench, res)
 		}
 	}
@@ -195,7 +195,8 @@ func TestGraphMatRunners(t *testing.T) {
 }
 
 func TestGMatStarRunner(t *testing.T) {
-	res, err := RunGMatStar(Options{Config: Config{Threads: 4, Seed: 42}}, 13)
+	lg := uint(13)
+	res, err := RunGMatStar(Options{Config: Config{Threads: 4, Seed: 42, LgInterval: &lg}})
 	if err != nil {
 		t.Fatal(err)
 	}

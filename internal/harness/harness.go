@@ -13,6 +13,7 @@ import (
 	"minnow/internal/graphmat"
 	"minnow/internal/kernels"
 	"minnow/internal/mem"
+	"minnow/internal/obs"
 	"minnow/internal/prefetch"
 	"minnow/internal/prof"
 	"minnow/internal/sim"
@@ -63,40 +64,127 @@ func (o Options) resolve() Options {
 	return o
 }
 
+// machine is one run's assembled system. Run builds every component
+// once, here, and the observer wiring, the watchdog poll, the snapshot,
+// the invariant checker and collect read them from it.
+type machine struct {
+	o       Options
+	eng     *sim.Engine
+	msys    *mem.System
+	cores   []*cpu.Core
+	runner  *galois.Runner
+	engines []*core.Engine    // Minnow engines; empty under a software scheduler
+	gwl     *core.GlobalWL    // Minnow's global worklist; nil under a software scheduler
+	swWL    worklist.Worklist // the software worklist, or Minnow's failover; nil when neither
+	inj     *fault.Injector   // nil unless a fault plan is armed
+	arr     *arrivalActor     // nil unless an arrival plan is armed
+	prof    *prof.Profile     // nil unless Config.Profile
+
+	tl   *obs.Timeline
+	reg  *obs.Registry
+	tail *obs.EventTail // engine event tail (Config.TraceEvents)
+
+	// Watchdog state: the no-progress arm's counters and, once the poll
+	// stops the run, which arm fired.
+	lastApplied int64
+	strikes     int
+	reason      string // why a liveness arm halted the run; "" otherwise
+	canceled    bool   // Config.Cancel stopped the run
+}
+
+// newMachine builds the memory system and cores every run starts from.
+func newMachine(o Options) *machine {
+	m := &machine{o: o, eng: sim.NewEngine(), msys: buildMem(o), lastApplied: -1}
+	ccfg := cpu.DefaultConfig()
+	if o.CoreCfg != nil {
+		ccfg = *o.CoreCfg
+	}
+	ccfg.PerfectBP = ccfg.PerfectBP || o.PerfectBP
+	ccfg.NoFences = ccfg.NoFences || o.NoFences
+	m.cores = make([]*cpu.Core, o.Threads)
+	for i := range m.cores {
+		m.cores[i] = cpu.New(i, ccfg, m.msys)
+	}
+	return m
+}
+
+// lgInterval is the OBIM / bucket priority interval: LgInterval when
+// set, else spec's tuned value.
+func (o Options) lgInterval(spec kernels.Spec) uint {
+	if o.LgInterval != nil {
+		return *o.LgInterval
+	}
+	return spec.LgInterval
+}
+
 // Run executes one benchmark under the given options and returns its
 // statistics. The result is verified against the kernel's reference
 // implementation unless SkipVerify is set or the run timed out.
 func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	o = o.resolve()
-	faults, arrivals, err := o.plans()
+	m, kern, err := assemble(spec, o)
 	if err != nil {
 		return nil, err
+	}
+	drained := m.runEngine()
+	if m.canceled {
+		return nil, fmt.Errorf("harness: %s/%s: %w at cycle %d after %d steps",
+			spec.Name, o.Scheduler, ErrCanceled, m.eng.Now(), m.eng.Steps())
+	}
+	if m.eng.Halted() {
+		return nil, fmt.Errorf("harness: %s/%s halted by watchdog: %s\n%s",
+			spec.Name, o.Scheduler, m.reason, m.snapshot())
+	}
+	if !drained && !m.runner.TimedOut() {
+		return nil, fmt.Errorf("harness: %s/%s exceeded %d simulation steps (livelock?)",
+			spec.Name, o.Scheduler, maxSteps)
+	}
+
+	if o.Invariants {
+		if msgs := m.checkInvariants(drained); len(msgs) > 0 {
+			return nil, fmt.Errorf("harness: %s/%s invariant violations:\n  %s",
+				spec.Name, o.Scheduler, strings.Join(msgs, "\n  "))
+		}
+	}
+
+	run := m.collect(spec.Name)
+	if !o.SkipVerify && !run.TimedOut {
+		if err := kern.Verify(); err != nil {
+			return nil, fmt.Errorf("harness: %s/%s verification failed: %w", spec.Name, o.Scheduler, err)
+		}
+	}
+	return run, nil
+}
+
+// assemble builds spec's input and the machine o describes, wires its
+// observers and watchdog, and seeds the initial tasks. Components are
+// built in a fixed order, because the address space hands out addresses
+// in allocation order.
+func assemble(spec kernels.Spec, o Options) (*machine, kernels.Kernel, error) {
+	faults, arrivals, err := o.plans()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	as := graph.NewAddrSpace()
 	kern := spec.Build(o.Scale, o.Seed, as, o.Threads)
-	lg := spec.LgInterval
-	if o.LgInterval != nil {
-		lg = *o.LgInterval
-	}
 
 	arr, err := buildArrivals(spec, kern, arrivals)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	msys := buildMem(o)
-	cores := buildCores(o, msys)
+	m := newMachine(o)
+	m.arr = arr
 
 	// Top-down profiler: attaching per-core collectors is the only
 	// profiling hook — the cpu model mirrors every attributed cycle into
 	// the collector, and nothing reads it until after the run drains.
-	var pr *prof.Profile
 	if o.Profile {
-		pr = prof.New(spec.Name, o.Threads)
-		pr.PCLabel = kernels.SiteLabel
-		for i, c := range cores {
-			c.Prof = pr.Core(i)
+		m.prof = prof.New(spec.Name, o.Threads)
+		m.prof.PCLabel = kernels.SiteLabel
+		for i, c := range m.cores {
+			c.Prof = m.prof.Core(i)
 		}
 	}
 
@@ -104,92 +192,21 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	// is armed, and each hook is installed only when its clause is live,
 	// so disabled clauses draw nothing from the RNG streams and a nil
 	// plan leaves the run bit-identical to a fault-free build.
-	var inj *fault.Injector
 	if faults != nil {
-		inj = fault.NewInjector(faults)
+		m.inj = fault.NewInjector(faults)
 		if faults.NoCDelay.P > 0 {
-			msys.Mesh.FaultDelay = inj.NoCDelay
+			m.msys.Mesh.FaultDelay = m.inj.NoCDelay
 		}
 		if faults.DRAMRetry.P > 0 {
-			msys.DRAM.FaultRetry = inj.DRAMRetry
+			m.msys.DRAM.FaultRetry = m.inj.DRAMRetry
 		}
 	}
 
-	// Scheduler.
-	var sched galois.Scheduler
-	var engines []*core.Engine
-	var gwl *core.GlobalWL
-	switch o.Scheduler {
-	case "minnow":
-		gwl = core.NewGlobalWL(as, o.Threads, o.Sockets)
-		ecfg := core.DefaultConfig()
-		ecfg.LgInterval = lg
-		ecfg.Credits = o.Credits
-		ecfg.Prefetch = o.Prefetch
-		if o.EngineLocalQ > 0 {
-			ecfg.LocalQ = o.EngineLocalQ
-		}
-		if o.EngineLoadBuf > 0 {
-			ecfg.LoadBuf = o.EngineLoadBuf
-		}
-		if o.EngineSpillBatch > 0 {
-			ecfg.SpillBatch = o.EngineSpillBatch
-		}
-		if o.Prefetch {
-			ecfg.Program = spec.PrefetchProgram(kern.Graph())
-			if o.CustomPrefetch != nil {
-				ecfg.Program = o.CustomPrefetch.program(kern.Graph())
-			}
-		}
-		share := o.EngineSharing
-		if share < 1 {
-			share = 1
-		}
-		for lo := 0; lo < o.Threads; lo += share {
-			hi := lo + share
-			if hi > o.Threads {
-				hi = o.Threads
-			}
-			group := make([]int, 0, hi-lo)
-			for c := lo; c < hi; c++ {
-				group = append(group, c)
-			}
-			engines = append(engines, core.NewSharedEngine(group, ecfg, msys, gwl))
-		}
-		if inj != nil {
-			for i, e := range engines {
-				e.Inj = inj
-				e.FaultID = i
-			}
-		}
-		ms := core.NewMinnowScheduler(engines, o.Threads)
-		if inj != nil && faults.OfflineAt > 0 {
-			// Engine-offline plans get a software OBIM fallback the cores
-			// degrade to when their engine dies mid-run. Allocated here
-			// (not lazily) so AddrSpace layout is fixed at setup.
-			ms.EnableFailover(inj, gwl, worklist.NewOBIM(as, o.Threads, o.Sockets, lg))
-		}
-		msys.OnCredit = func(c int, used bool) { ms.EngineFor(c).CreditReturn(used) }
-		sched = ms
-	case "obim":
-		sched = &galois.SWScheduler{WL: worklist.NewOBIM(as, o.Threads, o.Sockets, lg)}
-	case "fifo":
-		sched = &galois.SWScheduler{WL: worklist.NewFIFO(as, o.Threads)}
-	case "lifo":
-		sched = &galois.SWScheduler{WL: worklist.NewLIFO(as, o.Threads)}
-	case "strictpq":
-		sched = &galois.SWScheduler{WL: worklist.NewStrictPQ(as)}
-	default:
-		return nil, fmt.Errorf("harness: unknown scheduler %q", o.Scheduler)
+	sched, err := m.buildScheduler(spec, kern.Graph(), as)
+	if err != nil {
+		return nil, nil, err
 	}
-	var swWL worklist.Worklist
-	if sw, ok := sched.(*galois.SWScheduler); ok {
-		swWL = sw.WL
-	} else if ms, ok := sched.(*core.MinnowScheduler); ok {
-		swWL = ms.Fallback() // nil unless failover is armed
-	}
-
-	attachHWPrefetchers(o, cores, msys, kern.Graph())
+	m.attachHWPrefetchers(o.HWPrefetcher, kern.Graph())
 
 	cfg := galois.Config{
 		Threads:        o.Threads,
@@ -198,25 +215,24 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		Serial:         o.Serial,
 		SharedHorizons: o.SharedHorizons,
 	}
-	runner := galois.NewRunner(cfg, cores, sched, kern, kern.Graph().Degree)
+	m.runner = galois.NewRunner(cfg, m.cores, sched, kern, kern.Graph().Degree)
 	if arr != nil {
-		arr.runner = runner
+		arr.runner = m.runner
 		arr.rec = galois.NewLatencyRecorder(len(arrivals.Classes))
-		runner.SetLatency(arr.rec)
+		m.runner.SetLatency(arr.rec)
 	}
 
-	ob := buildObserver(o, cores, runner.Workers(), engines, gwl, swWL, msys, inj, arr)
+	m.observe()
 
 	// Simulation: workers and engines are actors.
-	eng := sim.NewEngine()
-	ob.install(eng, engines, gwl, swWL, msys, inj, arr)
-	workerIDs := make([]int, 0, len(runner.Workers()))
-	for _, w := range runner.Workers() {
+	eng := m.eng
+	workerIDs := make([]int, 0, len(m.runner.Workers()))
+	for _, w := range m.runner.Workers() {
 		id := eng.Register(w)
 		eng.Wake(id, 0)
 		workerIDs = append(workerIDs, id)
 	}
-	for _, e := range engines {
+	for _, e := range m.engines {
 		id := eng.Register(e)
 		e.SetWake(func(at sim.Time) { eng.Wake(id, at) })
 	}
@@ -235,58 +251,74 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		eng.Wake(aid, sim.Time(arr.events[0].At))
 	}
 
-	runner.Seed(kern.InitialTasks())
+	m.runner.Seed(kern.InitialTasks())
+	eng.SetWatchdog(watchdogEvery, m.poll)
+	return m, kern, nil
+}
 
-	wd := installWatchdog(eng, o, inj, runner, arr)
-
-	drained := runEngine(eng, o)
-	if eng.Canceled() {
-		return nil, fmt.Errorf("harness: %s/%s: %w at cycle %d after %d steps",
-			spec.Name, o.Scheduler, ErrCanceled, eng.Now(), eng.Steps())
-	}
-	if eng.Halted() {
-		snap := collectSnapshot(wd.reason, eng, runner, engines, gwl, swWL, msys, inj)
-		return nil, fmt.Errorf("harness: %s/%s halted by watchdog: %s\n%s",
-			spec.Name, o.Scheduler, wd.reason, snap)
-	}
-	if !drained && !runner.TimedOut() {
-		return nil, fmt.Errorf("harness: %s/%s exceeded %d simulation steps (livelock?)",
-			spec.Name, o.Scheduler, maxSteps)
-	}
-
-	if o.Invariants {
-		if msgs := checkInvariants(o, drained, runner, engines, gwl, swWL, msys, arr); len(msgs) > 0 {
-			return nil, fmt.Errorf("harness: %s/%s invariant violations:\n  %s",
-				spec.Name, o.Scheduler, strings.Join(msgs, "\n  "))
+// buildScheduler builds o.Scheduler's worklist fabric — Minnow's global
+// worklist and engines, or one software worklist — into the machine.
+func (m *machine) buildScheduler(spec kernels.Spec, g *graph.Graph, as *graph.AddrSpace) (galois.Scheduler, error) {
+	o, lg := m.o, m.o.lgInterval(spec)
+	switch o.Scheduler {
+	case "minnow":
+		m.gwl = core.NewGlobalWL(as, o.Threads, o.Sockets)
+		ecfg := core.DefaultConfig()
+		ecfg.LgInterval = lg
+		ecfg.Credits = o.Credits
+		ecfg.Prefetch = o.Prefetch
+		if o.EngineLocalQ > 0 {
+			ecfg.LocalQ = o.EngineLocalQ
 		}
-	}
-
-	run := collect(spec.Name, o, cores, engines, msys, runner)
-	if inj != nil {
-		fs := inj.Stats
-		run.Faults = &fs
-	}
-	if arr != nil {
-		run.Latency = arr.latencyStats()
-	}
-	run.SimSteps = eng.Steps()
-	run.BoundSteps = eng.BoundSteps()
-	run.Trace = ob.tail
-	if ob.reg != nil {
-		// Close out the partial last interval so tail activity is not
-		// silently dropped (the boundary probe only fires on crossings).
-		ob.reg.Flush(sim.Time(run.WallCycles))
-		run.Intervals = ob.reg
-	}
-	run.Timeline = ob.tl
-	run.Profile = pr
-
-	if !o.SkipVerify && !run.TimedOut {
-		if err := kern.Verify(); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s verification failed: %w", spec.Name, o.Scheduler, err)
+		if o.EngineLoadBuf > 0 {
+			ecfg.LoadBuf = o.EngineLoadBuf
 		}
+		if o.EngineSpillBatch > 0 {
+			ecfg.SpillBatch = o.EngineSpillBatch
+		}
+		if o.Prefetch {
+			ecfg.Program = spec.PrefetchProgram(g)
+			if o.CustomPrefetch != nil {
+				ecfg.Program = o.CustomPrefetch.program(g)
+			}
+		}
+		share := max(o.EngineSharing, 1)
+		for lo := 0; lo < o.Threads; lo += share {
+			hi := min(lo+share, o.Threads)
+			group := make([]int, 0, hi-lo)
+			for c := lo; c < hi; c++ {
+				group = append(group, c)
+			}
+			m.engines = append(m.engines, core.NewSharedEngine(group, ecfg, m.msys, m.gwl))
+		}
+		if m.inj != nil {
+			for i, e := range m.engines {
+				e.Inj = m.inj
+				e.FaultID = i
+			}
+		}
+		ms := core.NewMinnowScheduler(m.engines, o.Threads)
+		if m.inj != nil && m.inj.Plan().OfflineAt > 0 {
+			// Engine-offline plans get a software OBIM fallback the cores
+			// degrade to when their engine dies mid-run. Allocated here
+			// (not lazily) so AddrSpace layout is fixed at setup.
+			ms.EnableFailover(m.inj, m.gwl, worklist.NewOBIM(as, o.Threads, o.Sockets, lg))
+		}
+		m.msys.OnCredit = func(c int, used bool) { ms.EngineFor(c).CreditReturn(used) }
+		m.swWL = ms.Fallback() // nil unless failover is armed
+		return ms, nil
+	case "obim":
+		m.swWL = worklist.NewOBIM(as, o.Threads, o.Sockets, lg)
+	case "fifo":
+		m.swWL = worklist.NewFIFO(as, o.Threads)
+	case "lifo":
+		m.swWL = worklist.NewLIFO(as, o.Threads)
+	case "strictpq":
+		m.swWL = worklist.NewStrictPQ(as)
+	default:
+		return nil, fmt.Errorf("harness: unknown scheduler %q", o.Scheduler)
 	}
-	return run, nil
+	return &galois.SWScheduler{WL: m.swWL}, nil
 }
 
 // runEngine drains the simulation with the execution mode Options
@@ -294,22 +326,54 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 // IntraJobs host workers. The two are byte-identical on every drained
 // run (the differential equivalence suite pins it), so everything after
 // this call is mode-agnostic.
-func runEngine(eng *sim.Engine, o Options) bool {
-	if o.IntraJobs <= 0 {
-		_, drained := eng.Run(maxSteps)
+func (m *machine) runEngine() bool {
+	if m.o.IntraJobs <= 0 {
+		_, drained := m.eng.Run(maxSteps)
 		return drained
 	}
-	_, drained := eng.RunParallel(maxSteps, sim.Time(o.EpochWindow), o.IntraJobs)
+	_, drained := m.eng.RunParallel(maxSteps, sim.Time(m.o.EpochWindow), m.o.IntraJobs)
 	return drained
 }
 
-// collect assembles the stats.Run from all components.
-func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, msys *mem.System, runner *galois.Runner) *stats.Run {
+// collect assembles the stats.Run from all components, closing out the
+// sampling registry's partial last interval.
+func (m *machine) collect(name string) *stats.Run {
+	run := m.summarize(name)
+	run.TimedOut = m.runner.TimedOut()
+	run.WorkItems = m.runner.Applied()
+	for _, e := range m.engines {
+		e.Stat.ClockEnd = int64(e.Clock())
+		run.Engines = append(run.Engines, e.Stat)
+	}
+	if m.inj != nil {
+		fs := m.inj.Stats
+		run.Faults = &fs
+	}
+	if m.arr != nil {
+		run.Latency = m.arr.latencyStats()
+	}
+	run.SimSteps = m.eng.Steps()
+	run.BoundSteps = m.eng.BoundSteps()
+	run.Trace = m.tail
+	if m.reg != nil {
+		// Close out the partial last interval so tail activity is not
+		// silently dropped (the boundary probe only fires on crossings).
+		m.reg.Flush(sim.Time(run.WallCycles))
+		run.Intervals = m.reg
+	}
+	run.Timeline = m.tl
+	run.Profile = m.prof
+	return run
+}
+
+// summarize reads the cores and the memory system into a stats.Run: the
+// part of collect every framework shares. WallCycles is the latest core
+// clock.
+func (m *machine) summarize(name string) *stats.Run {
+	msys := m.msys
 	run := &stats.Run{RunSummary: stats.RunSummary{
 		Name:      name,
-		Threads:   o.Threads,
-		TimedOut:  runner.TimedOut(),
-		WorkItems: runner.Applied(),
+		Threads:   m.o.Threads,
 		DRAMReads: msys.DRAMReads,
 		InvMsgs:   msys.InvMsgs,
 		DRAMStall: msys.DRAM.StallCyc,
@@ -320,7 +384,7 @@ func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, 
 		WasteInval:       msys.WasteInval,
 		L1Shielded:       msys.L1ShieldedHits,
 	}}
-	for _, c := range cores {
+	for _, c := range m.cores {
 		run.Cores = append(run.Cores, c.Stat)
 		if c.Now() > sim.Time(run.WallCycles) {
 			run.WallCycles = int64(c.Now())
@@ -349,10 +413,6 @@ func collect(name string, o Options, cores []*cpu.Core, engines []*core.Engine, 
 	run.DirtyRemote = msys.DirtyRemote
 	run.LatByLevel = msys.LatByLevel
 	run.CntByLevel = msys.CntByLevel
-	for _, e := range engines {
-		e.Stat.ClockEnd = int64(e.Clock())
-		run.Engines = append(run.Engines, e.Stat)
-	}
 	return run
 }
 
@@ -363,31 +423,18 @@ func buildMem(o Options) *mem.System {
 	return mem.NewSystem(mcfg)
 }
 
-func buildCores(o Options, msys *mem.System) []*cpu.Core {
-	ccfg := cpu.DefaultConfig()
-	if o.CoreCfg != nil {
-		ccfg = *o.CoreCfg
-	}
-	ccfg.PerfectBP = ccfg.PerfectBP || o.PerfectBP
-	ccfg.NoFences = ccfg.NoFences || o.NoFences
-	cores := make([]*cpu.Core, o.Threads)
-	for i := range cores {
-		cores[i] = cpu.New(i, ccfg, msys)
-	}
-	return cores
-}
-
-// attachHWPrefetchers wires stride/IMP baselines to the cores.
-func attachHWPrefetchers(o Options, cores []*cpu.Core, msys *mem.System, g *graph.Graph) {
-	switch o.HWPrefetcher {
+// attachHWPrefetchers wires a "stride" or "imp" baseline prefetcher to
+// every core ("" attaches none).
+func (m *machine) attachHWPrefetchers(kind string, g *graph.Graph) {
+	switch kind {
 	case "stride":
-		for i, c := range cores {
-			c.Prefetcher = prefetch.NewStride(i, msys, 4)
+		for i, c := range m.cores {
+			c.Prefetcher = prefetch.NewStride(i, m.msys, 4)
 		}
 	case "imp":
 		resolve := csrResolve(g)
-		for i, c := range cores {
-			c.Prefetcher = prefetch.NewIMP(i, msys, 4, resolve)
+		for i, c := range m.cores {
+			c.Prefetcher = prefetch.NewIMP(i, m.msys, 4, resolve)
 		}
 	}
 }
@@ -407,8 +454,8 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 }
 
 // RunGraphMat executes a workload under the GraphMat-like BSP baseline and
-// returns its result (wall cycles for Fig. 2/3 normalization).
-func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
+// returns its statistics (wall cycles for Fig. 2/3 normalization).
+func RunGraphMat(bench string, o Options) (*stats.Run, error) {
 	return runBSP(bench, o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
 		var prog graphmat.Program
 		switch bench {
@@ -428,38 +475,43 @@ func RunGraphMat(bench string, o Options) (graphmat.Result, error) {
 	})
 }
 
-// RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1).
-func RunGMatStar(o Options, lgInterval uint) (graphmat.Result, error) {
+// RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1),
+// with LgInterval (default: SSSP's) as its bucket interval.
+func RunGMatStar(o Options) (*stats.Run, error) {
 	return runBSP("SSSP", o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
-		k := graphmat.NewGMatStar(g, src, lgInterval)
+		spec, _ := kernels.SpecByName("SSSP")
+		k := graphmat.NewGMatStar(g, src, o.lgInterval(spec))
 		return k.Run(cores, budget), k.Verify, nil
 	})
 }
 
 // runBSP is the set-up and verify step the GraphMat baselines share: it
-// builds bench's input and a machine, hands them to run, and checks the
+// builds bench's input and a machine, hands them to run, summarizes the
+// machine with run's wall cycles, work items and timeout, and checks the
 // answer with the verify func run returns unless SkipVerify is set or
 // the run timed out. Every core carries a stride prefetcher: GraphMat's
 // sequential frontier sweeps benefit from its tuned streaming (its
 // software prefetch plus the host's L2 streamer).
-func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error)) (graphmat.Result, error) {
+func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error)) (*stats.Run, error) {
 	o = o.resolve()
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
-		return graphmat.Result{}, err
+		return nil, err
 	}
 	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
-	msys := buildMem(o)
-	cores := buildCores(o, msys)
-	for i, c := range cores {
-		c.Prefetcher = prefetch.NewStride(i, msys, 4)
+	m := newMachine(o)
+	m.attachHWPrefetchers("stride", g)
+	res, verify, err := run(g, spec.SourceNode(g), m.cores, o.WorkBudget)
+	if err != nil {
+		return nil, err
 	}
-	res, verify, err := run(g, spec.SourceNode(g), cores, o.WorkBudget)
-	if err != nil || o.SkipVerify || res.TimedOut {
-		return res, err
+	r := m.summarize(bench)
+	r.WallCycles, r.WorkItems, r.TimedOut = int64(res.Wall), res.WorkItems, res.TimedOut
+	if o.SkipVerify || res.TimedOut {
+		return r, nil
 	}
 	if err := verify(); err != nil {
-		return res, fmt.Errorf("harness: graphmat %s verification failed: %w", bench, err)
+		return nil, fmt.Errorf("harness: graphmat %s verification failed: %w", bench, err)
 	}
-	return res, nil
+	return r, nil
 }

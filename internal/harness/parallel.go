@@ -10,18 +10,38 @@ import (
 	"minnow/internal/stats"
 )
 
+// Framework names the runtime a Job simulates.
+type Framework uint8
+
+const (
+	// Galois is the Galois runtime under Opts.Scheduler (Run).
+	Galois Framework = iota
+	// GraphMat is the GraphMat-like BSP baseline (RunGraphMat).
+	GraphMat
+	// GMatStar is GMat*'s bucketed delta-stepping SSSP (RunGMatStar).
+	GMatStar
+)
+
 // Job names one simulated configuration for the parallel experiment
-// runner: a benchmark from the kernel registry plus its run options.
+// runner: a benchmark from the kernel registry, the framework that runs
+// it, and its run options.
 type Job struct {
+	// Bench is the benchmark name in the kernel registry.
 	Bench string
-	Opts  Options
+	// Opts are the run options.
+	Opts Options
+	// Framework is the runtime that executes the job (zero: Galois).
+	Framework Framework
 }
 
 // JobResult pairs a finished job with its run or error, in the order the
 // jobs were submitted.
 type JobResult struct {
+	// Job is the submitted job.
 	Job Job
+	// Run is the job's statistics; nil when Err is set.
 	Run *stats.Run
+	// Err is the job's failure, nil on success.
 	Err error
 }
 
@@ -107,12 +127,19 @@ func runJob(j Job) (res JobResult) {
 				j.Bench, j.Opts.WithDefaults().Scheduler, r, debug.Stack())
 		}
 	}()
-	spec, err := kernels.SpecByName(j.Bench)
-	if err != nil {
-		res.Err = err
-		return res
+	switch j.Framework {
+	case GraphMat:
+		res.Run, res.Err = RunGraphMat(j.Bench, j.Opts)
+	case GMatStar:
+		res.Run, res.Err = RunGMatStar(j.Opts)
+	default:
+		spec, err := kernels.SpecByName(j.Bench)
+		if err != nil {
+			res.Err = err
+			return res
+		}
+		res.Run, res.Err = Run(spec, j.Opts)
 	}
-	res.Run, res.Err = Run(spec, j.Opts)
 	return res
 }
 

@@ -141,7 +141,6 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 		workers = 1
 	}
 	e.halted = false
-	e.canceled = false
 	pool := newBoundPool(workers)
 	defer pool.close()
 	var bound []*entry
@@ -159,13 +158,6 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 			e.wdNext = e.steps + e.wdEvery
 			if e.wdFn() {
 				e.halted = true
-				return e.foldFrontier(boundMax), false
-			}
-		}
-		if e.cnFn != nil && e.steps >= e.cnNext {
-			e.cnNext = e.steps + e.cnEvery
-			if e.cnFn() {
-				e.canceled = true
 				return e.foldFrontier(boundMax), false
 			}
 		}
@@ -247,13 +239,6 @@ func (e *Engine) RunParallel(maxSteps int64, window Time, workers int) (Time, bo
 				e.wdNext = e.steps + e.wdEvery
 				if e.wdFn() {
 					e.halted = true
-					return e.foldFrontier(boundMax), false
-				}
-			}
-			if e.cnFn != nil && e.steps >= e.cnNext {
-				e.cnNext = e.steps + e.cnEvery
-				if e.cnFn() {
-					e.canceled = true
 					return e.foldFrontier(boundMax), false
 				}
 			}

@@ -33,19 +33,15 @@
 // determinism contract above. A disabled probe costs one comparison per
 // frontier advance.
 //
-// Robustness: SetWatchdog installs a liveness callback polled every N
-// steps; when it reports the run is wedged (no progress, cycle budget
-// exceeded) the engine halts cleanly — Halted distinguishes that from a
-// drain or a step-bound stop — and Queued exposes a deterministic dump of
-// the pending schedule for the diagnostic snapshot. A disabled watchdog
-// costs one nil check per step. SetCancel installs the cooperative
-// cancellation hook on the same polling pattern: when it reports true the
-// run stops cleanly between steps and Canceled reports the abandonment.
-// Cancellation is a host-driven event, so a canceled run's partial state
-// is not deterministic — but runs that complete are byte-identical
-// whether or not a (never-firing) cancel hook was installed, which is
-// what lets a service arm the hook on every job without perturbing
-// results.
+// Robustness: SetWatchdog installs the event loop's one step-count hook,
+// polled every N steps. When it reports true the engine stops cleanly
+// between steps — Halted distinguishes that from a drain or a step-bound
+// stop — and Queued exposes a deterministic dump of the pending schedule
+// for a diagnostic snapshot. The hook only reads, so a run it never stops
+// is byte-identical to one without it; that is what lets a host fold
+// liveness arms (no progress, cycle budget exceeded) and cooperative
+// cancellation into the one callback and arm it on every run. The host
+// records which arm fired. A disabled hook costs one nil check per step.
 //
 // Concurrent stepping: RunParallel executes the same schedule as Run in
 // fixed-size epochs, stepping actors that prove (via the optional
@@ -206,11 +202,6 @@ type Engine struct {
 	wdFn    func() bool // reports true to halt the run; nil when disabled
 	halted  bool        // last Run was stopped by the watchdog
 
-	cnEvery  int64       // steps between cancellation polls
-	cnNext   int64       // step count at which the cancel hook next fires
-	cnFn     func() bool // reports true to abandon the run; nil when disabled
-	canceled bool        // last Run was stopped by the cancel hook
-
 	// Parallel (bound/weave) execution state; see parallel.go. epoch is 0
 	// while no RunParallel epoch has ever started, so the per-Wake stamp
 	// check below short-circuits to a single comparison in serial runs.
@@ -271,11 +262,15 @@ func (e *Engine) advanceFrontier(at Time) {
 }
 
 // SetWatchdog installs fn to be polled once every `every` actor steps
-// during Run. If fn returns true the run halts immediately: Run returns
-// (Now(), false) and Halted() reports true until the next Run. The
-// callback may read any simulation state (including Queued) but must not
-// wake actors or mutate them. A nil fn or non-positive interval disables
-// the watchdog, which then costs one nil check per step.
+// during Run (and RunParallel, which polls at epoch boundaries and per
+// weave step on the same step-count cadence). If fn returns true the run
+// stops cleanly between steps: Run returns (Now(), false) and Halted()
+// reports true until the next Run. The callback may read any simulation
+// state (including Queued) but must not wake actors or mutate them. It
+// runs on the simulation goroutine, so any host-side condition it reads
+// (a cancel flag) must be safe for concurrent use. A nil fn or
+// non-positive interval disables the watchdog, which then costs one nil
+// check per step.
 func (e *Engine) SetWatchdog(every int64, fn func() bool) {
 	if fn == nil || every <= 0 {
 		e.wdEvery, e.wdNext, e.wdFn = 0, 0, nil
@@ -289,31 +284,6 @@ func (e *Engine) SetWatchdog(every int64, fn func() bool) {
 // Halted reports whether the most recent Run was stopped by the watchdog
 // (as opposed to draining or hitting the step bound).
 func (e *Engine) Halted() bool { return e.halted }
-
-// SetCancel installs fn to be polled once every `every` actor steps
-// during Run (and RunParallel, which polls at epoch boundaries and per
-// weave step on the same step-count cadence). If fn returns true the run
-// stops cleanly between steps: Run returns (Now(), false) and Canceled()
-// reports true until the next Run. The hook is read-only — it must not
-// wake actors or mutate simulation state — so an installed hook that
-// never fires leaves a completed run byte-identical to one without it; a
-// nil fn or non-positive interval disables the hook, which then costs one
-// nil check per poll site. fn may be called from the simulation goroutine
-// at any time, so it must be safe to call concurrently with whatever
-// host-side code flips its condition (an atomic flag, a closed channel).
-func (e *Engine) SetCancel(every int64, fn func() bool) {
-	if fn == nil || every <= 0 {
-		e.cnEvery, e.cnNext, e.cnFn = 0, 0, nil
-		return
-	}
-	e.cnEvery = every
-	e.cnNext = e.steps + every
-	e.cnFn = fn
-}
-
-// Canceled reports whether the most recent Run was stopped by the cancel
-// hook (as opposed to draining, halting, or hitting the step bound).
-func (e *Engine) Canceled() bool { return e.canceled }
 
 // QueuedActor describes one scheduled actor for diagnostics: its ID and
 // the local time at which it will next step.
@@ -403,7 +373,6 @@ func (e *Engine) Idle() bool { return len(e.heap) == 0 }
 // the step bound).
 func (e *Engine) Run(maxSteps int64) (Time, bool) {
 	e.halted = false
-	e.canceled = false
 	for len(e.heap) > 0 {
 		if maxSteps > 0 && e.steps >= maxSteps {
 			return e.now, false
@@ -412,13 +381,6 @@ func (e *Engine) Run(maxSteps int64) (Time, bool) {
 			e.wdNext = e.steps + e.wdEvery
 			if e.wdFn() {
 				e.halted = true
-				return e.now, false
-			}
-		}
-		if e.cnFn != nil && e.steps >= e.cnNext {
-			e.cnNext = e.steps + e.cnEvery
-			if e.cnFn() {
-				e.canceled = true
 				return e.now, false
 			}
 		}

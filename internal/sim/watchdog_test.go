@@ -113,3 +113,60 @@ func TestQueuedDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelBenignIsInert pins the determinism contract a host's cancel
+// arm relies on: a never-firing watchdog must not perturb the step
+// sequence, final time, or step count relative to a run with no hook.
+func TestCancelBenignIsInert(t *testing.T) {
+	run := func(withHook bool) (Time, int64, []int) {
+		e := NewEngine()
+		var log []int
+		a := &scriptActor{steps: []Time{5, 9, 14}, log: &log, id: 0}
+		b := &scriptActor{steps: []Time{3, 9}, log: &log, id: 1}
+		e.Wake(e.Register(a), 0)
+		e.Wake(e.Register(b), 0)
+		if withHook {
+			e.SetWatchdog(1, func() bool { return false })
+		}
+		now, drained := e.Run(0)
+		if !drained || e.Halted() {
+			t.Fatalf("benign hook perturbed the run: drained=%v halted=%v", drained, e.Halted())
+		}
+		return now, e.Steps(), log
+	}
+	nowA, stepsA, logA := run(false)
+	nowB, stepsB, logB := run(true)
+	if nowA != nowB || stepsA != stepsB {
+		t.Fatalf("hook changed the run: now %d vs %d, steps %d vs %d", nowA, nowB, stepsA, stepsB)
+	}
+	if len(logA) != len(logB) {
+		t.Fatalf("hook changed the step log length: %d vs %d", len(logA), len(logB))
+	}
+	for i := range logA {
+		if logA[i] != logB[i] {
+			t.Fatalf("hook changed step order at %d: %v vs %v", i, logA, logB)
+		}
+	}
+}
+
+// TestCancelStopsRunParallel checks the hook also stops the bound/weave
+// engine, at every worker count.
+func TestCancelStopsRunParallel(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		e := NewEngine()
+		id := e.Register(&spinActor{})
+		e.Wake(id, 0)
+		polls := 0
+		e.SetWatchdog(10, func() bool {
+			polls++
+			return polls >= 2
+		})
+		_, drained := e.RunParallel(0, 0, workers)
+		if drained {
+			t.Fatalf("workers=%d: stop reported as drain", workers)
+		}
+		if !e.Halted() {
+			t.Fatalf("workers=%d: Halted() false after the hook fired", workers)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Command doccheck fails when an exported identifier in the audited
 // packages lacks a doc comment. It guards the public minnow package, the
-// benchmark catalogue (internal/kernels), and the observability,
+// benchmark catalogue (internal/kernels), the event loop and the harness
+// (internal/sim, internal/harness), and the observability,
 // statistics, plan, and service surfaces (internal/obs, internal/stats,
 // internal/prof, internal/inspect, internal/plan, internal/fault,
 // internal/arrival, internal/service and its cache, journal, and tracing
@@ -32,6 +33,8 @@ import (
 var defaultDirs = []string{
 	".",
 	"internal/kernels",
+	"internal/sim",
+	"internal/harness",
 	"internal/obs",
 	"internal/stats",
 	"internal/prof",
