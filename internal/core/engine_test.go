@@ -270,22 +270,25 @@ func TestPrefetchStreamHonorsSplitRange(t *testing.T) {
 	g := b2.Build("split")
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	p := &StandardProgram{G: g}
-	st := p.Start(worklist.Task{Node: 0, EdgeLo: 3, EdgeHi: 6})
-	st.Next(nil) // head
-	count := 0
-	for {
-		buf, ok := st.Next(nil)
-		if !ok {
-			break
+	// The standard program, and TC's, which also covers each
+	// destination's adjacency list.
+	for _, p := range []*StandardProgram{{G: g}, {G: g, ListLines: 4}} {
+		st := p.Start(worklist.Task{Node: 0, EdgeLo: 3, EdgeHi: 6})
+		st.Next(nil) // head
+		count := 0
+		for {
+			buf, ok := st.Next(nil)
+			if !ok {
+				break
+			}
+			if buf[0] < g.EdgeAddr(3) || buf[0] >= g.EdgeAddr(6) {
+				t.Fatalf("ListLines %d: edge prefetch outside split range: %x", p.ListLines, buf[0])
+			}
+			count++
 		}
-		if buf[0] < g.EdgeAddr(3) || buf[0] >= g.EdgeAddr(6) {
-			t.Fatalf("edge prefetch outside split range: %x", buf[0])
+		if count != 3 {
+			t.Fatalf("ListLines %d: split stream covered %d edges, want 3", p.ListLines, count)
 		}
-		count++
-	}
-	if count != 3 {
-		t.Fatalf("split stream covered %d edges, want 3", count)
 	}
 }
 
@@ -293,7 +296,7 @@ func TestTCProgramCoversSearchFootprint(t *testing.T) {
 	g := graph.CommunityDBLP(100, 1)
 	as := graph.NewAddrSpace()
 	g.Bind(as, true)
-	p := &TCProgram{G: g, MaxListLines: 4}
+	p := &StandardProgram{G: g, ListLines: 4}
 	st := p.Start(worklist.Task{Node: 0, EdgeHi: -1})
 	st.Next(nil) // head
 	buf, ok := st.Next(nil)

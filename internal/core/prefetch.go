@@ -9,8 +9,8 @@ import (
 // PrefetchProgram generates worklist-directed prefetch work for tasks —
 // the engine-resident helper function of Fig. 14. Framework developers
 // write one per access pattern; the standard program covers "task → source
-// node → edges → destination nodes", which all the paper's workloads
-// except TC use.
+// node → edges → destination nodes", which all the paper's workloads use
+// (TC's also covers each destination's adjacency list).
 type PrefetchProgram interface {
 	// Start returns a fresh stream of prefetch threadlets for task t.
 	Start(t worklist.Task) PrefetchStream
@@ -27,9 +27,15 @@ type PrefetchStream interface {
 
 // StandardProgram is Fig. 14's prefetchTask/prefetchEdge pair: the first
 // threadlet loads the task descriptor and the source node; then one
-// threadlet per edge loads the edge record and its destination node.
+// threadlet per edge of the task's range loads the edge record and its
+// destination node.
 type StandardProgram struct {
 	G *graph.Graph
+	// ListLines, when positive, also prefetches up to that many 64B lines
+	// of each destination's adjacency list: the custom Triangle-Counting
+	// prefetch function (§5.3), whose node-iterator-hashed operator
+	// binary-searches each destination's list (O(log d) lines).
+	ListLines int
 }
 
 // Start implements PrefetchProgram.
@@ -51,54 +57,10 @@ type standardStream struct {
 
 // Next implements PrefetchStream.
 func (s *standardStream) Next(buf []uint64) ([]uint64, bool) {
-	if s.head {
-		s.head = false
-		// prefetchTask: the task descriptor, then the source node.
-		if s.t.Desc != 0 {
-			buf = append(buf, s.t.Desc)
-		}
-		return append(buf, s.p.G.NodeAddr(s.t.Node)), true
-	}
-	if s.e >= s.hi {
-		return buf, false
-	}
-	// prefetchEdge: one edge record, then its destination node.
-	buf = append(buf, s.p.G.EdgeAddr(s.e))
-	buf = append(buf, s.p.G.NodeAddr(s.p.G.Dests[s.e]))
-	s.e++
-	return buf, true
-}
-
-// TCProgram is the custom Triangle-Counting prefetch function (§5.3): the
-// node-iterator-hashed operator binary-searches each destination node's
-// adjacency list, so the destination's edge-list lines must be prefetched
-// too (up to MaxListLines per destination).
-type TCProgram struct {
-	G *graph.Graph
-	// MaxListLines caps how many 64B lines of each destination adjacency
-	// list are prefetched (binary search touches O(log d) lines).
-	MaxListLines int
-}
-
-// Start implements PrefetchProgram.
-func (p *TCProgram) Start(t worklist.Task) PrefetchStream {
-	lo, hi := p.G.EdgeRange(t.Node)
-	return &tcStream{p: p, t: t, e: lo, hi: hi, head: true}
-}
-
-type tcStream struct {
-	p    *TCProgram
-	t    worklist.Task
-	e    int32
-	hi   int32
-	head bool
-}
-
-// Next implements PrefetchStream.
-func (s *tcStream) Next(buf []uint64) ([]uint64, bool) {
 	g := s.p.G
 	if s.head {
 		s.head = false
+		// prefetchTask: the task descriptor, then the source node.
 		if s.t.Desc != 0 {
 			buf = append(buf, s.t.Desc)
 		}
@@ -107,21 +69,19 @@ func (s *tcStream) Next(buf []uint64) ([]uint64, bool) {
 	if s.e >= s.hi {
 		return buf, false
 	}
+	// prefetchEdge: one edge record, then its destination node.
 	dst := g.Dests[s.e]
 	buf = append(buf, g.EdgeAddr(s.e))
 	buf = append(buf, g.NodeAddr(dst))
-	// Binary-search footprint over the destination's adjacency list.
+	s.e++
+	if s.p.ListLines <= 0 {
+		return buf, true
+	}
+	// The lines a binary search over the destination's list touches,
+	// midpoints first.
 	dlo, dhi := g.EdgeRange(dst)
-	maxLines := s.p.MaxListLines
-	if maxLines <= 0 {
-		maxLines = 4
-	}
 	span := int(dhi-dlo) * graph.EdgeBytes
-	lines := (span + mem.LineSize - 1) / mem.LineSize
-	if lines > maxLines {
-		lines = maxLines
-	}
-	// Touch the lines a binary search would: midpoints first.
+	lines := min((span+mem.LineSize-1)/mem.LineSize, s.p.ListLines)
 	base := g.EdgeAddr(dlo)
 	if lines > 0 {
 		step := span / lines
@@ -129,7 +89,6 @@ func (s *tcStream) Next(buf []uint64) ([]uint64, bool) {
 			buf = append(buf, base+uint64(i*step+step/2))
 		}
 	}
-	s.e++
 	return buf, true
 }
 

@@ -184,7 +184,7 @@ func TestArrivalConservationInvariants(t *testing.T) {
 // arrival-conservation violations from the invariant checker.
 func TestArrivalConservationDetectsDrop(t *testing.T) {
 	arr := &arrivalActor{events: make([]arrival.Event, 3), next: 2, delivered: 2}
-	m := &machine{runner: new(galois.Runner), msys: buildMem(small(1).resolve()), arr: arr}
+	m := &machine{runner: new(galois.Runner), msys: buildMem(small(1).resolve(kernels.Spec{})), arr: arr}
 	v := m.checkInvariants(true)
 	var drop, credit bool
 	for _, msg := range v {

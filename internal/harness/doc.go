@@ -7,8 +7,9 @@
 //   - config.go declares Config — the public minnow.Config — with its
 //     validation and its one defaults table (WithDefaults);
 //   - harness.go assembles one machine — every part of a run, built
-//     once — from Options (Config plus ablation-only fields) and runs
-//     it (Run), or runs a GraphMat / GMat* baseline on one;
+//     once — from Options (Config plus ablation-only fields, with every
+//     default written out by one resolve step) and runs it (Run), or
+//     runs a GraphMat / GMat* baseline on one;
 //   - observe.go wires the obs package's timeline and sampling registry
 //     into a machine when Config.Timeline / Config.MetricsEvery ask for
 //     them, and holds its gauges;
@@ -19,10 +20,13 @@
 //     (RunJobs) and implements the determinism checker;
 //   - figures.go declares every table and figure once, in one ordered
 //     table: the paper's evaluation, the time-resolved, open-loop and
-//     profiler views, and the ablations. RenderFigures runs the
-//     requested entries' distinct configurations over one pool and
-//     fills their tables; timeseries.go and profiles.go hold the
-//     time-resolved and cpistack entries' table helpers.
+//     profiler views, and the ablations. Each entry is one build
+//     function that asks for each run where a row reads it and adds
+//     the rows. RenderFigures calls every requested build once,
+//     simulates the distinct runs (one per repeat key, which follows
+//     the knob tags) over one pool, and then fills the rows;
+//     timeseries.go and profiles.go hold the time-resolved and
+//     cpistack entries' helpers.
 //
 // Determinism contract: each simulation is one goroutine owning all of
 // its state; parallelism exists only across independent configurations,

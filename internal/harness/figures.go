@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 
 	"minnow/internal/core"
@@ -36,6 +37,8 @@ func (f FigOptions) Validate() error {
 		return fmt.Errorf("minnow: Threads: figure thread count %d exceeds 64, the coherence directory's sharer-mask width", f.Threads)
 	case f.Scale < 0:
 		return fmt.Errorf("minnow: Scale: figure scale %d is negative (0 selects the default of 2)", f.Scale)
+	case f.Scale > maxScale:
+		return fmt.Errorf("minnow: Scale: figure scale %d exceeds %d, the largest input scale a run may build", f.Scale, maxScale)
 	case f.Jobs < 0:
 		return fmt.Errorf("minnow: Jobs: figure worker count %d is negative (0 means all CPUs)", f.Jobs)
 	}
@@ -93,16 +96,61 @@ func (f FigOptions) minnowOpts(prefetch bool) Options {
 	return o
 }
 
-// Figure is one table or figure of the evaluation, declared once: the
-// simulations it needs and the table it fills from them.
+// Figure is one table or figure of the evaluation, declared once by its
+// build function.
 type Figure struct {
 	// Name is the figure's -only name, e.g. "fig2".
 	Name string
-	// Jobs lists the runs the figure needs, in the order Table consumes
-	// them; nil when the figure simulates nothing.
-	Jobs func(FigOptions) []Job
-	// Table fills the figure from the runs of its Jobs, in order.
-	Table func(FigOptions, []*stats.Run) (*stats.Table, error)
+	// build declares the figure into b: its table, each run a row reads,
+	// asked for where the row reads it, and the rows, which read their
+	// runs once RenderFigures has simulated them.
+	build func(f FigOptions, b *builder)
+}
+
+// builder collects one figure's declaration.
+type builder struct {
+	t     *stats.Table
+	jobs  []Job
+	runs  []*stats.Run // each job's handle, filled after simulation
+	steps []func(t *stats.Table) error
+}
+
+// table sets the figure's title and headers.
+func (b *builder) table(title string, headers ...string) {
+	b.t = &stats.Table{Title: title, Headers: headers}
+}
+
+// job asks for j's run. The handle it returns is empty until
+// RenderFigures fills it, which it does before any row step runs.
+func (b *builder) job(j Job) *stats.Run {
+	r := new(stats.Run)
+	b.jobs = append(b.jobs, j)
+	b.runs = append(b.runs, r)
+	return r
+}
+
+// run asks for bench's Galois run under o.
+func (b *builder) run(bench string, o Options) *stats.Run {
+	return b.job(Job{Bench: bench, Opts: o})
+}
+
+// fill adds a step that adds rows once the runs are filled. Steps run in
+// the order they were added, as do row's and add's rows.
+func (b *builder) fill(step func(t *stats.Table) error) {
+	b.steps = append(b.steps, step)
+}
+
+// row adds a row whose cells are read once the runs are filled.
+func (b *builder) row(cells func() []any) {
+	b.fill(func(t *stats.Table) error {
+		t.AddRow(cells()...)
+		return nil
+	})
+}
+
+// add adds a row whose cells need no run.
+func (b *builder) add(cells ...any) {
+	b.row(func() []any { return cells })
 }
 
 // FigureNames lists every figure in evaluation order.
@@ -115,11 +163,12 @@ func FigureNames() []string {
 }
 
 // RenderFigures regenerates the named figures. It checks the options and
-// every name before simulating anything, collects the Jobs of all the
-// figures, drops exact repeats (same framework, benchmark and resolved
-// Options, so a run two figures share is simulated once), runs the rest
-// over one RunJobs pool of width f.Jobs, and fills each table in the
-// order named. It also returns the distinct runs in submission order.
+// every name before simulating anything, then calls each figure's build
+// once and collects the runs they ask for in request order. Requests with
+// the same repeatKey share one simulation (shareRun merges their
+// switches); the distinct runs go over one RunJobs pool of width f.Jobs,
+// and then each figure's rows read them, in the order named. It also
+// returns the distinct runs in request order.
 func RenderFigures(names []string, f FigOptions) ([]*stats.Table, []JobResult, error) {
 	if err := f.Validate(); err != nil {
 		return nil, nil, err
@@ -138,121 +187,122 @@ func RenderFigures(names []string, f FigOptions) ([]*stats.Table, []JobResult, e
 		figs[i] = fig
 	}
 
+	builds := make([]*builder, len(figs))
 	var distinct []Job
+	var handles [][]*stats.Run // per distinct run: the handles it fills
 	seen := map[string]int{}
-	uses := make([][]int, len(figs)) // per figure: indices into distinct
 	for i, fig := range figs {
-		if fig.Jobs == nil {
-			continue
-		}
-		for _, j := range fig.Jobs(f) {
-			opts, err := json.Marshal(j.Opts.resolve())
+		b := &builder{}
+		fig.build(f, b)
+		builds[i] = b
+		for k, j := range b.jobs {
+			key, err := repeatKey(j)
 			if err != nil {
 				return nil, nil, fmt.Errorf("harness: figure %s: %w", fig.Name, err)
 			}
-			key := fmt.Sprintf("%d %s %s", j.Framework, j.Bench, opts)
 			n, ok := seen[key]
-			if !ok {
+			if ok {
+				distinct[n].Opts = shareRun(distinct[n].Opts, j.Opts)
+			} else {
 				n = len(distinct)
 				seen[key] = n
 				distinct = append(distinct, j)
+				handles = append(handles, nil)
 			}
-			uses[i] = append(uses[i], n)
+			handles[n] = append(handles[n], b.runs[k])
 		}
 	}
 	results := RunJobs(distinct, f.Jobs)
-	for _, r := range results {
+	for n, r := range results {
 		if r.Err != nil {
 			return nil, nil, r.Err
+		}
+		for _, h := range handles[n] {
+			*h = *r.Run
 		}
 	}
 
 	tables := make([]*stats.Table, len(figs))
-	for i, fig := range figs {
-		runs := make([]*stats.Run, len(uses[i]))
-		for k, n := range uses[i] {
-			runs[k] = results[n].Run
+	for i, b := range builds {
+		for _, step := range b.steps {
+			if err := step(b.t); err != nil {
+				return nil, nil, fmt.Errorf("harness: figure %s: %w", figs[i].Name, err)
+			}
 		}
-		tb, err := fig.Table(f, runs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: figure %s: %w", fig.Name, err)
-		}
-		tables[i] = tb
+		tables[i] = b.t
 	}
 	return tables, results, nil
 }
 
-// sweep is the figure shape of rows × one swept column: each row runs
-// one configuration per column, and each cell is a metric of that run
-// over the row's baseline run.
-type sweep struct {
-	title   string
-	headers []string
-	rows    []sweepRow
-	cell    func(run, base *stats.Run) any
-}
-
-// sweepRow is one row of a sweep: its leading label cells, its baseline
-// run (a zero Job when the metric needs none), and one run per column (a
-// zero Job renders "-").
-type sweepRow struct {
-	label []any
-	base  Job
-	cols  []Job
-}
-
-// sweepFigure declares a figure whose shape build describes; build runs
-// once for the Jobs and again for the Table.
-func sweepFigure(name string, build func(FigOptions) sweep) Figure {
-	return Figure{
-		Name: name,
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, r := range build(f).rows {
-				for _, j := range append([]Job{r.base}, r.cols...) {
-					if j.Bench != "" {
-						jobs = append(jobs, j)
-					}
-				}
-			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			s := build(f)
-			t := &stats.Table{Title: s.title, Headers: s.headers}
-			for _, r := range s.rows {
-				var base *stats.Run
-				if r.base.Bench != "" {
-					base, runs = runs[0], runs[1:]
-				}
-				row := append([]any(nil), r.label...)
-				for _, j := range r.cols {
-					if j.Bench == "" {
-						row = append(row, "-")
-						continue
-					}
-					row = append(row, s.cell(runs[0], base))
-					runs = runs[1:]
-				}
-				t.AddRow(row...)
-			}
-			return t, nil
-		},
+// keyHost and keySwitches index the Config fields a repeat key leaves
+// out, found once from the knob tags minnowd's cache key follows: every
+// knob:"host" field, and every boolean knob:"observe" switch (Profile,
+// Timeline). TestTaggedKnobsInert proves neither changes a RunSummary.
+// The other observe knobs stay in the key: a run samples at one
+// MetricsEvery and keeps one TraceEvents tail.
+var keyHost, keySwitches = func() (host, switches []int) {
+	t := reflect.TypeOf(Config{})
+	for i := 0; i < t.NumField(); i++ {
+		switch field := t.Field(i); {
+		case field.Tag.Get("knob") == "host":
+			host = append(host, i)
+		case field.Tag.Get("knob") == "observe" && field.Type.Kind() == reflect.Bool:
+			switches = append(switches, i)
+		}
 	}
-}
+	return host, switches
+}()
 
-// speedup is a sweep cell: the baseline's wall cycles over the run's.
-func speedup(run, base *stats.Run) any {
-	return float64(base.WallCycles) / float64(run.WallCycles)
-}
-
-// perBench lists one job per benchmark of the suite under o.
-func perBench(f FigOptions, o Options) []Job {
-	var jobs []Job
-	for _, name := range f.benchNames() {
-		jobs = append(jobs, Job{Bench: name, Opts: o})
+// repeatKey keys a job by what can change its run: the framework, the
+// benchmark and the resolved Options less the keyHost and keySwitches
+// fields. Resolving first makes an explicit default and an omitted
+// field the same run.
+func repeatKey(j Job) (string, error) {
+	spec, err := kernels.SpecByName(j.Bench)
+	if err != nil {
+		return "", err
 	}
-	return jobs
+	o := j.Opts.resolve(spec)
+	c := reflect.ValueOf(&o.Config).Elem()
+	for _, fields := range [][]int{keyHost, keySwitches} {
+		for _, i := range fields {
+			c.Field(i).SetZero()
+		}
+	}
+	opts, err := json.Marshal(o)
+	return fmt.Sprintf("%d %s %s", j.Framework, j.Bench, opts), err
+}
+
+// shareRun folds a repeat j into the options of the run it shares: the
+// run turns on every boolean observe switch any of its jobs asks for,
+// and skips verification only when all of them do.
+func shareRun(o, j Options) Options {
+	c, jc := reflect.ValueOf(&o.Config).Elem(), reflect.ValueOf(j.Config)
+	for _, i := range keySwitches {
+		if jc.Field(i).Bool() {
+			c.Field(i).SetBool(true)
+		}
+	}
+	o.SkipVerify = o.SkipVerify && j.SkipVerify
+	return o
+}
+
+// cells is a row of label followed by one cell per run, "-" for a nil
+// run (a column the configuration leaves out).
+func cells(label []any, runs []*stats.Run, cell func(r *stats.Run) any) []any {
+	for _, r := range runs {
+		if r == nil {
+			label = append(label, "-")
+		} else {
+			label = append(label, cell(r))
+		}
+	}
+	return label
+}
+
+// speedupOver is a cell: base's wall cycles over the run's.
+func speedupOver(base *stats.Run) func(r *stats.Run) any {
+	return func(r *stats.Run) any { return float64(base.WallCycles) / float64(r.WallCycles) }
 }
 
 // ratioOrTimeout returns base/x, or 0 for timed-out runs.
@@ -304,12 +354,6 @@ func sojournGaps(f FigOptions) (gaps []int64, count int64) {
 	return []int64{5000, 2000, 1000, 600, 400}, 256
 }
 
-// localQDepths and localQBenches span the local-queue ablation.
-var (
-	localQDepths  = []int{8, 16, 64, 256}
-	localQBenches = []string{"SSSP", "CC"}
-)
-
 // figures is the evaluation, declared once, in paper order: Tables 1-3,
 // Figs. 2-21 and the §5.4 area estimate, then the time-resolved,
 // open-loop and profiler views, then the ablations of the design choices
@@ -320,68 +364,58 @@ var figures = []Figure{
 	{
 		// Table 1: the graph-input inventory, for our synthetic equivalents.
 		Name: "table1",
-		Table: func(f FigOptions, _ []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Table 1: evaluated graph inputs (synthetic equivalents)",
-				Headers: []string{"name", "stands-for", "nodes", "edges", "est.diam", "largest-node", "size-MB"},
-			}
+		build: func(f FigOptions, b *builder) {
+			b.table("Table 1: evaluated graph inputs (synthetic equivalents)",
+				"name", "stands-for", "nodes", "edges", "est.diam", "largest-node", "size-MB")
 			for _, spec := range kernels.Suite() {
 				g := spec.Graph(f.Scale, f.Seed, graph.NewAddrSpace())
 				_, maxDeg := g.MaxDegreeNode()
-				t.AddRow(g.Name, spec.PaperInput, g.N, g.NumEdges(), g.EstimateDiameter(0), maxDeg,
+				b.add(g.Name, spec.PaperInput, g.N, g.NumEdges(), g.EstimateDiameter(0), maxDeg,
 					float64(g.SizeBytes())/1e6)
 			}
-			return t, nil
 		},
 	},
 	{
 		// Table 2: the benchmark configuration, with measured
 		// single-threaded serial-baseline cycles (the paper's "Cycles").
 		Name: "table2",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table("Table 2: benchmark configuration (serial-baseline cycles)",
+				"workload", "input", "serial-cycles", "tasks")
 			o := f.base()
 			o.Threads = 1
 			o.Serial = true
-			return perBench(f, o)
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Table 2: benchmark configuration (serial-baseline cycles)",
-				Headers: []string{"workload", "input", "serial-cycles", "tasks"},
-			}
-			for i, name := range f.benchNames() {
+			for _, name := range f.benchNames() {
 				spec, _ := kernels.SpecByName(name)
-				t.AddRow(name, spec.PaperInput, runs[i].WallCycles, runs[i].WorkItems)
+				r := b.run(name, o)
+				b.row(func() []any { return []any{name, spec.PaperInput, r.WallCycles, r.WorkItems} })
 			}
-			return t, nil
 		},
 	},
 	{
 		// Table 3: the simulated microarchitecture, paper spec beside the
 		// scaled values this run actually uses.
 		Name: "table3",
-		Table: func(f FigOptions, _ []*stats.Run) (*stats.Table, error) {
-			o := f.base().resolve()
+		build: func(f FigOptions, b *builder) {
+			o := f.base()
+			o.Config = o.WithDefaults()
 			m := buildMem(o).Config()
 			c := cpu.DefaultConfig()
 			e := core.DefaultConfig()
-			t := &stats.Table{
-				Title:   "Table 3: microarchitecture configuration (paper spec -> scaled sim values)",
-				Headers: []string{"component", "paper", "simulated"},
-			}
-			t.AddRow("cores", "64 Skylake-like, 2.5GHz", fmt.Sprintf("%d interval-model cores", o.Threads))
-			t.AddRow("branch predictor", "64Kb 5-table TAGE", "64Kb 5-table TAGE")
-			t.AddRow("reservation station", "97 entries", fmt.Sprintf("%d entries", c.RS))
-			t.AddRow("load/store queue", "72 / 56", fmt.Sprintf("%d / %d", c.LoadQueue, c.StoreQueue))
-			t.AddRow("reorder buffer", "224", fmt.Sprintf("%d", c.ROB))
-			t.AddRow("L1D", "32KB 8-way 4cyc", fmt.Sprintf("%dKB %d-way %dcyc", m.L1Lines*64/1024, m.L1Assoc, m.L1Latency))
-			t.AddRow("L2", "256KB 8-way 7cyc", fmt.Sprintf("%dKB %d-way %dcyc", m.L2Lines*64/1024, m.L2Assoc, m.L2Latency))
-			t.AddRow("L3", "2MB/core 16-way 27cyc", fmt.Sprintf("%dKB/core %d-way %dcyc", m.L3BankLines*64/1024, m.L3Assoc, m.L3Latency))
-			t.AddRow("NoC", "8x8 mesh, 3cyc/hop", fmt.Sprintf("%dx%d mesh, %dcyc/hop", m.MeshW, m.MeshH, m.HopCycles))
-			t.AddRow("main memory", "12-ch DDR4-2400", fmt.Sprintf("%d-ch, %dcyc, %dcyc/line", m.DRAM.Channels, m.DRAM.LatencyCycles, m.DRAM.ServiceCycles))
-			t.AddRow("minnow localQ", "64 entries, 10cyc", fmt.Sprintf("%d entries, %dcyc", e.LocalQ, e.LocalQLatency))
-			t.AddRow("minnow loadQ", "32 entries, 4cyc wakeup", fmt.Sprintf("%d entries, %dcyc wakeup", e.LoadBuf, e.LoadBufWake))
-			return t, nil
+			b.table("Table 3: microarchitecture configuration (paper spec -> scaled sim values)",
+				"component", "paper", "simulated")
+			b.add("cores", "64 Skylake-like, 2.5GHz", fmt.Sprintf("%d interval-model cores", o.Threads))
+			b.add("branch predictor", "64Kb 5-table TAGE", "64Kb 5-table TAGE")
+			b.add("reservation station", "97 entries", fmt.Sprintf("%d entries", c.RS))
+			b.add("load/store queue", "72 / 56", fmt.Sprintf("%d / %d", c.LoadQueue, c.StoreQueue))
+			b.add("reorder buffer", "224", fmt.Sprintf("%d", c.ROB))
+			b.add("L1D", "32KB 8-way 4cyc", fmt.Sprintf("%dKB %d-way %dcyc", m.L1Lines*64/1024, m.L1Assoc, m.L1Latency))
+			b.add("L2", "256KB 8-way 7cyc", fmt.Sprintf("%dKB %d-way %dcyc", m.L2Lines*64/1024, m.L2Assoc, m.L2Latency))
+			b.add("L3", "2MB/core 16-way 27cyc", fmt.Sprintf("%dKB/core %d-way %dcyc", m.L3BankLines*64/1024, m.L3Assoc, m.L3Latency))
+			b.add("NoC", "8x8 mesh, 3cyc/hop", fmt.Sprintf("%dx%d mesh, %dcyc/hop", m.MeshW, m.MeshH, m.HopCycles))
+			b.add("main memory", "12-ch DDR4-2400", fmt.Sprintf("%d-ch, %dcyc, %dcyc/line", m.DRAM.Channels, m.DRAM.LatencyCycles, m.DRAM.ServiceCycles))
+			b.add("minnow localQ", "64 entries, 10cyc", fmt.Sprintf("%d entries, %dcyc", e.LocalQ, e.LocalQLatency))
+			b.add("minnow loadQ", "32 entries, 4cyc wakeup", fmt.Sprintf("%d entries, %dcyc wakeup", e.LoadBuf, e.LoadBufWake))
 		},
 	},
 	{
@@ -389,7 +423,9 @@ var figures = []Figure{
 		// 1-thread GraphMat. GMat* is the authors' per-bucket
 		// delta-stepping retrofit (SSSP only).
 		Name: "fig2",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 2: speedup at 10 threads normalized to 1-thread GraphMat",
+				"workload", "gmat-10t", "galois-obim", "galois-fifo", "gmat*")
 			o, o1 := realMachine(f)
 			fifo := o
 			fifo.Scheduler = "fifo"
@@ -399,369 +435,306 @@ var figures = []Figure{
 			gstar := o
 			lg := uint(15)
 			gstar.LgInterval = &lg
-			var jobs []Job
 			for _, name := range fig2Benches(f) {
-				jobs = append(jobs,
-					Job{Bench: name, Opts: o1, Framework: GraphMat},
-					Job{Bench: name, Opts: o, Framework: GraphMat},
-					Job{Bench: name, Opts: o}, Job{Bench: name, Opts: fifo})
+				gm1 := b.job(Job{Bench: name, Opts: o1, Framework: GraphMat})
+				cols := []*stats.Run{b.job(Job{Bench: name, Opts: o, Framework: GraphMat}), b.run(name, o), b.run(name, fifo), nil}
 				if name == "SSSP" {
-					jobs = append(jobs, Job{Bench: name, Opts: gstar, Framework: GMatStar})
+					cols[3] = b.job(Job{Bench: name, Opts: gstar, Framework: GMatStar})
 				}
+				b.row(func() []any {
+					return cells([]any{name}, cols, func(r *stats.Run) any {
+						return ratioOrTimeout(gm1.WallCycles, r.WallCycles, r.TimedOut)
+					})
+				})
 			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Fig 2: speedup at 10 threads normalized to 1-thread GraphMat",
-				Headers: []string{"workload", "gmat-10t", "galois-obim", "galois-fifo", "gmat*"},
-			}
-			for _, name := range fig2Benches(f) {
-				gm1 := runs[0].WallCycles
-				row := []any{name}
-				for _, r := range runs[1:4] {
-					row = append(row, ratioOrTimeout(gm1, r.WallCycles, r.TimedOut))
-				}
-				runs = runs[4:]
-				gstar := "-"
-				if name == "SSSP" {
-					gstar = stats.FormatFloat(ratioOrTimeout(gm1, runs[0].WallCycles, runs[0].TimedOut))
-					runs = runs[1:]
-				}
-				t.AddRow(append(row, gstar)...)
-			}
-			return t, nil
 		},
 	},
 	{
 		// Fig. 3: scheduler policies, runtime normalized to 1-thread
 		// GraphMat at 10 threads.
 		Name: "fig3",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 3: runtime normalized to GraphMat, 10 threads (lower is better; 'timeout' = exceeded work budget)",
+				"workload", "fifo", "lifo(carbon)", "obim-lg2", "obim-tuned", "obim-lg16", "strict-pq")
 			o, o1 := realMachine(f)
 			o.SkipVerify = true
-			var jobs []Job
 			for _, name := range fig3Benches(f) {
-				cell := func(sched string, lg int) Job {
+				run := func(sched string, lg int) *stats.Run {
 					oo := o
 					oo.Scheduler = sched
 					if lg >= 0 {
 						lgv := uint(lg)
 						oo.LgInterval = &lgv
 					}
-					return Job{Bench: name, Opts: oo}
+					return b.run(name, oo)
 				}
 				spec, _ := kernels.SpecByName(name)
-				jobs = append(jobs, Job{Bench: name, Opts: o1, Framework: GraphMat},
-					cell("fifo", -1), cell("lifo", -1),
-					cell("obim", 2), cell("obim", int(spec.LgInterval)), cell("obim", 16),
-					cell("strictpq", -1))
+				gm := b.job(Job{Bench: name, Opts: o1, Framework: GraphMat})
+				cols := []*stats.Run{run("fifo", -1), run("lifo", -1),
+					run("obim", 2), run("obim", int(spec.LgInterval)), run("obim", 16),
+					run("strictpq", -1)}
+				b.row(func() []any {
+					return cells([]any{name}, cols, func(r *stats.Run) any {
+						if r.TimedOut {
+							return "timeout"
+						}
+						return float64(r.WallCycles) / float64(gm.WallCycles)
+					})
+				})
 			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Fig 3: runtime normalized to GraphMat, 10 threads (lower is better; 'timeout' = exceeded work budget)",
-				Headers: []string{"workload", "fifo", "lifo(carbon)", "obim-lg2", "obim-tuned", "obim-lg16", "strict-pq"},
-			}
-			cols := len(t.Headers) - 1
-			for i, name := range fig3Benches(f) {
-				gm := runs[i*(cols+1)]
-				row := []any{name}
-				for _, r := range runs[i*(cols+1)+1 : (i+1)*(cols+1)] {
-					if r.TimedOut {
-						row = append(row, "timeout")
-					} else {
-						row = append(row, stats.FormatFloat(float64(r.WallCycles)/float64(gm.WallCycles)))
-					}
-				}
-				t.AddRow(row...)
-			}
-			return t, nil
 		},
 	},
-	sweepFigure("fig4", func(f FigOptions) sweep {
+	{
 		// Fig. 4: speedup vs ROB size, normalized to the 256-entry
 		// configuration, for the realistic core and for ideal variants
 		// with perfect branch prediction and no fences.
-		robs := []int{64, 128, 256, 512}
-		s := sweep{
-			title:   "Fig 4: speedup vs ROB size, normalized to 256-entry ROB (realistic vs ideal)",
-			headers: []string{"workload", "mode", "rob-64", "rob-128", "rob-256", "rob-512"},
-			cell:    speedup,
-		}
-		benches := f.benchNames()
-		if f.Quick {
-			benches = []string{"SSSP", "PR"}
-		}
-		modes := []struct {
-			name                string
-			perfectBP, noFences bool
-		}{{"realistic", false, false}, {"perfect-bp", true, false}, {"bp+nofence", true, true}}
-		for _, name := range benches {
-			for _, m := range modes {
-				job := func(rob int) Job {
-					cfg := cpu.ScaledROB(rob)
-					cfg.PerfectBP = m.perfectBP
-					cfg.NoFences = m.noFences
-					o := f.base()
-					o.CoreCfg = &cfg
-					// The sweep changes the execution schedule, which moves
-					// PR's leftover sub-epsilon residuals around; the
-					// reference check is not meaningful here.
-					o.SkipVerify = true
-					return Job{Bench: name, Opts: o}
-				}
-				row := sweepRow{label: []any{name, m.name}, base: job(256)}
-				for _, rob := range robs {
-					row.cols = append(row.cols, job(rob))
-				}
-				s.rows = append(s.rows, row)
+		Name: "fig4",
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 4: speedup vs ROB size, normalized to 256-entry ROB (realistic vs ideal)",
+				"workload", "mode", "rob-64", "rob-128", "rob-256", "rob-512")
+			benches := f.benchNames()
+			if f.Quick {
+				benches = []string{"SSSP", "PR"}
 			}
-		}
-		return s
-	}),
+			modes := []struct {
+				name                string
+				perfectBP, noFences bool
+			}{{"realistic", false, false}, {"perfect-bp", true, false}, {"bp+nofence", true, true}}
+			for _, name := range benches {
+				for _, m := range modes {
+					run := func(rob int) *stats.Run {
+						cfg := cpu.ScaledROB(rob)
+						cfg.PerfectBP = m.perfectBP
+						cfg.NoFences = m.noFences
+						o := f.base()
+						o.CoreCfg = &cfg
+						// The sweep changes the execution schedule, which moves
+						// PR's leftover sub-epsilon residuals around; the
+						// reference check is not meaningful here.
+						o.SkipVerify = true
+						return b.run(name, o)
+					}
+					base := run(256)
+					var cols []*stats.Run
+					for _, rob := range []int{64, 128, 256, 512} {
+						cols = append(cols, run(rob))
+					}
+					b.row(func() []any { return cells([]any{name, m.name}, cols, speedupOver(base)) })
+				}
+			}
+		},
+	},
 	{
 		// Fig. 5: the Galois overhead breakdown, the fraction of core
 		// cycles spent on useful work, worklist operations, and load/store
 		// miss stalls.
 		Name: "fig5",
-		Jobs: func(f FigOptions) []Job { return perBench(f, f.base()) },
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   fmt.Sprintf("Fig 5: cycle breakdown at %d threads (software baseline)", f.Threads),
-				Headers: []string{"workload", "useful", "worklist", "load-miss", "store-miss"},
+		build: func(f FigOptions, b *builder) {
+			b.table(fmt.Sprintf("Fig 5: cycle breakdown at %d threads (software baseline)", f.Threads),
+				"workload", "useful", "worklist", "load-miss", "store-miss")
+			for _, name := range f.benchNames() {
+				r := b.run(name, f.base())
+				b.row(func() []any {
+					bd := r.Breakdown()
+					return []any{name, bd[0], bd[1], bd[2], bd[3]}
+				})
 			}
-			for i, name := range f.benchNames() {
-				bd := runs[i].Breakdown()
-				t.AddRow(name, bd[0], bd[1], bd[2], bd[3])
-			}
-			return t, nil
 		},
 	},
 	{
 		// Fig. 6: delinquent load density.
 		Name: "fig6",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 6: delinquent load density (frequently-missing loads / all loads)", "workload", "density")
 			o := f.base()
 			o.Threads = min(f.Threads, 8) // density is thread-count-insensitive
-			return perBench(f, o)
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Fig 6: delinquent load density (frequently-missing loads / all loads)",
-				Headers: []string{"workload", "density"},
+			for _, name := range f.benchNames() {
+				r := b.run(name, o)
+				b.row(func() []any { return []any{name, r.DelinquentDensity()} })
 			}
-			for i, name := range f.benchNames() {
-				t.AddRow(name, runs[i].DelinquentDensity())
-			}
-			return t, nil
 		},
 	},
 	{
 		// Fig. 11: average cycles per enqueue/dequeue, software worklist vs
 		// Minnow offload.
 		Name: "fig11",
-		Jobs: func(f FigOptions) []Job {
-			return append(perBench(f, f.base()), perBench(f, f.minnowOpts(false))...)
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   fmt.Sprintf("Fig 11: average cycles per worklist operation at %d threads", f.Threads),
-				Headers: []string{"workload", "galois-enq", "galois-deq", "minnow-enq", "minnow-deq"},
+		build: func(f FigOptions, b *builder) {
+			b.table(fmt.Sprintf("Fig 11: average cycles per worklist operation at %d threads", f.Threads),
+				"workload", "galois-enq", "galois-deq", "minnow-enq", "minnow-deq")
+			names := f.benchNames()
+			sw := make([]*stats.Run, len(names))
+			for i, name := range names {
+				sw[i] = b.run(name, f.base())
 			}
-			n := len(f.benchNames())
-			for i, name := range f.benchNames() {
-				sw, mn := runs[i], runs[n+i]
-				t.AddRow(name, sw.AvgEnqCycles(), sw.AvgDeqCycles(), mn.AvgEnqCycles(), mn.AvgDeqCycles())
+			for i, name := range names {
+				mn := b.run(name, f.minnowOpts(false))
+				b.row(func() []any {
+					return []any{name, sw[i].AvgEnqCycles(), sw[i].AvgDeqCycles(), mn.AvgEnqCycles(), mn.AvgDeqCycles()}
+				})
 			}
-			return t, nil
 		},
 	},
-	sweepFigure("fig15", func(f FigOptions) sweep {
+	{
 		// Fig. 15: scalability, speedup over the optimized serial baseline
 		// from 1 to Threads threads, Galois vs Minnow (prefetching
 		// disabled to isolate offload).
-		s := sweep{
-			title:   "Fig 15: speedup vs optimized serial baseline (Minnow without prefetching)",
-			headers: []string{"workload", "sched"},
-			cell:    speedup,
-		}
-		threadSet := []int{1, 2, 4, 8, 16, 32, 64}
-		if f.Quick {
-			threadSet = []int{1, 4, 8}
-		}
-		for _, th := range threadSet {
-			s.headers = append(s.headers, fmt.Sprintf("t%d", th))
-		}
-		for _, name := range f.benchNames() {
-			ser := f.base()
-			ser.Threads = 1
-			ser.Serial = true
-			for _, sched := range []string{"obim", "minnow"} {
-				row := sweepRow{label: []any{name, sched}, base: Job{Bench: name, Opts: ser}}
-				for _, th := range threadSet {
-					if th > f.Threads {
-						row.cols = append(row.cols, Job{})
-						continue
-					}
-					o := f.base()
-					o.Threads = th
-					o.Scheduler = sched
-					row.cols = append(row.cols, Job{Bench: name, Opts: o})
-				}
-				s.rows = append(s.rows, row)
+		Name: "fig15",
+		build: func(f FigOptions, b *builder) {
+			threadSet := []int{1, 2, 4, 8, 16, 32, 64}
+			if f.Quick {
+				threadSet = []int{1, 4, 8}
 			}
-		}
-		return s
-	}),
+			headers := []string{"workload", "sched"}
+			for _, th := range threadSet {
+				headers = append(headers, fmt.Sprintf("t%d", th))
+			}
+			b.table("Fig 15: speedup vs optimized serial baseline (Minnow without prefetching)", headers...)
+			for _, name := range f.benchNames() {
+				ser := f.base()
+				ser.Threads = 1
+				ser.Serial = true
+				for _, sched := range []string{"obim", "minnow"} {
+					base := b.run(name, ser)
+					cols := make([]*stats.Run, len(threadSet))
+					for k, th := range threadSet {
+						if th <= f.Threads {
+							o := f.base()
+							o.Threads = th
+							o.Scheduler = sched
+							cols[k] = b.run(name, o)
+						}
+					}
+					b.row(func() []any { return cells([]any{name, sched}, cols, speedupOver(base)) })
+				}
+			}
+		},
+	},
 	{
 		// Fig. 16: the headline result, overall Minnow speedup over the
 		// optimized software baseline, with and without worklist-directed
 		// prefetching, plus the averages (paper: 2.96x / 6.01x).
 		Name: "fig16",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, name := range f.benchNames() {
-				jobs = append(jobs,
-					Job{Bench: name, Opts: f.base()},
-					Job{Bench: name, Opts: f.minnowOpts(false)},
-					Job{Bench: name, Opts: f.minnowOpts(true)})
-			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   fmt.Sprintf("Fig 16: Minnow speedup over software baseline at %d threads", f.Threads),
-				Headers: []string{"workload", "minnow", "minnow+prefetch"},
-			}
+		build: func(f FigOptions, b *builder) {
+			b.table(fmt.Sprintf("Fig 16: Minnow speedup over software baseline at %d threads", f.Threads),
+				"workload", "minnow", "minnow+prefetch")
 			var noPF, withPF []float64
-			for i, name := range f.benchNames() {
-				base, m0, m1 := runs[3*i], runs[3*i+1], runs[3*i+2]
-				s0 := float64(base.WallCycles) / float64(m0.WallCycles)
-				s1 := float64(base.WallCycles) / float64(m1.WallCycles)
-				noPF = append(noPF, s0)
-				withPF = append(withPF, s1)
-				t.AddRow(name, s0, s1)
+			for _, name := range f.benchNames() {
+				base, m0, m1 := b.run(name, f.base()), b.run(name, f.minnowOpts(false)), b.run(name, f.minnowOpts(true))
+				b.row(func() []any {
+					s0 := float64(base.WallCycles) / float64(m0.WallCycles)
+					s1 := float64(base.WallCycles) / float64(m1.WallCycles)
+					noPF = append(noPF, s0)
+					withPF = append(withPF, s1)
+					return []any{name, s0, s1}
+				})
 			}
-			t.AddRow("geomean", stats.GeoMean(noPF), stats.GeoMean(withPF))
-			return t, nil
+			b.row(func() []any { return []any{"geomean", stats.GeoMean(noPF), stats.GeoMean(withPF)} })
 		},
 	},
-	sweepFigure("fig17", func(f FigOptions) sweep {
+	{
 		// Fig. 17: stride, IMP, and worklist-directed prefetching at 16
 		// threads, normalized to Minnow without prefetching.
-		threads := min(f.Threads, 16)
-		s := sweep{
-			title:   fmt.Sprintf("Fig 17: prefetching speedup at %d threads vs Minnow-no-prefetch", threads),
-			headers: []string{"workload", "stride", "imp", "worklist-directed"},
-			cell:    speedup,
-		}
-		for _, name := range f.benchNames() {
-			variant := func(hw string, wdp bool) Job {
-				o := f.minnowOpts(wdp)
-				o.Threads = threads
-				o.HWPrefetcher = hw
-				return Job{Bench: name, Opts: o}
+		Name: "fig17",
+		build: func(f FigOptions, b *builder) {
+			threads := min(f.Threads, 16)
+			b.table(fmt.Sprintf("Fig 17: prefetching speedup at %d threads vs Minnow-no-prefetch", threads),
+				"workload", "stride", "imp", "worklist-directed")
+			for _, name := range f.benchNames() {
+				run := func(hw string, wdp bool) *stats.Run {
+					o := f.minnowOpts(wdp)
+					o.Threads = threads
+					o.HWPrefetcher = hw
+					return b.run(name, o)
+				}
+				base := run("", false)
+				cols := []*stats.Run{run("stride", false), run("imp", false), run("", true)}
+				b.row(func() []any { return cells([]any{name}, cols, speedupOver(base)) })
 			}
-			s.rows = append(s.rows, sweepRow{
-				label: []any{name},
-				base:  variant("", false),
-				cols:  []Job{variant("stride", false), variant("imp", false), variant("", true)},
-			})
-		}
-		return s
-	}),
-	sweepFigure("fig18", func(f FigOptions) sweep {
+		},
+	},
+	{
 		// Fig. 18: L2 MPKI vs prefetch credits, led by the prefetch-off
 		// run.
-		s := sweep{
-			title:   "Fig 18: L2 demand MPKI vs prefetch credits ('off' = prefetch disabled)",
-			headers: creditHeaders(f, "off"),
-			cell:    func(r, _ *stats.Run) any { return r.L2MPKI() },
-		}
-		for _, name := range f.benchNames() {
-			off := Job{Bench: name, Opts: f.minnowOpts(false)}
-			s.rows = append(s.rows, sweepRow{label: []any{name}, cols: append([]Job{off}, creditJobs(f, name)...)})
-		}
-		return s
-	}),
-	sweepFigure("fig19", func(f FigOptions) sweep {
+		Name: "fig18",
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 18: L2 demand MPKI vs prefetch credits ('off' = prefetch disabled)", creditHeaders(f, "off")...)
+			for _, name := range f.benchNames() {
+				off := b.run(name, f.minnowOpts(false))
+				cols := append([]*stats.Run{off}, creditRuns(f, b, name)...)
+				b.row(func() []any { return cells([]any{name}, cols, func(r *stats.Run) any { return r.L2MPKI() }) })
+			}
+		},
+	},
+	{
 		// Fig. 19: prefetching speedup vs credits over prefetch off.
-		s := sweep{
-			title:   "Fig 19: prefetching speedup vs credits (normalized to prefetch disabled)",
-			headers: creditHeaders(f),
-			cell:    speedup,
-		}
-		for _, name := range f.benchNames() {
-			off := Job{Bench: name, Opts: f.minnowOpts(false)}
-			s.rows = append(s.rows, sweepRow{label: []any{name}, base: off, cols: creditJobs(f, name)})
-		}
-		return s
-	}),
-	sweepFigure("fig20", func(f FigOptions) sweep {
+		Name: "fig19",
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 19: prefetching speedup vs credits (normalized to prefetch disabled)", creditHeaders(f)...)
+			for _, name := range f.benchNames() {
+				off := b.run(name, f.minnowOpts(false))
+				cols := creditRuns(f, b, name)
+				b.row(func() []any { return cells([]any{name}, cols, speedupOver(off)) })
+			}
+		},
+	},
+	{
 		// Fig. 20: prefetch efficiency vs credits, plus the IMP reference
 		// point.
-		s := sweep{
-			title:   "Fig 20: prefetch efficiency (used-before-eviction / fills)",
-			headers: append(creditHeaders(f), "imp"),
-			cell:    func(r, _ *stats.Run) any { return r.L2.Efficiency() },
-		}
-		for _, name := range f.benchNames() {
-			imp := f.minnowOpts(false)
-			imp.HWPrefetcher = "imp"
-			s.rows = append(s.rows, sweepRow{label: []any{name}, cols: append(creditJobs(f, name), Job{Bench: name, Opts: imp})})
-		}
-		return s
-	}),
-	sweepFigure("fig21", func(f FigOptions) sweep {
+		Name: "fig20",
+		build: func(f FigOptions, b *builder) {
+			b.table("Fig 20: prefetch efficiency (used-before-eviction / fills)", append(creditHeaders(f), "imp")...)
+			for _, name := range f.benchNames() {
+				imp := f.minnowOpts(false)
+				imp.HWPrefetcher = "imp"
+				cols := append(creditRuns(f, b, name), b.run(name, imp))
+				b.row(func() []any { return cells([]any{name}, cols, func(r *stats.Run) any { return r.L2.Efficiency() }) })
+			}
+		},
+	},
+	{
 		// Fig. 21: memory-channel sensitivity, speedup relative to the
 		// 12-channel design, with and without prefetching.
-		channels := []int{1, 2, 4, 8, 12}
-		if f.Quick {
-			channels = []int{2, 12}
-		}
-		s := sweep{
-			title:   "Fig 21: speedup vs memory channels (normalized to 12 channels)",
-			headers: []string{"workload", "prefetch"},
-			cell:    speedup,
-		}
-		for _, ch := range channels {
-			s.headers = append(s.headers, fmt.Sprintf("ch%d", ch))
-		}
-		for _, name := range f.benchNames() {
-			for _, pf := range []bool{false, true} {
-				job := func(ch int) Job {
-					o := f.minnowOpts(pf)
-					o.MemChannels = ch
-					return Job{Bench: name, Opts: o}
-				}
-				row := sweepRow{label: []any{name, fmt.Sprintf("%v", pf)}, base: job(12)}
-				for _, ch := range channels {
-					row.cols = append(row.cols, job(ch))
-				}
-				s.rows = append(s.rows, row)
+		Name: "fig21",
+		build: func(f FigOptions, b *builder) {
+			channels := []int{1, 2, 4, 8, 12}
+			if f.Quick {
+				channels = []int{2, 12}
 			}
-		}
-		return s
-	}),
+			headers := []string{"workload", "prefetch"}
+			for _, ch := range channels {
+				headers = append(headers, fmt.Sprintf("ch%d", ch))
+			}
+			b.table("Fig 21: speedup vs memory channels (normalized to 12 channels)", headers...)
+			for _, name := range f.benchNames() {
+				for _, pf := range []bool{false, true} {
+					run := func(ch int) *stats.Run {
+						o := f.minnowOpts(pf)
+						o.MemChannels = ch
+						return b.run(name, o)
+					}
+					base := run(12)
+					var cols []*stats.Run
+					for _, ch := range channels {
+						cols = append(cols, run(ch))
+					}
+					b.row(func() []any { return cells([]any{name, fmt.Sprintf("%v", pf)}, cols, speedupOver(base)) })
+				}
+			}
+		},
+	},
 	{
 		// §5.4: the engine's area estimate from published constants.
 		Name: "area",
-		Table: func(FigOptions, []*stats.Run) (*stats.Table, error) {
+		build: func(_ FigOptions, b *builder) {
 			rep := core.Area(core.DefaultConfig(), 256*1024/64)
-			t := &stats.Table{
-				Title:   "§5.4 area estimate (published constants)",
-				Headers: []string{"component", "value"},
-			}
-			t.AddRow("engine SRAM (B)", rep.SRAMBytes)
-			t.AddRow("SRAM @28nm (mm^2)", rep.SRAM28nm)
-			t.AddRow("SRAM @14nm (mm^2)", rep.SRAM14nm)
-			t.AddRow("control unit @14nm (mm^2)", rep.ControlUnit14nm)
-			t.AddRow("total @14nm (mm^2)", rep.Total14nm)
-			t.AddRow("Skylake slice (mm^2)", rep.SkylakeSlice)
-			t.AddRow("overhead (%)", rep.OverheadPercent)
-			return t, nil
+			b.table("§5.4 area estimate (published constants)", "component", "value")
+			b.add("engine SRAM (B)", rep.SRAMBytes)
+			b.add("SRAM @28nm (mm^2)", rep.SRAM28nm)
+			b.add("SRAM @14nm (mm^2)", rep.SRAM14nm)
+			b.add("control unit @14nm (mm^2)", rep.ControlUnit14nm)
+			b.add("total @14nm (mm^2)", rep.Total14nm)
+			b.add("Skylake slice (mm^2)", rep.SkylakeSlice)
+			b.add("overhead (%)", rep.OverheadPercent)
 		},
 	},
 	{
@@ -769,10 +742,8 @@ var figures = []Figure{
 		// tasks queued anywhere in the scheduling fabric, OBIM vs Minnow
 		// with prefetching on SSSP.
 		Name: "occupancy",
-		Jobs: tsJobs,
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			return tsTable("Fig 2-style: SSSP worklist occupancy over time (tasks queued)",
-				"occupancy", runs[0].Intervals, runs[1].Intervals), nil
+		build: func(f FigOptions, b *builder) {
+			tsFigure(f, b, "Fig 2-style: SSSP worklist occupancy over time (tasks queued)", "occupancy")
 		},
 	},
 	{
@@ -780,10 +751,8 @@ var figures = []Figure{
 		// results (Fig. 13): the miss rate collapses once prefetched lines
 		// arrive ahead of the consuming tasks.
 		Name: "mpki-interval",
-		Jobs: tsJobs,
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			return tsTable("Fig 13-style: SSSP interval demand L2 MPKI over time",
-				"l2_mpki", runs[0].Intervals, runs[1].Intervals), nil
+		build: func(f FigOptions, b *builder) {
+			tsFigure(f, b, "Fig 13-style: SSSP interval demand L2 MPKI over time", "l2_mpki")
 		},
 	},
 	{
@@ -794,36 +763,29 @@ var figures = []Figure{
 		// latency knee, beyond which arrivals queue faster than the
 		// machine retires them.
 		Name: "sojourn",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table("Open-loop SSSP latency vs offered load (Minnow+pf, Poisson arrivals)",
+				"mean gap (cyc)", "injected", "retired",
+				"wait p50", "wait p95", "wait p99",
+				"sojourn p50", "sojourn p95", "sojourn p99")
 			gaps, count := sojournGaps(f)
-			var jobs []Job
 			for _, gap := range gaps {
 				o := f.minnowOpts(true)
 				o.Arrivals = fmt.Sprintf("seed=1;poisson:gap=%d,count=%d", gap, count)
-				jobs = append(jobs, Job{Bench: "SSSP", Opts: o})
+				r := b.run("SSSP", o)
+				b.fill(func(t *stats.Table) error {
+					l := r.Latency
+					if l == nil || len(l.Classes) == 0 {
+						return fmt.Errorf("run with gap=%d reported no latency stats", gap)
+					}
+					c := l.Classes[0]
+					t.AddRow(strconv.FormatInt(gap, 10),
+						strconv.FormatInt(c.Injected, 10), strconv.FormatInt(c.Retired, 10),
+						strconv.FormatInt(c.WaitP50, 10), strconv.FormatInt(c.WaitP95, 10), strconv.FormatInt(c.WaitP99, 10),
+						strconv.FormatInt(c.SojournP50, 10), strconv.FormatInt(c.SojournP95, 10), strconv.FormatInt(c.SojournP99, 10))
+					return nil
+				})
 			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			gaps, _ := sojournGaps(f)
-			t := &stats.Table{
-				Title: "Open-loop SSSP latency vs offered load (Minnow+pf, Poisson arrivals)",
-				Headers: []string{"mean gap (cyc)", "injected", "retired",
-					"wait p50", "wait p95", "wait p99",
-					"sojourn p50", "sojourn p95", "sojourn p99"},
-			}
-			for i, r := range runs {
-				l := r.Latency
-				if l == nil || len(l.Classes) == 0 {
-					return nil, fmt.Errorf("run with gap=%d reported no latency stats", gaps[i])
-				}
-				c := l.Classes[0]
-				t.AddRow(strconv.FormatInt(gaps[i], 10),
-					strconv.FormatInt(c.Injected, 10), strconv.FormatInt(c.Retired, 10),
-					strconv.FormatInt(c.WaitP50, 10), strconv.FormatInt(c.WaitP95, 10), strconv.FormatInt(c.WaitP99, 10),
-					strconv.FormatInt(c.SojournP50, 10), strconv.FormatInt(c.SojournP95, 10), strconv.FormatInt(c.SojournP99, 10))
-			}
-			return t, nil
 		},
 	},
 	{
@@ -832,28 +794,19 @@ var figures = []Figure{
 		// full Minnow+prefetch system. Values are fractions of total core
 		// cycles, so each row sums to 1.
 		Name: "cpistack",
-		Jobs: func(f FigOptions) []Job {
+		build: func(f FigOptions, b *builder) {
+			b.table(fmt.Sprintf("cpistack: refined cycle attribution at %d threads (fraction of core cycles)", f.Threads),
+				"workload", "sched", "useful", "branch", "load-near", "load-L3",
+				"load-remote", "load-DRAM", "store", "fence", "enqueue", "dequeue", "backpressure")
 			o := f.base()
 			o.Profile = true
 			om := f.minnowOpts(true)
 			om.Profile = true
-			var jobs []Job
 			for _, name := range f.benchNames() {
-				jobs = append(jobs, Job{Bench: name, Opts: o}, Job{Bench: name, Opts: om})
+				sw, mn := b.run(name, o), b.run(name, om)
+				b.row(func() []any { return cpiRow(name, "obim", sw.Profile) })
+				b.row(func() []any { return cpiRow(name, "minnow+pf", mn.Profile) })
 			}
-			return jobs
-		},
-		Table: func(f FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title: fmt.Sprintf("cpistack: refined cycle attribution at %d threads (fraction of core cycles)", f.Threads),
-				Headers: []string{"workload", "sched", "useful", "branch", "load-near", "load-L3",
-					"load-remote", "load-DRAM", "store", "fence", "enqueue", "dequeue", "backpressure"},
-			}
-			for i, name := range f.benchNames() {
-				t.AddRow(cpiRow(name, "obim", runs[2*i].Profile)...)
-				t.AddRow(cpiRow(name, "minnow+pf", runs[2*i+1].Profile)...)
-			}
-			return t, nil
 		},
 	},
 	{
@@ -861,76 +814,68 @@ var figures = []Figure{
 		// paper's Amdahl's-law argument: one 27%-of-edges node caps
 		// unsplit speedup).
 		Name: "ablation-splitting",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, thr := range splitThresholds {
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: task splitting (G500's giant hub, §6.2.1)",
+				"split-threshold", "wall-cycles", "speedup", "tasks")
+			run := func(thr int32) *stats.Run {
 				o := f.minnowOpts(true)
 				o.SplitThreshold = thr
-				jobs = append(jobs, Job{Bench: "G500", Opts: o})
+				return b.run("G500", o)
 			}
-			return jobs
-		},
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Ablation: task splitting (G500's giant hub, §6.2.1)",
-				Headers: []string{"split-threshold", "wall-cycles", "speedup", "tasks"},
-			}
-			for i, r := range runs {
-				label := fmt.Sprintf("%d", splitThresholds[i])
-				if splitThresholds[i] == 0 {
+			off := run(0)
+			for _, thr := range []int32{0, 16384, 2048, 512} {
+				r := run(thr)
+				label := fmt.Sprintf("%d", thr)
+				if thr == 0 {
 					label = "off"
 				}
-				t.AddRow(label, r.WallCycles, float64(runs[0].WallCycles)/float64(r.WallCycles), r.WorkItems)
+				b.row(func() []any {
+					return []any{label, r.WallCycles, float64(off.WallCycles) / float64(r.WallCycles), r.WorkItems}
+				})
 			}
-			return t, nil
 		},
 	},
-	sweepFigure("ablation-sockets", func(f FigOptions) sweep {
+	{
 		// The §6.2.1 topology override: the global worklist sharded over
 		// 1 vs 2 vs 8 socket groups.
-		s := sweep{
-			title:   "Ablation: worklist socket sharding (topology override, §6.2.1)",
-			headers: []string{"workload", "sockets-1", "sockets-2", "sockets-8"},
-			cell:    speedup,
-		}
-		for _, name := range []string{"SSSP", "CC"} {
-			job := func(sockets int) Job {
-				o := f.base()
-				o.Sockets = sockets
-				return Job{Bench: name, Opts: o}
+		Name: "ablation-sockets",
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: worklist socket sharding (topology override, §6.2.1)",
+				"workload", "sockets-1", "sockets-2", "sockets-8")
+			for _, name := range []string{"SSSP", "CC"} {
+				run := func(sockets int) *stats.Run {
+					o := f.base()
+					o.Sockets = sockets
+					return b.run(name, o)
+				}
+				base := run(1)
+				cols := []*stats.Run{run(1), run(2), run(8)}
+				b.row(func() []any { return cells([]any{name}, cols, speedupOver(base)) })
 			}
-			s.rows = append(s.rows, sweepRow{label: []any{name}, base: job(1), cols: []Job{job(1), job(2), job(8)}})
-		}
-		return s
-	}),
+		},
+	},
 	{
 		// The Minnow local queue depth (§5.1 sizes it at 64): shallow
 		// queues force constant fills; deep queues hold stale priorities.
 		Name: "ablation-localq",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, depth := range localQDepths {
-				for _, name := range localQBenches {
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: Minnow local queue depth (§5.1 default 64)",
+				"depth", "sssp-cycles", "sssp-tasks", "cc-cycles", "cc-tasks")
+			for _, depth := range []int{8, 16, 64, 256} {
+				var cols []*stats.Run
+				for _, name := range []string{"SSSP", "CC"} {
 					o := f.minnowOpts(true)
 					o.EngineLocalQ = depth
-					jobs = append(jobs, Job{Bench: name, Opts: o})
+					cols = append(cols, b.run(name, o))
 				}
+				b.row(func() []any {
+					row := []any{depth}
+					for _, r := range cols {
+						row = append(row, r.WallCycles, r.WorkItems)
+					}
+					return row
+				})
 			}
-			return jobs
-		},
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Ablation: Minnow local queue depth (§5.1 default 64)",
-				Headers: []string{"depth", "sssp-cycles", "sssp-tasks", "cc-cycles", "cc-tasks"},
-			}
-			for i, depth := range localQDepths {
-				row := []any{depth}
-				for _, r := range runs[i*len(localQBenches) : (i+1)*len(localQBenches)] {
-					row = append(row, r.WallCycles, r.WorkItems)
-				}
-				t.AddRow(row...)
-			}
-			return t, nil
 		},
 	},
 	{
@@ -938,24 +883,21 @@ var figures = []Figure{
 		// engine's memory-level parallelism and therefore how far
 		// prefetching can run ahead.
 		Name: "ablation-loadbuf",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, n := range loadBufSizes {
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: engine load buffer entries (§5.1 default 32)",
+				"entries", "sssp-cycles", "speedup-vs-4", "mpki")
+			run := func(n int) *stats.Run {
 				o := f.minnowOpts(true)
 				o.EngineLoadBuf = n
-				jobs = append(jobs, Job{Bench: "SSSP", Opts: o})
+				return b.run("SSSP", o)
 			}
-			return jobs
-		},
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Ablation: engine load buffer entries (§5.1 default 32)",
-				Headers: []string{"entries", "sssp-cycles", "speedup-vs-4", "mpki"},
+			base := run(4)
+			for _, n := range []int{4, 8, 16, 32, 64} {
+				r := run(n)
+				b.row(func() []any {
+					return []any{n, r.WallCycles, float64(base.WallCycles) / float64(r.WallCycles), r.L2MPKI()}
+				})
 			}
-			for i, r := range runs {
-				t.AddRow(loadBufSizes[i], r.WallCycles, float64(runs[0].WallCycles)/float64(r.WallCycles), r.L2MPKI())
-			}
-			return t, nil
 		},
 	},
 	{
@@ -963,24 +905,19 @@ var figures = []Figure{
 		// deallocation tasks may be grouped together"): spill threadlets
 		// carrying 1 to 64 tasks per lock acquisition.
 		Name: "ablation-spill",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, n := range spillBatches {
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: spill grouping (§5.2; tasks per spill threadlet)",
+				"batch", "cc-cycles", "speedup-vs-1")
+			run := func(n int) *stats.Run {
 				o := f.minnowOpts(false)
 				o.EngineSpillBatch = n
-				jobs = append(jobs, Job{Bench: "CC", Opts: o})
+				return b.run("CC", o)
 			}
-			return jobs
-		},
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Ablation: spill grouping (§5.2; tasks per spill threadlet)",
-				Headers: []string{"batch", "cc-cycles", "speedup-vs-1"},
+			base := run(1)
+			for _, n := range []int{1, 4, 16, 64} {
+				r := run(n)
+				b.row(func() []any { return []any{n, r.WallCycles, float64(base.WallCycles) / float64(r.WallCycles)} })
 			}
-			for i, r := range runs {
-				t.AddRow(spillBatches[i], r.WallCycles, float64(runs[0].WallCycles)/float64(r.WallCycles))
-			}
-			return t, nil
 		},
 	},
 	{
@@ -989,49 +926,36 @@ var figures = []Figure{
 		// Minnow engines." Sharing halves/quarters the engine area but
 		// serializes the back-end across its cores.
 		Name: "ablation-sharing",
-		Jobs: func(f FigOptions) []Job {
-			var jobs []Job
-			for _, share := range engineShares {
+		build: func(f FigOptions, b *builder) {
+			b.table("Ablation: cores per Minnow engine (§4: dedicated vs shared)",
+				"cores/engine", "sssp-cycles", "slowdown", "area-mm2/core@14nm")
+			run := func(share int) *stats.Run {
 				o := f.minnowOpts(true)
 				o.EngineSharing = share
-				jobs = append(jobs, Job{Bench: "SSSP", Opts: o})
+				return b.run("SSSP", o)
 			}
-			return jobs
-		},
-		Table: func(_ FigOptions, runs []*stats.Run) (*stats.Table, error) {
-			t := &stats.Table{
-				Title:   "Ablation: cores per Minnow engine (§4: dedicated vs shared)",
-				Headers: []string{"cores/engine", "sssp-cycles", "slowdown", "area-mm2/core@14nm"},
-			}
+			dedicated := run(1)
 			area := core.Area(core.DefaultConfig(), 256*1024/64).Total14nm
-			for i, r := range runs {
-				share := engineShares[i]
-				t.AddRow(share, r.WallCycles, float64(r.WallCycles)/float64(runs[0].WallCycles), area/float64(share))
+			for _, share := range []int{1, 2, 4} {
+				r := run(share)
+				b.row(func() []any {
+					return []any{share, r.WallCycles, float64(r.WallCycles) / float64(dedicated.WallCycles), area / float64(share)}
+				})
 			}
-			return t, nil
 		},
 	},
 }
 
-// The single-benchmark ablations' sweep points; the first is each
-// table's baseline.
-var (
-	splitThresholds = []int32{0, 16384, 2048, 512}
-	loadBufSizes    = []int{4, 8, 16, 32, 64}
-	spillBatches    = []int{1, 4, 16, 64}
-	engineShares    = []int{1, 2, 4}
-)
-
-// creditJobs is the credit sweep of Figs. 18-20: Minnow with
-// prefetching at each credit count.
-func creditJobs(f FigOptions, bench string) []Job {
-	var jobs []Job
+// creditRuns asks for the credit sweep of Figs. 18-20: bench on Minnow
+// with prefetching at each credit count.
+func creditRuns(f FigOptions, b *builder, bench string) []*stats.Run {
+	var runs []*stats.Run
 	for _, c := range f.creditSet() {
 		o := f.minnowOpts(true)
 		o.Credits = c
-		jobs = append(jobs, Job{Bench: bench, Opts: o})
+		runs = append(runs, b.run(bench, o))
 	}
-	return jobs
+	return runs
 }
 
 // creditHeaders heads a credit-sweep table: the workload, any lead

@@ -224,3 +224,42 @@ func TestUnknownScheduler(t *testing.T) {
 		t.Fatal("bogus scheduler accepted")
 	}
 }
+
+// TestRepeatsShareOneRun renders figures whose requests repeat one
+// another's runs in each way the repeat key folds: fig3's tuned-interval
+// OBIM run writes out the LgInterval fig2's leaves to its default and
+// adds SkipVerify; cpistack's runs are fig16's plus Profile; and
+// ablation-localq's depth-64 runs write out the default EngineLocalQ of
+// fig16's Minnow+prefetch runs. Each such pair is one simulation, and the
+// shared run still records the profile cpistack reads.
+func TestRepeatsShareOneRun(t *testing.T) {
+	f := tiny()
+	f.Jobs = 2
+	names := []string{"fig2", "fig3", "fig16", "cpistack", "ablation-localq"}
+	tables, runs, err := RenderFigures(names, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alone: fig2 9 runs, fig3 7, fig16 9, cpistack 6, ablation-localq 8.
+	// Shared: fig3's GraphMat baseline and FIFO run are fig2's, and so is
+	// its tuned OBIM run; cpistack's six are fig16's software and
+	// Minnow+prefetch runs; localq's two depth-64 runs are fig16's.
+	if want := 9 + 7 + 9 + 6 + 8 - 3 - 6 - 2; len(runs) != want {
+		t.Errorf("%d distinct runs, want %d", len(runs), want)
+	}
+	profiled := 0
+	for _, r := range runs {
+		if r.Job.Opts.Profile {
+			profiled++
+			if r.Run.Profile == nil {
+				t.Errorf("%s: shared run asked for a profile and has none", r.Job.Bench)
+			}
+		}
+	}
+	if want := 2 * len(f.benchNames()); profiled != want {
+		t.Errorf("%d profiled runs, want %d", profiled, want)
+	}
+	if cpi := tables[3]; len(cpi.Rows) != 2*len(f.benchNames()) {
+		t.Errorf("cpistack has %d rows", len(cpi.Rows))
+	}
+}

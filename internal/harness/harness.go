@@ -31,12 +31,12 @@ var ErrCanceled = errors.New("run canceled")
 type Options struct {
 	Config
 
-	Sockets int // OBIM / Minnow global-worklist shards (0 = auto)
+	Sockets int // OBIM / Minnow global-worklist shards (0 = one per 8 cores)
 	// EngineSharing is how many cores share one Minnow engine (§4's
 	// resource-sharing variant; 0/1 = dedicated engines).
 	EngineSharing int
 	// EngineLocalQ / EngineLoadBuf / EngineSpillBatch override the §5.1
-	// structure sizes for the ablation studies (0 = defaults).
+	// structure sizes for the ablation studies (0 = core.DefaultConfig's).
 	EngineLocalQ, EngineLoadBuf, EngineSpillBatch int
 
 	// CoreCfg replaces the Table-3 core (nil = defaults); Config's
@@ -51,13 +51,30 @@ const cacheScale = 16
 // maxSteps bounds total simulation actor steps as a liveness guard.
 const maxSteps = 2_000_000_000
 
-// resolve fills zero values: Config's defaults, then the harness-only
-// ones.
-func (o Options) resolve() Options {
+// resolve writes out every default: Config's (WithDefaults), spec's
+// tuned LgInterval, one socket per 8 cores, core.DefaultConfig's engine
+// structure sizes, dedicated engines and the cycle budget. An omitted
+// field and its explicit default are therefore the same run.
+func (o Options) resolve(spec kernels.Spec) Options {
 	o.Config = o.WithDefaults()
+	if o.LgInterval == nil {
+		lg := spec.LgInterval
+		o.LgInterval = &lg
+	}
 	if o.Sockets == 0 {
 		o.Sockets = (o.Threads + 7) / 8 // §6.2.1: 8 cores per socket
 	}
+	e := core.DefaultConfig()
+	if o.EngineLocalQ == 0 {
+		o.EngineLocalQ = e.LocalQ
+	}
+	if o.EngineLoadBuf == 0 {
+		o.EngineLoadBuf = e.LoadBuf
+	}
+	if o.EngineSpillBatch == 0 {
+		o.EngineSpillBatch = e.SpillBatch
+	}
+	o.EngineSharing = max(o.EngineSharing, 1)
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 1 << 40
 	}
@@ -108,20 +125,11 @@ func newMachine(o Options) *machine {
 	return m
 }
 
-// lgInterval is the OBIM / bucket priority interval: LgInterval when
-// set, else spec's tuned value.
-func (o Options) lgInterval(spec kernels.Spec) uint {
-	if o.LgInterval != nil {
-		return *o.LgInterval
-	}
-	return spec.LgInterval
-}
-
 // Run executes one benchmark under the given options and returns its
 // statistics. The result is verified against the kernel's reference
 // implementation unless SkipVerify is set or the run timed out.
 func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
-	o = o.resolve()
+	o = o.resolve(spec)
 	m, kern, err := assemble(spec, o)
 	if err != nil {
 		return nil, err
@@ -259,7 +267,7 @@ func assemble(spec kernels.Spec, o Options) (*machine, kernels.Kernel, error) {
 // buildScheduler builds o.Scheduler's worklist fabric — Minnow's global
 // worklist and engines, or one software worklist — into the machine.
 func (m *machine) buildScheduler(spec kernels.Spec, g *graph.Graph, as *graph.AddrSpace) (galois.Scheduler, error) {
-	o, lg := m.o, m.o.lgInterval(spec)
+	o, lg := m.o, *m.o.LgInterval
 	switch o.Scheduler {
 	case "minnow":
 		m.gwl = core.NewGlobalWL(as, o.Threads, o.Sockets)
@@ -267,24 +275,17 @@ func (m *machine) buildScheduler(spec kernels.Spec, g *graph.Graph, as *graph.Ad
 		ecfg.LgInterval = lg
 		ecfg.Credits = o.Credits
 		ecfg.Prefetch = o.Prefetch
-		if o.EngineLocalQ > 0 {
-			ecfg.LocalQ = o.EngineLocalQ
-		}
-		if o.EngineLoadBuf > 0 {
-			ecfg.LoadBuf = o.EngineLoadBuf
-		}
-		if o.EngineSpillBatch > 0 {
-			ecfg.SpillBatch = o.EngineSpillBatch
-		}
+		ecfg.LocalQ = o.EngineLocalQ
+		ecfg.LoadBuf = o.EngineLoadBuf
+		ecfg.SpillBatch = o.EngineSpillBatch
 		if o.Prefetch {
 			ecfg.Program = spec.PrefetchProgram(g)
 			if o.CustomPrefetch != nil {
 				ecfg.Program = o.CustomPrefetch.program(g)
 			}
 		}
-		share := max(o.EngineSharing, 1)
-		for lo := 0; lo < o.Threads; lo += share {
-			hi := min(lo+share, o.Threads)
+		for lo := 0; lo < o.Threads; lo += o.EngineSharing {
+			hi := min(lo+o.EngineSharing, o.Threads)
 			group := make([]int, 0, hi-lo)
 			for c := lo; c < hi; c++ {
 				group = append(group, c)
@@ -456,7 +457,7 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 // RunGraphMat executes a workload under the GraphMat-like BSP baseline and
 // returns its statistics (wall cycles for Fig. 2/3 normalization).
 func RunGraphMat(bench string, o Options) (*stats.Run, error) {
-	return runBSP(bench, o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
+	return runBSP(bench, o, func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error) {
 		var prog graphmat.Program
 		switch bench {
 		case "SSSP":
@@ -470,7 +471,7 @@ func RunGraphMat(bench string, o Options) (*stats.Run, error) {
 		default:
 			return graphmat.Result{}, nil, fmt.Errorf("harness: no GraphMat program for %q", bench)
 		}
-		r := graphmat.Runner{G: g, Cores: cores, Prog: prog, Budget: budget}
+		r := graphmat.Runner{G: g, Cores: cores, Prog: prog, Budget: o.WorkBudget}
 		return r.Run(), prog.Verify, nil
 	})
 }
@@ -478,30 +479,29 @@ func RunGraphMat(bench string, o Options) (*stats.Run, error) {
 // RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1),
 // with LgInterval (default: SSSP's) as its bucket interval.
 func RunGMatStar(o Options) (*stats.Run, error) {
-	return runBSP("SSSP", o, func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error) {
-		spec, _ := kernels.SpecByName("SSSP")
-		k := graphmat.NewGMatStar(g, src, o.lgInterval(spec))
-		return k.Run(cores, budget), k.Verify, nil
+	return runBSP("SSSP", o, func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error) {
+		k := graphmat.NewGMatStar(g, src, *o.LgInterval)
+		return k.Run(cores, o.WorkBudget), k.Verify, nil
 	})
 }
 
 // runBSP is the set-up and verify step the GraphMat baselines share: it
-// builds bench's input and a machine, hands them to run, summarizes the
-// machine with run's wall cycles, work items and timeout, and checks the
-// answer with the verify func run returns unless SkipVerify is set or
+// builds bench's input and a machine, hands them to run with the
+// resolved options, summarizes the machine with run's wall cycles, work
+// items and timeout, and checks the answer with the verify func run returns unless SkipVerify is set or
 // the run timed out. Every core carries a stride prefetcher: GraphMat's
 // sequential frontier sweeps benefit from its tuned streaming (its
 // software prefetch plus the host's L2 streamer).
-func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, budget int64) (graphmat.Result, func() error, error)) (*stats.Run, error) {
-	o = o.resolve()
+func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error)) (*stats.Run, error) {
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
 		return nil, err
 	}
+	o = o.resolve(spec)
 	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
 	m := newMachine(o)
 	m.attachHWPrefetchers("stride", g)
-	res, verify, err := run(g, spec.SourceNode(g), m.cores, o.WorkBudget)
+	res, verify, err := run(g, spec.SourceNode(g), m.cores, o)
 	if err != nil {
 		return nil, err
 	}

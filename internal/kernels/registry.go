@@ -153,7 +153,7 @@ func Suite() []Spec {
 			LgInterval: 0, // no priorities
 			// The custom TC prefetch function (§5.3) also covers
 			// destination adjacency lists.
-			Program: func(g *graph.Graph) core.PrefetchProgram { return &core.TCProgram{G: g, MaxListLines: 4} },
+			Program: func(g *graph.Graph) core.PrefetchProgram { return &core.StandardProgram{G: g, ListLines: 4} },
 			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewTC(g, as, cores)
 			},

@@ -129,7 +129,7 @@ func TestValidateErrorForm(t *testing.T) {
 			t.Errorf("error %q does not follow the \"minnow: <Field>: <reason>\" form", err)
 		}
 	}
-	for _, opts := range []FigureOptions{{Threads: -1}, {Threads: 128}, {Scale: -1}, {Jobs: -2}} {
+	for _, opts := range []FigureOptions{{Threads: -1}, {Threads: 128}, {Scale: -1}, {Scale: 33}, {Jobs: -2}} {
 		err := opts.Validate()
 		if err == nil {
 			t.Fatalf("invalid FigureOptions accepted: %+v", opts)
@@ -156,13 +156,18 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestFigureOptionsValidate(t *testing.T) {
-	if err := (FigureOptions{}).Validate(); err != nil {
-		t.Fatalf("zero FigureOptions rejected: %v", err)
+	for _, ok := range []FigureOptions{{}, {Scale: 32}} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid FigureOptions %+v rejected: %v", ok, err)
+		}
 	}
+	// Figure runs skip Config.Validate, so FigureOptions carries its own
+	// Scale cap: a scale past Config's 32 would build inputs no run may.
 	for _, bad := range []FigureOptions{
 		{Threads: -1},
 		{Threads: 128},
 		{Scale: -1},
+		{Scale: 33},
 		{Jobs: -2},
 	} {
 		if err := bad.Validate(); err == nil {
