@@ -1,26 +1,33 @@
 // Package graphmat implements the GraphMat-like baseline of §3.1: an
 // unordered bulk-synchronous (BSP) graph framework built in the style of a
-// tuned SpMV library. Each iteration processes the whole active frontier
-// in parallel, double-buffer-style without atomics, then barriers.
+// tuned SpMV library. Each round processes the whole active frontier in
+// parallel, double-buffer-style without atomics, then barriers.
 //
 // Its per-edge cost is deliberately lower than the Galois operators'
-// (tight vectorized loops, no task scheduling, no atomics, frontier
-// traversed in ascending node order so the access pattern is
-// stride-friendly) — GraphMat legitimately wins on priority-insensitive
-// workloads. What it cannot do is exploit priority ordering: unordered
-// SSSP degenerates to Bellman-Ford and its work efficiency collapses on
-// high-diameter graphs, which is the Fig. 2/3 story. GMatStarSSSP is the
-// authors' per-bucket delta-stepping retrofit ("GMat*"), which runs one
-// full kernel per priority bucket.
+// (tight vectorized loops, no task scheduling, no atomics) — GraphMat
+// legitimately wins on priority-insensitive workloads. What it cannot do
+// is exploit priority ordering: unordered SSSP degenerates to
+// Bellman-Ford and its work efficiency collapses on high-diameter graphs,
+// which is the Fig. 2/3 story. GMatStarSSSP is the authors' per-bucket
+// delta-stepping retrofit ("GMat*"), which launches one full kernel per
+// round of a priority bucket.
+//
+// Runner.Run is the one loop over BSP rounds. A Frontier decides which
+// nodes each round runs: GraphMat's own unordered frontier runs the
+// previous round's activations deduplicated in activation order (not node
+// order), while GMat*'s bucketed frontier runs the pending nodes of the
+// lowest distance bucket in ascending node order and charges a kernel
+// launch per round.
 //
 // Every program checks its converged answer against the same reference
 // in package graph that the Galois kernels use: SSSP and GMat* match
 // ShortestPaths exactly, BFS matches BFSFrom, CC matches Components, and
 // PR lies within its convergence bound of PageRank.
 //
-// Determinism contract: the BSP sweeps process frontiers in ascending node
-// order on a fixed core rotation, so a given configuration and seed always
-// reproduces the same iteration counts and cycle totals.
+// Determinism contract: each round runs its frontier in a fixed order
+// (activation order or ascending node order) on a fixed core rotation, so
+// a given configuration and seed always reproduces the same iteration
+// counts and cycle totals.
 package graphmat
 
 import (
@@ -61,11 +68,112 @@ type Program interface {
 
 // Runner executes a Program to convergence on the simulated cores.
 type Runner struct {
-	G      *graph.Graph
-	Cores  []*cpu.Core
-	Prog   Program
-	Budget int64 // max work items (0 = unlimited); exceeding = timeout
+	G     *graph.Graph
+	Cores []*cpu.Core
+	Prog  Program
+	// Frontier picks each round's nodes; nil means GraphMat's unordered
+	// frontier.
+	Frontier Frontier
+	Budget   int64 // max work items (0 = unlimited); exceeding = timeout
 }
+
+// Frontier is a BSP run's scheduling policy: it holds the activated
+// nodes, hands Runner each round's active set, and names what a round
+// and a node cost besides the program's own work. It has two
+// implementations: the unordered frontier (Runner's default) and GMat*'s
+// bucketed one (GMatStarSSSP.Frontier).
+type Frontier interface {
+	// push records nodes activated for a later round.
+	push(vs []int32)
+	// next returns the coming round's active nodes, empty once the run
+	// has converged; the slice stays valid until the following call.
+	next() []int32
+	// launch is the kernel-launch cost every core pays per round, right
+	// after the dense phase.
+	launch() sim.Time
+	// visit emits the frontier's per-node bookkeeping ahead of Process.
+	visit(tr *uops.Trace, u int32)
+}
+
+// nodeSet is a deduplicated list of nodes in insertion order.
+type nodeSet struct {
+	list []int32
+	in   []bool
+}
+
+func (s *nodeSet) push(vs []int32) {
+	for _, v := range vs {
+		if !s.in[v] {
+			s.in[v] = true
+			s.list = append(s.list, v)
+		}
+	}
+}
+
+// unordered is GraphMat's own frontier (its sparse-vector merge): a round
+// runs every node the previous round activated, deduplicated, in
+// activation order.
+type unordered struct {
+	nodeSet
+	cur []int32
+}
+
+func (f *unordered) next() []int32 {
+	for _, v := range f.list {
+		f.in[v] = false
+	}
+	f.cur, f.list = f.list, f.cur[:0]
+	return f.cur
+}
+
+func (*unordered) launch() sim.Time { return 0 }
+
+// visit charges the frontier-bitvector scan, amortized to one
+// non-delinquent load per node processed.
+func (*unordered) visit(tr *uops.Trace, u int32) {
+	tr.Load(0x100+uint64(u/8), false, false)
+}
+
+// launchCycles is the cost of one GMat* kernel launch: GraphMat kernel
+// dispatch re-runs the whole framework set-up (sparse-vector allocation,
+// message-buffer set-up, program registration) per launch. The paper
+// reports this overhead forced "a much larger optimal bucket interval
+// than Galois with OBIM" and left GMat* only ~2x better than unordered
+// GraphMat at 10 threads.
+const launchCycles sim.Time = 100000
+
+// bucketed is GMat*'s frontier: a round runs the pending nodes whose
+// current distance falls in the lowest pending bucket of width
+// 2^lg, in ascending node order, and every round is a kernel launch.
+type bucketed struct {
+	nodeSet
+	dist []int64
+	lg   uint
+	cur  []int32
+}
+
+func (f *bucketed) next() []int32 {
+	low := int64(math.MaxInt64)
+	for _, v := range f.list {
+		low = min(low, f.dist[v]>>f.lg)
+	}
+	rest, cur := f.list[:0], f.cur[:0]
+	for _, v := range f.list {
+		if f.dist[v]>>f.lg == low {
+			f.in[v] = false
+			cur = append(cur, v)
+		} else {
+			rest = append(rest, v)
+		}
+	}
+	slices.Sort(cur)
+	f.list, f.cur = rest, cur
+	return cur
+}
+
+func (*bucketed) launch() sim.Time { return launchCycles }
+
+func (*bucketed) visit(*uops.Trace, int32) {}
 
 // frontierPCBase tags GraphMat's load sites (distinct from the Galois
 // kernels' namespaces).
@@ -111,12 +219,16 @@ func densePhase(cores []*cpu.Core, n int, tr *uops.Trace) {
 // Run iterates to convergence (empty frontier) or until the budget is
 // exhausted.
 func (r *Runner) Run() Result {
+	f := r.Frontier
+	if f == nil {
+		f = &unordered{nodeSet: nodeSet{in: make([]bool, r.G.N)}}
+	}
+	f.push(r.Prog.Init())
 	res := Result{}
-	active := r.Prog.Init()
-	inNext := make([]bool, r.G.N)
 	var tr uops.Trace
+	var out []int32
 	n := len(r.Cores)
-	for len(active) > 0 {
+	for active := f.next(); len(active) > 0; active = f.next() {
 		res.Iterations++
 		// Per-iteration dense vector phase: GraphMat's apply() pass runs
 		// over EVERY vertex each iteration (scan the frontier bitvector,
@@ -124,37 +236,19 @@ func (r *Runner) Run() Result {
 		// cost is why bulk-synchronous frameworks collapse on
 		// high-diameter inputs that need hundreds of iterations (§3.1).
 		densePhase(r.Cores, r.G.N, &tr)
-		var next []int32
+		for _, c := range r.Cores {
+			c.AdvanceIn(prof.RegionIdle, c.Now()+f.launch())
+		}
 		// Static contiguous partitioning of the frontier.
 		chunk := (len(active) + n - 1) / n
-		for c := 0; c < n; c++ {
-			lo := c * chunk
-			if lo >= len(active) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(active) {
-				hi = len(active)
-			}
+		for c := 0; c*chunk < len(active); c++ {
 			core := r.Cores[c]
 			scratch := uint64(0x8000 + c*512)
-			for _, u := range active[lo:hi] {
+			for _, u := range active[c*chunk : min((c+1)*chunk, len(active))] {
 				tr.Reset()
-				// Frontier bookkeeping: bitvector scan amortized (one
-				// non-delinquent load per node processed).
-				tr.Load(0x100+uint64(u/8), false, false)
-				before := len(next)
-				next = r.Prog.Process(&tr, u, next, scratch)
-				// Deduplicate activations (GraphMat's sparse-vector
-				// merge).
-				kept := next[:before]
-				for _, v := range next[before:] {
-					if !inNext[v] {
-						inNext[v] = true
-						kept = append(kept, v)
-					}
-				}
-				next = kept
+				f.visit(&tr, u)
+				out = r.Prog.Process(&tr, u, out[:0], scratch)
+				f.push(out)
 				core.Run(tr.Ops)
 				res.WorkItems++
 			}
@@ -162,26 +256,18 @@ func (r *Runner) Run() Result {
 		// Barrier: everyone advances to the slowest core.
 		var maxT sim.Time
 		for _, c := range r.Cores {
-			if c.Now() > maxT {
-				maxT = c.Now()
-			}
+			maxT = max(maxT, c.Now())
 		}
 		for _, c := range r.Cores {
 			c.AdvanceIn(prof.RegionIdle, maxT+20) // +20: barrier sync cost
 		}
-		for _, v := range next {
-			inNext[v] = false
-		}
-		active = next
 		if r.Budget > 0 && res.WorkItems > r.Budget {
 			res.TimedOut = true
 			break
 		}
 	}
 	for _, c := range r.Cores {
-		if c.Now() > res.Wall {
-			res.Wall = c.Now()
-		}
+		res.Wall = max(res.Wall, c.Now())
 	}
 	return res
 }
@@ -213,10 +299,18 @@ func (k *SSSP) Init() []int32 { return []int32{k.Src} }
 
 // Process implements Program.
 func (k *SSSP) Process(tr *uops.Trace, u int32, out []int32, scratch uint64) []int32 {
+	tr.LoadPC(frontierPCBase+0x43, k.G.NodeAddr(u), true, false)
+	bookkeeping(tr, scratch, 2, 10)
+	out = k.relax(tr, u, out, scratch, frontierPCBase+1)
+	tr.Compute(4)
+	return out
+}
+
+// relax relaxes u's out-edges, tagging the improvement branch with pc,
+// and appends every improved neighbor to out.
+func (k *SSSP) relax(tr *uops.Trace, u int32, out []int32, scratch, pc uint64) []int32 {
 	g := k.G
 	du := k.Dist[u]
-	tr.LoadPC(frontierPCBase+0x43, g.NodeAddr(u), true, false)
-	bookkeeping(tr, scratch, 2, 10)
 	lo, hi := g.EdgeRange(u)
 	for i := lo; i < hi; i++ {
 		v := g.Dests[i]
@@ -225,14 +319,13 @@ func (k *SSSP) Process(tr *uops.Trace, u int32, out []int32, scratch uint64) []i
 		tr.LoadPC(frontierPCBase+0x42, g.NodeAddr(v), true, true)
 		bookkeeping(tr, scratch, 3, 10)
 		improved := nd < k.Dist[v]
-		tr.Branch(frontierPCBase+1, improved, true)
+		tr.Branch(pc, improved, true)
 		if improved {
 			k.Dist[v] = nd
 			tr.Store(g.NodeAddr(v))
 			out = append(out, v)
 		}
 	}
-	tr.Compute(4)
 	return out
 }
 
@@ -254,134 +347,34 @@ func verifyDist(name string, g *graph.Graph, src int32, dist []int64) error {
 // --- GMat* (per-bucket delta-stepping, §3.1) ---
 
 // GMatStarSSSP is the GraphMat authors' delta-stepping kernel: an outer
-// loop over priority buckets, each bucket processed by a full unordered
-// kernel restricted to frontier nodes inside the bucket. Kernel-launch
-// overhead per bucket forces a much larger optimal bucket interval than
-// OBIM's (§3.1).
+// loop over priority buckets, each round of a bucket a full unordered
+// kernel restricted to the bucket's pending nodes. It runs under its
+// bucketed Frontier, whose per-round kernel launch forces a much larger
+// optimal bucket interval than OBIM's (§3.1).
 type GMatStarSSSP struct {
-	G          *graph.Graph
-	Src        int32
-	Dist       []int64
+	SSSP
 	LgInterval uint
-	// LaunchOverhead is the per-kernel-launch cost in cycles: GraphMat
-	// kernel dispatch re-runs the whole framework setup (sparse-vector
-	// allocation, message-buffer setup, program registration) per bucket.
-	// The paper reports this overhead forced "a much larger optimal
-	// bucket interval than Galois with OBIM" and left GMat* only ~2x
-	// better than unordered GraphMat at 10 threads.
-	LaunchOverhead sim.Time
 }
 
 // NewGMatStar builds the kernel.
 func NewGMatStar(g *graph.Graph, src int32, lgInterval uint) *GMatStarSSSP {
-	k := &GMatStarSSSP{G: g, Src: src, Dist: make([]int64, g.N), LgInterval: lgInterval, LaunchOverhead: 100000}
-	for i := range k.Dist {
-		k.Dist[i] = math.MaxInt64 / 4
-	}
-	k.Dist[src] = 0
-	return k
+	return &GMatStarSSSP{SSSP: *NewSSSP(g, src), LgInterval: lgInterval}
 }
 
-// Run executes the bucketed outer loop directly (it does not fit the
-// single-frontier Program shape).
-func (k *GMatStarSSSP) Run(cores []*cpu.Core, budget int64) Result {
-	res := Result{}
-	g := k.G
-	pending := map[int32]bool{k.Src: true}
-	var tr uops.Trace
-	bucket := int64(0)
-	for len(pending) > 0 {
-		// Find the lowest non-empty bucket.
-		bucket = math.MaxInt64
-		for v := range pending {
-			b := k.Dist[v] >> k.LgInterval
-			if b < bucket {
-				bucket = b
-			}
-		}
-		// Run a full unordered kernel over this bucket until it drains.
-		for {
-			var active []int32
-			for v := range pending {
-				if k.Dist[v]>>k.LgInterval == bucket {
-					active = append(active, v)
-					delete(pending, v)
-				}
-			}
-			if len(active) == 0 {
-				break
-			}
-			// Determinism: map iteration order is random.
-			slices.Sort(active)
-			res.Iterations++
-			// Kernel-launch overhead on every core: dispatch plus the
-			// same dense per-iteration vector passes every GraphMat
-			// kernel pays (the §3.1 reason GMat* needs much larger
-			// bucket intervals than OBIM).
-			densePhase(cores, g.N, &tr)
-			for _, c := range cores {
-				c.AdvanceIn(prof.RegionIdle, c.Now()+k.LaunchOverhead)
-			}
-			n := len(cores)
-			chunk := (len(active) + n - 1) / n
-			for c := 0; c < n; c++ {
-				lo := c * chunk
-				if lo >= len(active) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(active) {
-					hi = len(active)
-				}
-				core := cores[c]
-				scratch := uint64(0x8000 + c*512)
-				for _, u := range active[lo:hi] {
-					tr.Reset()
-					du := k.Dist[u]
-					tr.LoadPC(frontierPCBase+0x43, g.NodeAddr(u), true, false)
-					elo, ehi := g.EdgeRange(u)
-					for i := elo; i < ehi; i++ {
-						v := g.Dests[i]
-						nd := du + int64(g.Weights[i])
-						tr.LoadPC(frontierPCBase+0x41, g.EdgeAddr(i), true, false)
-						tr.LoadPC(frontierPCBase+0x42, g.NodeAddr(v), true, true)
-						bookkeeping(&tr, scratch, 3, 10)
-						improved := nd < k.Dist[v]
-						tr.Branch(frontierPCBase+2, improved, true)
-						if improved {
-							k.Dist[v] = nd
-							tr.Store(g.NodeAddr(v))
-							pending[v] = true
-						}
-					}
-					core.Run(tr.Ops)
-					res.WorkItems++
-				}
-			}
-			var maxT sim.Time
-			for _, c := range cores {
-				if c.Now() > maxT {
-					maxT = c.Now()
-				}
-			}
-			for _, c := range cores {
-				c.AdvanceIn(prof.RegionIdle, maxT+20)
-			}
-			if budget > 0 && res.WorkItems > budget {
-				res.TimedOut = true
-				break
-			}
-		}
-		if res.TimedOut {
-			break
-		}
-	}
-	for _, c := range cores {
-		if c.Now() > res.Wall {
-			res.Wall = c.Now()
-		}
-	}
-	return res
+// Name implements Program.
+func (k *GMatStarSSSP) Name() string { return "gmat*-sssp" }
+
+// Process implements Program: the launched kernel's relax body alone,
+// with no per-node bookkeeping and no loop epilogue.
+func (k *GMatStarSSSP) Process(tr *uops.Trace, u int32, out []int32, scratch uint64) []int32 {
+	tr.LoadPC(frontierPCBase+0x43, k.G.NodeAddr(u), true, false)
+	return k.relax(tr, u, out, scratch, frontierPCBase+2)
+}
+
+// Frontier returns the bucketed frontier over k's distances that GMat*
+// runs under.
+func (k *GMatStarSSSP) Frontier() Frontier {
+	return &bucketed{nodeSet: nodeSet{in: make([]bool, k.G.N)}, dist: k.Dist, lg: k.LgInterval}
 }
 
 // Verify checks the distances against the reference.

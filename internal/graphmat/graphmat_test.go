@@ -1,10 +1,11 @@
-package graphmat
+package graphmat_test
 
 import (
 	"testing"
 
 	"minnow/internal/cpu"
 	"minnow/internal/graph"
+	"minnow/internal/graphmat"
 	"minnow/internal/kernels"
 	"minnow/internal/mem"
 )
@@ -24,8 +25,8 @@ func TestBSPSSSPConverges(t *testing.T) {
 	g := graph.RoadMesh(900, 3)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewSSSP(g, 0)
-	r := Runner{G: g, Cores: cores(4), Prog: k}
+	k := graphmat.NewSSSP(g, 0)
+	r := graphmat.Runner{G: g, Cores: cores(4), Prog: k}
 	res := r.Run()
 	if res.TimedOut || res.Iterations == 0 {
 		t.Fatalf("bad result %+v", res)
@@ -44,8 +45,8 @@ func TestBSPIsWorkInefficientOnRoads(t *testing.T) {
 	g := graph.RoadMesh(900, 3)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewSSSP(g, 0)
-	r := Runner{G: g, Cores: cores(4), Prog: k}
+	k := graphmat.NewSSSP(g, 0)
+	r := graphmat.Runner{G: g, Cores: cores(4), Prog: k}
 	res := r.Run()
 	if res.WorkItems < int64(g.N)*2 {
 		t.Fatalf("BSP SSSP did only %d work items on %d nodes — suspiciously efficient", res.WorkItems, g.N)
@@ -56,8 +57,8 @@ func TestBSPBFS(t *testing.T) {
 	g := graph.UniformRandom(1000, 4, 5)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewBFS(g, 0)
-	r := Runner{G: g, Cores: cores(4), Prog: k}
+	k := graphmat.NewBFS(g, 0)
+	r := graphmat.Runner{G: g, Cores: cores(4), Prog: k}
 	res := r.Run()
 	if err := k.Verify(); err != nil {
 		t.Fatal(err)
@@ -72,8 +73,8 @@ func TestBSPCC(t *testing.T) {
 	g := graph.SmallWorld(800, 6, 2)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewCC(g)
-	r := Runner{G: g, Cores: cores(2), Prog: k}
+	k := graphmat.NewCC(g)
+	r := graphmat.Runner{G: g, Cores: cores(2), Prog: k}
 	r.Run()
 	if err := k.Verify(); err != nil {
 		t.Fatal(err)
@@ -84,8 +85,8 @@ func TestBSPPR(t *testing.T) {
 	g := graph.PowerLawTalk(600, 4)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewPR(g, kernels.PRDamping, 1e-3)
-	r := Runner{G: g, Cores: cores(2), Prog: k}
+	k := graphmat.NewPR(g, kernels.PRDamping, 1e-3)
+	r := graphmat.Runner{G: g, Cores: cores(2), Prog: k}
 	res := r.Run()
 	if err := k.Verify(); err != nil {
 		t.Fatal(err)
@@ -99,8 +100,9 @@ func TestGMatStar(t *testing.T) {
 	g := graph.RoadMesh(900, 3)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewGMatStar(g, 0, 13)
-	res := k.Run(cores(4), 0)
+	k := graphmat.NewGMatStar(g, 0, 13)
+	r := graphmat.Runner{G: g, Cores: cores(4), Prog: k, Frontier: k.Frontier()}
+	res := r.Run()
 	if err := k.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +116,13 @@ func TestGMatStarBeatsUnorderedOnRoads(t *testing.T) {
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
 
-	un := NewSSSP(g, 0)
-	runner := Runner{G: g, Cores: cores(4), Prog: un}
+	un := graphmat.NewSSSP(g, 0)
+	runner := graphmat.Runner{G: g, Cores: cores(4), Prog: un}
 	unRes := runner.Run()
 
-	star := NewGMatStar(g, 0, 13)
-	starRes := star.Run(cores(4), 0)
+	star := graphmat.NewGMatStar(g, 0, 13)
+	starRunner := graphmat.Runner{G: g, Cores: cores(4), Prog: star, Frontier: star.Frontier()}
+	starRes := starRunner.Run()
 
 	// GMat* must be more work-efficient than unordered BSP (§3.1: "2x
 	// improvement over their unordered implementation").
@@ -128,19 +131,42 @@ func TestGMatStarBeatsUnorderedOnRoads(t *testing.T) {
 	}
 }
 
+// TestBSPResultsPinned pins what the unordered and the bucketed frontier
+// each make of SSSP on the same road mesh: one BSP loop serves both, so
+// a change to either policy, or to the loop, shows here first.
+func TestBSPResultsPinned(t *testing.T) {
+	g := graph.RoadMesh(900, 3)
+	g.Bind(graph.NewAddrSpace(), false)
+	un := graphmat.Runner{G: g, Cores: cores(4), Prog: graphmat.NewSSSP(g, 0)}
+	star := graphmat.NewGMatStar(g, 0, 13)
+	bucketed := graphmat.Runner{G: g, Cores: cores(4), Prog: star, Frontier: star.Frontier()}
+	for _, c := range []struct {
+		name string
+		r    graphmat.Runner
+		want graphmat.Result
+	}{
+		{"unordered", un, graphmat.Result{Iterations: 58, WorkItems: 2419, Wall: 201265}},
+		{"gmat*", bucketed, graphmat.Result{Iterations: 56, WorkItems: 1419, Wall: 5751617}},
+	} {
+		if got := c.r.Run(); got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestVerifyRejectsWrongAnswers pins that the programs check the answer,
 // not a fixpoint property: all-zero distances relax no edge and
 // all-equal labels agree along every edge, yet both are wrong.
 func TestVerifyRejectsWrongAnswers(t *testing.T) {
 	road := graph.RoadMesh(100, 3)
-	sssp := NewSSSP(road, 0)
-	star := NewGMatStar(road, 0, 13)
+	sssp := graphmat.NewSSSP(road, 0)
+	star := graphmat.NewGMatStar(road, 0, 13)
 	clear(sssp.Dist)
 	clear(star.Dist)
 	b := graph.NewBuilder(4, false)
 	b.AddUndirected(0, 1)
 	b.AddUndirected(2, 3)
-	cc := NewCC(b.Build("two-pairs"))
+	cc := graphmat.NewCC(b.Build("two-pairs"))
 	clear(cc.Comp)
 	for name, verify := range map[string]func() error{"sssp": sssp.Verify, "gmat*": star.Verify, "cc": cc.Verify} {
 		if err := verify(); err == nil {
@@ -153,8 +179,8 @@ func TestBudgetTimeout(t *testing.T) {
 	g := graph.RoadMesh(900, 3)
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
-	k := NewSSSP(g, 0)
-	r := Runner{G: g, Cores: cores(2), Prog: k, Budget: 50}
+	k := graphmat.NewSSSP(g, 0)
+	r := graphmat.Runner{G: g, Cores: cores(2), Prog: k, Budget: 50}
 	res := r.Run()
 	if !res.TimedOut {
 		t.Fatal("budget did not trip")
@@ -173,8 +199,8 @@ func TestDensePhaseChargesEveryIteration(t *testing.T) {
 	}
 	run := func(g *graph.Graph) int64 {
 		cs := cores(1)
-		k := NewSSSP(g, 0)
-		r := Runner{G: g, Cores: cs, Prog: k}
+		k := graphmat.NewSSSP(g, 0)
+		r := graphmat.Runner{G: g, Cores: cs, Prog: k}
 		res := r.Run()
 		return int64(res.Wall) / int64(res.Iterations)
 	}
@@ -188,8 +214,8 @@ func TestBarrierSynchronizesCores(t *testing.T) {
 	as := graph.NewAddrSpace()
 	g.Bind(as, false)
 	cs := cores(4)
-	k := NewBFS(g, 0)
-	r := Runner{G: g, Cores: cs, Prog: k}
+	k := graphmat.NewBFS(g, 0)
+	r := graphmat.Runner{G: g, Cores: cs, Prog: k}
 	r.Run()
 	// After the run every core's clock is within one barrier of the max.
 	var maxT, minT int64 = 0, 1 << 62

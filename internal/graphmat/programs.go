@@ -92,13 +92,7 @@ func NewCC(g *graph.Graph) *CC {
 func (k *CC) Name() string { return "gmat-cc" }
 
 // Init implements Program.
-func (k *CC) Init() []int32 {
-	all := make([]int32, k.G.N)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
-}
+func (k *CC) Init() []int32 { return allNodes(k.G.N) }
 
 // Process implements Program.
 func (k *CC) Process(tr *uops.Trace, u int32, out []int32, scratch uint64) []int32 {
@@ -163,15 +157,7 @@ func NewPR(g *graph.Graph, damping, tol float64) *PR {
 func (k *PR) Name() string { return "gmat-pr" }
 
 // Init implements Program.
-func (k *PR) Init() []int32 { return k.allNodes() }
-
-func (k *PR) allNodes() []int32 {
-	all := make([]int32, k.G.N)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
-}
+func (k *PR) Init() []int32 { return allNodes(k.G.N) }
 
 // Process implements Program: push this node's contribution into the next
 // vector; node N-1 closes the sweep and decides whether to iterate again.
@@ -209,9 +195,8 @@ func (k *PR) Process(tr *uops.Trace, u int32, out []int32, scratch uint64) []int
 		}
 		k.Rank, k.next = k.next, k.Rank
 		if k.delta >= k.Tol {
-			return append(out[:0], k.allNodes()...)
+			return append(out, allNodes(g.N)...)
 		}
-		return out[:0]
 	}
 	return out
 }
@@ -230,4 +215,14 @@ func (k *PR) Verify() error {
 		}
 	}
 	return nil
+}
+
+// allNodes lists nodes 0..n-1, the frontier of a program that starts
+// every node active.
+func allNodes(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
 }

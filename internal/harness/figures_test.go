@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -179,8 +180,18 @@ func TestMoreChannelsNeverHurt(t *testing.T) {
 	}
 }
 
+// TestGraphMatRunners runs every catalogue entry that declares a
+// GraphMat program and requires the others to be refused.
 func TestGraphMatRunners(t *testing.T) {
-	for _, bench := range []string{"SSSP", "BFS", "CC", "PR"} {
+	for _, spec := range append(kernels.Suite(), kernels.Extensions()...) {
+		bench := spec.Name
+		if spec.GraphMat == nil {
+			_, err := RunGraphMat(bench, Options{Config: Config{Threads: 2}})
+			if want := fmt.Sprintf("harness: no GraphMat program for %q", bench); err == nil || err.Error() != want {
+				t.Fatalf("graphmat %s: err %v, want %q", bench, err, want)
+			}
+			continue
+		}
 		res, err := RunGraphMat(bench, Options{Config: Config{Threads: 4, Seed: 42}})
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
@@ -188,9 +199,6 @@ func TestGraphMatRunners(t *testing.T) {
 		if res.WallCycles == 0 || res.WorkItems == 0 {
 			t.Fatalf("%s: empty result %+v", bench, res)
 		}
-	}
-	if _, err := RunGraphMat("TC", Options{Config: Config{Threads: 2}}); err == nil {
-		t.Fatal("graphmat TC should be unsupported")
 	}
 }
 

@@ -454,45 +454,36 @@ func csrResolve(g *graph.Graph) func(uint64) (uint64, bool) {
 	}
 }
 
-// RunGraphMat executes a workload under the GraphMat-like BSP baseline and
-// returns its statistics (wall cycles for Fig. 2/3 normalization).
+// RunGraphMat executes a workload under the GraphMat-like BSP baseline,
+// running the program its catalogue entry declares, and returns its
+// statistics (wall cycles for Fig. 2/3 normalization).
 func RunGraphMat(bench string, o Options) (*stats.Run, error) {
-	return runBSP(bench, o, func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error) {
-		var prog graphmat.Program
-		switch bench {
-		case "SSSP":
-			prog = graphmat.NewSSSP(g, src)
-		case "BFS", "G500":
-			prog = graphmat.NewBFS(g, src)
-		case "CC":
-			prog = graphmat.NewCC(g)
-		case "PR":
-			prog = graphmat.NewPR(g, kernels.PRDamping, 1e-3)
-		default:
-			return graphmat.Result{}, nil, fmt.Errorf("harness: no GraphMat program for %q", bench)
+	return runBSP(bench, o, func(spec kernels.Spec, g *graph.Graph, src int32, _ Options) (graphmat.Runner, error) {
+		if spec.GraphMat == nil {
+			return graphmat.Runner{}, fmt.Errorf("harness: no GraphMat program for %q", bench)
 		}
-		r := graphmat.Runner{G: g, Cores: cores, Prog: prog, Budget: o.WorkBudget}
-		return r.Run(), prog.Verify, nil
+		return graphmat.Runner{Prog: spec.GraphMat(g, src)}, nil
 	})
 }
 
 // RunGMatStar executes the GMat* bucketed delta-stepping SSSP (§3.1),
 // with LgInterval (default: SSSP's) as its bucket interval.
 func RunGMatStar(o Options) (*stats.Run, error) {
-	return runBSP("SSSP", o, func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error) {
+	return runBSP("SSSP", o, func(_ kernels.Spec, g *graph.Graph, src int32, o Options) (graphmat.Runner, error) {
 		k := graphmat.NewGMatStar(g, src, *o.LgInterval)
-		return k.Run(cores, o.WorkBudget), k.Verify, nil
+		return graphmat.Runner{Prog: k, Frontier: k.Frontier()}, nil
 	})
 }
 
-// runBSP is the set-up and verify step the GraphMat baselines share: it
-// builds bench's input and a machine, hands them to run with the
-// resolved options, summarizes the machine with run's wall cycles, work
-// items and timeout, and checks the answer with the verify func run returns unless SkipVerify is set or
-// the run timed out. Every core carries a stride prefetcher: GraphMat's
-// sequential frontier sweeps benefit from its tuned streaming (its
-// software prefetch plus the host's L2 streamer).
-func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores []*cpu.Core, o Options) (graphmat.Result, func() error, error)) (*stats.Run, error) {
+// runBSP is the step the GraphMat baselines share: it builds bench's
+// input and a machine, asks newRunner for the program and frontier with
+// the resolved options, runs them on the machine's cores under the work
+// budget, summarizes the machine with the run's wall cycles, work items
+// and timeout, and checks the program's answer unless SkipVerify is set
+// or the run timed out. Every core carries a stride prefetcher:
+// GraphMat's sequential frontier sweeps benefit from its tuned streaming
+// (its software prefetch plus the host's L2 streamer).
+func runBSP(bench string, o Options, newRunner func(spec kernels.Spec, g *graph.Graph, src int32, o Options) (graphmat.Runner, error)) (*stats.Run, error) {
 	spec, err := kernels.SpecByName(bench)
 	if err != nil {
 		return nil, err
@@ -501,16 +492,18 @@ func runBSP(bench string, o Options, run func(g *graph.Graph, src int32, cores [
 	g := spec.Graph(o.Scale, o.Seed, graph.NewAddrSpace())
 	m := newMachine(o)
 	m.attachHWPrefetchers("stride", g)
-	res, verify, err := run(g, spec.SourceNode(g), m.cores, o)
+	bsp, err := newRunner(spec, g, spec.SourceNode(g), o)
 	if err != nil {
 		return nil, err
 	}
+	bsp.G, bsp.Cores, bsp.Budget = g, m.cores, o.WorkBudget
+	res := bsp.Run()
 	r := m.summarize(bench)
 	r.WallCycles, r.WorkItems, r.TimedOut = int64(res.Wall), res.WorkItems, res.TimedOut
 	if o.SkipVerify || res.TimedOut {
 		return r, nil
 	}
-	if err := verify(); err != nil {
+	if err := bsp.Prog.Verify(); err != nil {
 		return nil, fmt.Errorf("harness: graphmat %s verification failed: %w", bench, err)
 	}
 	return r, nil

@@ -5,6 +5,7 @@ import (
 
 	"minnow/internal/core"
 	"minnow/internal/graph"
+	"minnow/internal/graphmat"
 	"minnow/internal/worklist"
 )
 
@@ -22,9 +23,10 @@ type Arrivable interface {
 	ArrivalTask(node int32) worklist.Task
 }
 
-// Spec declares one benchmark, once: its input, its layout, its tuning
-// and its constructor. Run, RunGraph, the GraphMat baseline and the
-// figure tables all read these fields; none keeps a second copy.
+// Spec declares one benchmark, once: its input, its layout, its tuning,
+// its constructor and its GraphMat program. Run, RunGraph, the GraphMat
+// baseline and the figure tables all read these fields; none keeps a
+// second copy.
 type Spec struct {
 	Name       string // SSSP, BFS, G500, CC, PR, TC, BC, KCORE
 	PaperInput string // the Table-1 input this stands in for
@@ -45,6 +47,9 @@ type Spec struct {
 	// New constructs the kernel on a bound graph. cores sizes per-core
 	// stack regions.
 	New func(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel
+	// GraphMat builds the benchmark's program for the GraphMat baseline
+	// (§3.1) on a bound graph; nil means GraphMat has none.
+	GraphMat func(g *graph.Graph, src int32) graphmat.Program
 }
 
 // Graph generates the input and binds its addresses from as.
@@ -96,6 +101,7 @@ func Suite() []Spec {
 			New: func(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewSSSP(g, src, as, cores)
 			},
+			GraphMat: func(g *graph.Graph, src int32) graphmat.Program { return graphmat.NewSSSP(g, src) },
 		},
 		{
 			Name:       "BFS",
@@ -105,6 +111,7 @@ func Suite() []Spec {
 			// own bucket.
 			LgInterval: 0,
 			New:        newBFS,
+			GraphMat:   gmatBFS,
 		},
 		{
 			Name:       "G500",
@@ -119,6 +126,7 @@ func Suite() []Spec {
 			Source:     kroneckerRoot,
 			LgInterval: 0, // as BFS
 			New:        newBFS,
+			GraphMat:   gmatBFS,
 		},
 		{
 			Name:       "CC",
@@ -133,6 +141,7 @@ func Suite() []Spec {
 			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewCC(g, as, cores)
 			},
+			GraphMat: func(g *graph.Graph, _ int32) graphmat.Program { return graphmat.NewCC(g) },
 		},
 		{
 			Name:       "PR",
@@ -144,6 +153,9 @@ func Suite() []Spec {
 			New: func(g *graph.Graph, _ int32, as *graph.AddrSpace, cores int) Kernel {
 				return NewPR(g, as, cores)
 			},
+			// GraphMat's sweeps stop once a sweep moves the ranks less
+			// than 1e-3 in L1.
+			GraphMat: func(g *graph.Graph, _ int32) graphmat.Program { return graphmat.NewPR(g, PRDamping, 1e-3) },
 		},
 		{
 			Name:       "TC",
@@ -218,3 +230,6 @@ func kroneckerRoot(g *graph.Graph) int32 {
 func newBFS(g *graph.Graph, src int32, as *graph.AddrSpace, cores int) Kernel {
 	return NewBFS(g, src, as, cores)
 }
+
+// gmatBFS is BFS's and G500's GraphMat program.
+func gmatBFS(g *graph.Graph, src int32) graphmat.Program { return graphmat.NewBFS(g, src) }

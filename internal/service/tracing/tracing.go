@@ -24,8 +24,9 @@ package tracing
 import (
 	"encoding/json"
 	"strconv"
-	"strings"
 	"time"
+
+	"minnow/internal/obs"
 )
 
 // Span is one closed service-level lifecycle interval of a job
@@ -89,20 +90,9 @@ type simTrace struct {
 // above the run's task timeline. An unparseable simTimeline is skipped,
 // never fatal: the service spans alone are still a valid trace.
 func (t *JobTrace) Render(simTimeline []byte) []byte {
-	var b strings.Builder
-	b.WriteString("{\"traceEvents\":[")
-	first := true
-	emit := func(s string) {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		b.WriteString("\n")
-		b.WriteString(s)
-	}
-
-	emit(`{"ph":"M","pid":1,"name":"process_name","args":{"name":"minnowd service (ts = wall µs since submit)"}}`)
-	emit(`{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":` + strconv.Quote("job "+t.ID) + `}}`)
+	w := obs.NewTraceWriter()
+	w.ProcessName(1, "minnowd service (ts = wall µs since submit)")
+	w.ThreadName(1, 0, "job "+t.ID)
 	for i := range t.Spans {
 		sp := &t.Spans[i]
 		ts := t.us(sp.Start)
@@ -110,41 +100,33 @@ func (t *JobTrace) Render(simTimeline []byte) []byte {
 		if dur <= 0 {
 			dur = 1
 		}
-		args := `{"corr":` + strconv.Quote(t.Corr)
-		if sp.Detail != "" {
-			args += `,"detail":` + strconv.Quote(sp.Detail)
-		}
-		args += "}"
-		emit(`{"ph":"X","pid":1,"tid":0,"ts":` + strconv.FormatInt(ts, 10) +
-			`,"dur":` + strconv.FormatInt(dur, 10) +
-			`,"name":` + strconv.Quote(sp.Name) + `,"args":` + args + "}")
+		w.Span(1, 0, ts, dur, sp.Name, `{"corr":`+strconv.Quote(t.Corr)+detail(sp.Detail)+"}")
 	}
 	for i := range t.Instants {
 		in := &t.Instants[i]
-		args := `{"arg":` + strconv.FormatInt(in.Arg, 10)
-		if in.Detail != "" {
-			args += `,"detail":` + strconv.Quote(in.Detail)
-		}
-		args += "}"
-		emit(`{"ph":"i","pid":1,"tid":0,"ts":` + strconv.FormatInt(t.us(in.At), 10) +
-			`,"s":"t","name":` + strconv.Quote(in.Name) + `,"args":` + args + "}")
+		w.Instant(1, 0, t.us(in.At), in.Name, `{"arg":`+strconv.FormatInt(in.Arg, 10)+detail(in.Detail)+"}")
 	}
 
 	if len(simTimeline) > 0 {
 		var sim simTrace
 		if err := json.Unmarshal(simTimeline, &sim); err == nil && len(sim.TraceEvents) > 0 {
-			emit(`{"ph":"M","pid":0,"name":"process_name","args":{"name":"simulation (ts = cycles)"}}`)
+			w.ProcessName(0, "simulation (ts = cycles)")
 			for _, ev := range sim.TraceEvents {
-				emit(string(ev))
+				w.Event(string(ev))
 			}
 		}
 	}
+	return w.Close("generator", "minnowd", "job", t.ID, "corr", t.Corr, "bench", t.Bench,
+		"status", t.Status, "serviceTimeUnit", "wall-us", "simTimeUnit", "cycles")
+}
 
-	b.WriteString("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"minnowd\",\"job\":" +
-		strconv.Quote(t.ID) + ",\"corr\":" + strconv.Quote(t.Corr) +
-		",\"bench\":" + strconv.Quote(t.Bench) + ",\"status\":" + strconv.Quote(t.Status) +
-		",\"serviceTimeUnit\":\"wall-us\",\"simTimeUnit\":\"cycles\"}}\n")
-	return []byte(b.String())
+// detail renders an optional free-form annotation as a trailing args
+// field, or nothing when it is empty.
+func detail(d string) string {
+	if d == "" {
+		return ""
+	}
+	return `,"detail":` + strconv.Quote(d)
 }
 
 // us converts a wall-clock instant to trace microseconds since Base,

@@ -247,6 +247,43 @@ func TestRenderMerge(t *testing.T) {
 	}
 }
 
+// TestRenderBytes pins Render's bytes for one fixed job, without and
+// with a simulator timeline: a quoted correlation ID, a span that starts
+// before submission (clamped to 0), a zero-length span (the 1µs floor),
+// span and instant details with escapes and non-ASCII, and the
+// simulation's metadata, span and counter events re-emitted verbatim.
+func TestRenderBytes(t *testing.T) {
+	base := time.Unix(1000, 0)
+	tr := &JobTrace{
+		ID: "j-7", Corr: "c-\"7\"", Bench: "SSSP", Status: "done", Base: base,
+		Spans: []Span{
+			{Name: "job", Start: base, End: base.Add(3 * time.Millisecond)},
+			{Name: "queue-wait", Start: base.Add(-time.Millisecond), End: base.Add(time.Millisecond)},
+			{Name: "exec", Start: base.Add(time.Millisecond), End: base.Add(2 * time.Millisecond), Detail: "error: µ\tstop"},
+			{Name: "tiny", Start: base.Add(time.Millisecond), End: base.Add(time.Millisecond)},
+		},
+		Instants: []Instant{
+			{Name: "checkpoint", At: base.Add(1500 * time.Microsecond), Arg: 42},
+			{Name: "cancel", At: base.Add(2500 * time.Microsecond), Detail: "client"},
+		},
+	}
+	sim := []byte(`{"traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"core0"}},
+{"ph":"X","pid":0,"tid":0,"ts":10,"dur":5,"name":"task","args":{"arg":3}},
+{"ph":"C","pid":0,"ts":12,"name":"occupancy","args":{"value":7}}
+],"displayTimeUnit":"ms","otherData":{"generator":"minnowsim","timeUnit":"cycles"}}
+`)
+	for golden, timeline := range map[string][]byte{"render.golden.json": nil, "render_sim.golden.json": sim} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Render(timeline); !bytes.Equal(got, want) {
+			t.Errorf("%s: Render bytes differ:\n got: %s\nwant: %s", golden, got, want)
+		}
+	}
+}
+
 // TestRenderWithoutSim requires a service-only trace (no timeline, or
 // garbage timeline bytes) to still be valid JSON with the service
 // process alone.
